@@ -275,10 +275,10 @@ def as_defining_generators(nf: NormalForm) -> Word:
         x = Word.generator("a")
         c = alternating("a", "b", n)
     y = Word.from_text("a b")
-    out = c ** nf.central
+    letters = list((c ** nf.central).letters)
     for s, e in nf.syllables:
-        out = out * ((x if s == "x" else y) ** e)
-    return out
+        letters += ((x if s == "x" else y) ** e).letters
+    return Word(tuple(letters))
 
 
 def membership_a_z(n: int, w: Word) -> tuple[int, int] | None:

@@ -10,12 +10,16 @@ big chunks: maximal connected induced subgraphs without separating
 vertices. These coincide with the blocks of the graph (biconnected
 components, bridges, and isolated vertices), which is how they are
 computed; a brute-force maximality oracle in the test suite enforces the
-equivalence.
+equivalence. The blocks, with their edges, come from one iterative
+Hopcroft-Tarjan depth-first search in O(V + E) (Hopcroft & Tarjan,
+"Algorithm 447", CACM 16(6), 1973); the separating vertices, the
+block-cut tree and the retractions onto chunks are all read off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -246,7 +250,9 @@ class BlockDecomposition:
 
     Chunks are sorted by (least vertex, size, vertex tuple). ``incidence``
     pairs each separating vertex with the sorted indexes of the chunks
-    containing it.
+    containing it. Chunks and separating vertices are the two node kinds
+    of the block-cut tree, and the incidence pairs are its edges; all of
+    it comes from one linear depth-first search (:func:`big_chunks`).
     """
 
     graph: LabelledGraph
@@ -254,8 +260,13 @@ class BlockDecomposition:
     separating: tuple[str, ...]
     incidence: tuple[tuple[str, tuple[int, ...]], ...]
 
+    @cached_property
+    def chunks_at(self) -> dict[str, tuple[int, ...]]:
+        """Each vertex of the chunks mapped to the sorted indexes of its chunks."""
+        return _chunks_at(c.vertices for c in self.chunks)
+
     def chunks_containing(self, v: str) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.chunks) if v in c.vertices)
+        return self.chunks_at.get(v, ())
 
     def classes(self) -> tuple[ChunkClass, ...]:
         return tuple(classify_chunk(self.graph, c) for c in self.chunks)
@@ -268,68 +279,82 @@ class BlockDecomposition:
         }
 
 
-def separating_vertices(g: LabelledGraph) -> tuple[str, ...]:
-    """Vertices whose removal disconnects the graph (or a component of it)."""
-    out = []
-    base = len(g.components())
-    for v in g.vertices:
-        rest = [u for u in g.vertices if u != v]
-        if rest and len(g.induced(rest).components()) > base - (1 if g.valence(v) == 0 else 0):
-            out.append(v)
-    return tuple(out)
+def _blocks(g: LabelledGraph) -> list[tuple[tuple[str, ...], tuple[tuple[str, str, int], ...]]]:
+    """The blocks of g as (sorted vertices, sorted edges), in no fixed order.
 
-
-def _edge_blocks(g: LabelledGraph) -> list[frozenset[str]]:
-    """Vertex sets of the blocks, via edge equivalence.
-
-    Two edges meeting at v lie in a common block iff their far endpoints
-    are connected in the graph without v. The blocks are the classes of
-    the transitive closure, plus singletons for isolated vertices.
+    One iterative Hopcroft-Tarjan search over every component: ``low[v]``
+    is the least discovery index reachable from v's subtree by one back
+    edge. Tree and back edges go on an edge stack; when a child w of u
+    finishes with low[w] >= disc[u], the edges down to (u, w) form a
+    block. Isolated vertices are singleton blocks.
     """
-    edges = [(u, v) for u, v, _ in g.edges]
-    parent = list(range(len(edges)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    index_at: dict[str, list[int]] = {v: [] for v in g.vertices}
-    for i, (u, v) in enumerate(edges):
-        index_at[u].append(i)
-        index_at[v].append(i)
-
-    for v in g.vertices:
-        incident = index_at[v]
-        if len(incident) < 2:
+    adj = g._adj
+    disc: dict[str, int] = {}
+    low: dict[str, int] = {}
+    out = []
+    for root in g.vertices:
+        if root in disc:
             continue
-        rest = [u for u in g.vertices if u != v]
-        comp_of: dict[str, int] = {}
-        for k, comp in enumerate(g.induced(rest).components()):
-            for u in comp:
-                comp_of[u] = k
-        for i, j in combinations(incident, 2):
-            far_i = edges[i][0] if edges[i][1] == v else edges[i][1]
-            far_j = edges[j][0] if edges[j][1] == v else edges[j][1]
-            if comp_of[far_i] == comp_of[far_j]:
-                union(i, j)
+        disc[root] = low[root] = len(disc)
+        if not adj[root]:
+            out.append(((root,), ()))
+            continue
+        edge_stack: list[tuple[str, str]] = []
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, parent, todo = stack[-1]
+            for w in todo:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    edge_stack.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] < disc[u]:
+                    continue
+                verts: set[str] = set()
+                edges = []
+                while True:
+                    a, b = edge_stack.pop()
+                    verts.update((a, b))
+                    edges.append((a, b, adj[a][b]) if a < b else (b, a, adj[a][b]))
+                    if (a, b) == (u, v):
+                        break
+                out.append((tuple(sorted(verts)), tuple(sorted(edges))))
+    return out
 
-    groups: dict[int, set[str]] = {}
-    for i, (u, v) in enumerate(edges):
-        groups.setdefault(find(i), set()).update((u, v))
-    blocks = [frozenset(s) for s in groups.values()]
-    covered = set().union(*blocks) if blocks else set()
-    blocks += [frozenset({v}) for v in g.vertices if v not in covered]
-    return blocks
+
+def _chunks_at(vertex_sets) -> dict[str, tuple[int, ...]]:
+    at: dict[str, list[int]] = {}
+    for i, vertices in enumerate(vertex_sets):
+        for v in vertices:
+            at.setdefault(v, []).append(i)
+    return {v: tuple(idxs) for v, idxs in at.items()}
+
+
+def separating_vertices(g: LabelledGraph) -> tuple[str, ...]:
+    """Vertices whose removal disconnects the graph (or a component of it).
+
+    These are the vertices lying in two or more blocks of the linear
+    depth-first search, on any graph, connected or not.
+    """
+    at = _chunks_at(t for t, _ in _blocks(g))
+    return tuple(v for v in g.vertices if len(at[v]) > 1)
 
 
 def big_chunks(g: LabelledGraph) -> BlockDecomposition:
     """Decompose a connected graph into big chunks.
 
+    Each chunk's graph is built from the edges its block popped off the
+    search's edge stack (a block's vertex set induces exactly those).
     Raises :class:`DisconnectedGraphError` on disconnected input (the
     components are reported on the error).
     """
@@ -338,22 +363,11 @@ def big_chunks(g: LabelledGraph) -> BlockDecomposition:
     comps = g.components()
     if len(comps) > 1:
         raise DisconnectedGraphError(comps)
-    blocks = _edge_blocks(g)
-    ordered = sorted(
-        (tuple(sorted(b)) for b in blocks),
-        key=lambda t: (t[0], len(t), t),
-    )
-    chunks = tuple(BigChunk(t, g.induced(t)) for t in ordered)
-    count: dict[str, int] = {v: 0 for v in g.vertices}
-    for c in chunks:
-        for v in c.vertices:
-            count[v] += 1
-    separating = tuple(v for v in g.vertices if count[v] > 1)
-    incidence = tuple(
-        (v, tuple(i for i, c in enumerate(chunks) if v in c.vertices))
-        for v in separating
-    )
-    return BlockDecomposition(g, chunks, separating, incidence)
+    blocks = sorted(_blocks(g), key=lambda b: (b[0][0], len(b[0]), b[0]))
+    chunks = tuple(BigChunk(t, LabelledGraph(t, e)) for t, e in blocks)
+    at = _chunks_at(t for t, _ in blocks)
+    incidence = tuple((v, at[v]) for v in g.vertices if len(at[v]) > 1)
+    return BlockDecomposition(g, chunks, tuple(v for v, _ in incidence), incidence)
 
 
 def classify_chunk(g: LabelledGraph, chunk: BigChunk) -> ChunkClass:
@@ -412,32 +426,28 @@ def retract_word(g: LabelledGraph, chunk: BigChunk, w: Word) -> Word:
     if not chunk_set <= set(g.vertices):
         raise PreconditionError("chunk does not live in the graph")
 
-    dist: dict[str, dict[str, int]] = {}
-    for start in g.vertices:
-        d = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in g.neighbors(x):
-                    if y not in d:
-                        d[y] = d[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        dist[start] = d
+    # one breadth-first search from the whole chunk, carrying for each
+    # vertex its nearest chunk vertices (two are enough to see ambiguity)
+    nearest: dict[str, set[str]] = {c: {c} for c in chunk.vertices}
+    frontier = list(chunk.vertices)
+    while frontier:
+        layer: dict[str, set[str]] = {}
+        for x in frontier:
+            for y in g._adj[x]:
+                if y not in nearest:
+                    near = layer.setdefault(y, set())
+                    if len(near) < 2:
+                        near |= nearest[x]
+        nearest.update(layer)
+        frontier = list(layer)
 
     rho: dict[str, str] = {}
     for v in g.vertices:
-        if v in chunk_set:
-            rho[v] = v
-            continue
-        best = min(dist[v][c] for c in chunk.vertices)
-        nearest = [c for c in chunk.vertices if dist[v][c] == best]
-        if len(nearest) != 1:
+        if len(nearest[v]) != 1:
             raise PreconditionError(
                 f"no unique nearest chunk vertex for {v}; not a big chunk"
             )
-        rho[v] = nearest[0]
+        (rho[v],) = nearest[v]
 
     for u, v, m in g.edges:
         ru, rv = rho[u], rho[v]

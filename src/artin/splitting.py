@@ -94,41 +94,24 @@ def splits_over_cyclic(g: LabelledGraph) -> SplitVerdict:
 def _sides(decomp, v: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Split the chunks at v: the side of the first chunk versus the rest.
 
-    Components are taken in the block-cut tree with v's node deleted;
-    both sides contain v and intersect only in it.
+    The first side is what a search over the block-cut tree reaches from
+    chunk 0 without passing through v's node; both sides contain v and
+    intersect only in it.
     """
-    at_v = set(decomp.chunks_containing(v))
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(decomp.chunks))}
-    for w, idxs in decomp.incidence:
-        if w == v:
-            continue
-        for i in idxs:
-            for j in idxs:
-                if i != j:
-                    adjacency[i].add(j)
+    reached = {0}
+    todo = [0]
+    while todo:
+        for w in decomp.chunks[todo.pop()].vertices:
+            if w != v:
+                for j in decomp.chunks_at[w]:
+                    if j not in reached:
+                        reached.add(j)
+                        todo.append(j)
 
-    seen: set[int] = set()
-    groups: list[set[int]] = []
-    for start in range(len(decomp.chunks)):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for j in adjacency[stack.pop()]:
-                if j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        seen |= comp
-        groups.append(comp)
-
-    first = next(grp for grp in groups if 0 in grp)
     left_set: set[str] = set()
     right_set: set[str] = set()
-    for grp in groups:
-        target = left_set if grp is first else right_set
-        for i in grp:
-            target.update(decomp.chunks[i].vertices)
+    for i, chunk in enumerate(decomp.chunks):
+        (left_set if i in reached else right_set).update(chunk.vertices)
     assert v in left_set and v in right_set
     assert left_set & right_set == {v}
     return tuple(sorted(left_set)), tuple(sorted(right_set))

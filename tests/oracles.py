@@ -3,8 +3,9 @@
 The chunk oracle enumerates every induced subgraph and applies the
 definition of a big chunk literally: connected, no separating vertex,
 maximal among such. The Smith oracle recovers invariant factors from
-gcds of k-by-k minors. Both are written against plain adjacency data,
-not the library graph algorithms.
+gcds of k-by-k minors. The retraction oracle measures every distance by
+breadth-first search from every vertex. All are written against plain
+adjacency data, not the library graph algorithms.
 """
 
 from __future__ import annotations
@@ -109,6 +110,33 @@ def oracle_separating(g):
         if comp_count(rest) > base - (1 if isolated else 0):
             out.append(verts[i])
     return tuple(out)
+
+
+def oracle_retraction(g, chunk_vertices):
+    """Each vertex mapped to the sorted tuple of its nearest chunk vertices.
+
+    Breadth-first search from every vertex of the graph (all pairs), the
+    nearest chunk vertices being those at least distance.
+    """
+    adj = {v: [] for v in g.vertices}
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    out = {}
+    for start in g.vertices:
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        best = min(dist[c] for c in chunk_vertices)
+        out[start] = tuple(sorted(c for c in chunk_vertices if dist[c] == best))
+    return out
 
 
 def oracle_invariant_factors(matrix):

@@ -70,6 +70,28 @@ def test_round_trip_through_defining_generators():
             assert normal_form(n, back) == nf, (n, w.to_text())
 
 
+def test_long_normal_form_expands_letter_by_letter():
+    # x, y and the central power spelled out one letter at a time, per the
+    # change of generators in the dihedral module docstring
+    rng = random.Random(31)
+    for n in (5, 6):
+        w = Word(tuple((rng.choice("ab"), rng.choice((-2, -1, 1, 2))) for _ in range(15_000)))
+        nf = normal_form(n, w)
+        assert len(nf.syllables) >= 10_000
+        x = ["a", "b"] * (n // 2) + ["a"] if n % 2 else ["a"]
+        central = x * 2 if n % 2 else ["a", "b"] * (n // 2)
+        expected = []
+        for names, e in [(central, nf.central)] + [
+            (x if s == "x" else ["a", "b"], e) for s, e in nf.syllables
+        ]:
+            for _ in range(abs(e)):
+                for name in names if e > 0 else reversed(names):
+                    expected.append((name, 1 if e > 0 else -1))
+        back = as_defining_generators(nf)
+        assert back.letters == tuple(expected)
+        assert normal_form(n, back) == nf
+
+
 def test_product_soundness():
     rng = random.Random(77)
     for n in range(3, 9):

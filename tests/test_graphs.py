@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from artin import (
@@ -16,6 +17,7 @@ from artin import (
     parse_graph,
     retract_word,
     separating_vertices,
+    splits_over_cyclic,
 )
 from artin.graphs import BigChunk
 
@@ -27,7 +29,7 @@ from corpus import (
     relabelled_copy,
     triangle,
 )
-from oracles import oracle_big_chunks, oracle_separating
+from oracles import oracle_big_chunks, oracle_retraction, oracle_separating
 
 
 # parsing
@@ -196,6 +198,94 @@ def test_block_cut_incidence_is_a_tree():
             assert reach == set(range(len(d.chunks)))
 
 
+def _to_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from((u, v) for u, v, _ in g.edges)
+    return h
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_chunks_match_networkx_on_large_graphs(n):
+    # the brute-force oracles stop near 8 vertices; networkx checks real sizes
+    rng = random.Random(n)
+    for mean_extra_degree in (0.5, 2.0):
+        g = random_connected_graph(rng, n, extra_p=mean_extra_degree / n)
+        h = _to_networkx(g)
+        d = big_chunks(g)
+        blocks = sorted(
+            (tuple(sorted(b)) for b in nx.biconnected_components(h)),
+            key=lambda t: (t[0], len(t), t),
+        )
+        assert [c.vertices for c in d.chunks] == blocks
+        assert d.separating == tuple(sorted(nx.articulation_points(h)))
+        assert separating_vertices(g) == d.separating
+        # each edge in exactly one chunk graph, so each is the induced subgraph
+        assert sorted(e for c in d.chunks for e in c.graph.edges) == list(g.edges)
+        assert all(c.graph.vertices == c.vertices for c in d.chunks)
+        # the split sides: v plus the component of G - v holding chunk 0
+        verdict = splits_over_cyclic(g)
+        v = verdict.vertex
+        assert v == d.separating[0]
+        start = next(u for u in d.chunks[0].vertices if u != v)
+        h.remove_node(v)
+        assert verdict.left == tuple(sorted(nx.node_connected_component(h, start) | {v}))
+        assert set(verdict.left) | set(verdict.right) == set(g.vertices)
+
+
+def test_separating_vertices_match_networkx_on_disconnected_graphs():
+    rng = random.Random(21)
+    for _ in range(30):
+        edges = []
+        names = []
+        for k in range(rng.randint(2, 4)):
+            part = random_connected_graph(rng, rng.randint(1, 60), extra_p=0.04)
+            names += [f"p{k}{v}" for v in part.vertices]
+            edges += [(f"p{k}{u}", f"p{k}{v}", m) for u, v, m in part.edges]
+        names += [f"z{i}" for i in range(rng.randint(1, 3))]
+        g = LabelledGraph.from_edges(edges, vertices=names)
+        assert len(g.components()) > 1
+        got = separating_vertices(g)
+        assert got == tuple(sorted(nx.articulation_points(_to_networkx(g))))
+        if len(g.vertices) <= 9:
+            assert got == oracle_separating(g)
+
+
+def _path(n):
+    return LabelledGraph.from_edges(
+        [(f"p{i:05d}", f"p{i + 1:05d}", 3) for i in range(n - 1)]
+    )
+
+
+def _triangle_chain(k):
+    # triangles {c_i, m_i, c_(i+1)} glued at the cut vertices c_1 .. c_(k-1)
+    edges = []
+    for i in range(k):
+        c, m, nxt = f"c{i:05d}", f"m{i:05d}", f"c{i + 1:05d}"
+        edges += [(c, m, 2), (m, nxt, 3), (c, nxt, 4)]
+    return LabelledGraph.from_edges(edges)
+
+
+@pytest.mark.parametrize(
+    "build,chunk_count",
+    [(lambda: _path(20_000), 19_999), (lambda: _triangle_chain(5_000), 5_000)],
+    ids=["path-20000", "triangle-chain-5000"],
+)
+def test_long_graphs_need_no_recursion(build, chunk_count):
+    g = build()
+    d = big_chunks(g)
+    assert len(d.chunks) == chunk_count
+    assert len(d.separating) == chunk_count - 1
+    verdict = splits_over_cyclic(g)
+    assert verdict.vertex == d.separating[0]
+    assert set(verdict.left) & set(verdict.right) == {verdict.vertex}
+    chunk = d.chunks[chunk_count // 2]
+    ends = Word(((g.vertices[0], 1), (g.vertices[-1], -1)))
+    out = retract_word(g, chunk, ends)
+    assert out.support() <= set(chunk.vertices)
+    assert len(out.letters) == 2
+
+
 # classification
 
 
@@ -274,8 +364,42 @@ def test_retract_fixes_chunk_letters_and_is_idempotent():
 def test_retract_rejects_non_chunk():
     g = triangle()
     fake = BigChunk(("a", "b"), g.induced({"a", "b"}))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(
+        PreconditionError, match="^no unique nearest chunk vertex for c; not a big chunk$"
+    ):
         retract_word(g, fake, Word.from_text("c"))
+
+
+def _retraction_corpus():
+    rng = random.Random(17)
+    return connected_atlas(7) + [
+        random_connected_graph(rng, rng.randint(2, 12), extra_p=0.2) for _ in range(150)
+    ]
+
+
+def test_retract_matches_oracle_on_every_chunk():
+    for g in _retraction_corpus():
+        every_vertex = Word(tuple((v, 1) for v in g.vertices))
+        for chunk in big_chunks(g).chunks:
+            nearest = oracle_retraction(g, chunk.vertices)
+            assert all(len(t) == 1 for t in nearest.values()), g.edges
+            got = retract_word(g, chunk, every_vertex)
+            assert got.letters == tuple((nearest[v][0], 1) for v in g.vertices), g.edges
+
+
+def test_retract_rejection_names_first_ambiguous_vertex():
+    rng = random.Random(18)
+    for g in _retraction_corpus():
+        subset = tuple(sorted(rng.sample(g.vertices, rng.randint(1, len(g.vertices)))))
+        fake = BigChunk(subset, g.induced(subset))
+        nearest = oracle_retraction(g, subset)
+        ambiguous = [v for v in g.vertices if len(nearest[v]) > 1]
+        if ambiguous:
+            with pytest.raises(
+                PreconditionError,
+                match=f"^no unique nearest chunk vertex for {ambiguous[0]}; not a big chunk$",
+            ):
+                retract_word(g, fake, Word())
 
 
 # canonical form
