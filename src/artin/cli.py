@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input (unreadable files, parse errors,
 bad arguments), 2 precondition violations (wrong graph shape for an
-operation), 64 unknown subcommand.
+operation), 64 unknown subcommand. An error raised by the toolkit exits
+with the ``exit_code`` of its class in :mod:`artin.errors`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .dihedral import (
     root_bound_search,
     words_equal,
 )
-from .errors import ArtinError, PreconditionError, WordFormatError
-from .gog import GraphOfGroups, build_jsj, collapse_jsj, dihedral_jsj
+from .errors import ArtinError, PreconditionError
+from .gog import GraphOfGroups, betti_number, build_jsj, collapse_jsj, dihedral_jsj
 from .graphs import big_chunks, parse_graph, retract_word
 from .invariants import aut_acylindrically_hyperbolic, compare, profile
 from .presentations import (
@@ -67,21 +68,21 @@ def _gog_text(gog: GraphOfGroups) -> str:
         )
         stable = f" (stable letter {e.stable_letter})" if e.stable_letter else ""
         lines.append(f"edge {e.ends[0]} -- {e.ends[1]}: {desc}{inj}{stable}")
-    from .gog import betti_number
-
     lines.append(f"betti: {betti_number(gog)}")
     for sym, word in gog.legend:
         lines.append(f"where {sym} = {word.to_text()}")
     return "\n".join(lines) + "\n"
 
 
-def _write_dot(gog: GraphOfGroups, path: str):
+def _write_dot(gog: GraphOfGroups, path: str) -> int:
     dot = gog.to_dot()
     if path == "-":
         sys.stdout.write(dot)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dot)
+        print(f"wrote {path}")
+    return 0
 
 
 def _cmd_validate(args) -> int:
@@ -137,10 +138,7 @@ def _cmd_jsj(args) -> int:
     if args.collapsed:
         gog = collapse_jsj(gog)
     if args.dot:
-        _write_dot(gog, args.dot)
-        if args.dot != "-":
-            print(f"wrote {args.dot}")
-        return 0
+        return _write_dot(gog, args.dot)
     _emit(gog.to_json_dict(), _gog_text(gog), args.json)
     return 0
 
@@ -148,10 +146,7 @@ def _cmd_jsj(args) -> int:
 def _cmd_dihedral_jsj(args) -> int:
     gog = dihedral_jsj(args.label)
     if args.dot:
-        _write_dot(gog, args.dot)
-        if args.dot != "-":
-            print(f"wrote {args.dot}")
-        return 0
+        return _write_dot(gog, args.dot)
     pres = gog_presentation(gog)
     text = _gog_text(gog) + "presentation: " + render_presentation(pres)
     payload = gog.to_json_dict()
@@ -374,26 +369,12 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.fn(args)
-    except (OSError, WordFormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except PreconditionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ArtinError as err:
         print(f"error: {err}", file=sys.stderr)
-        return _classify(err)
-    return 0
-
-
-def _classify(err: ArtinError) -> int:
-    from .errors import DisconnectedGraphError, GraphFormatError
-
-    if isinstance(err, GraphFormatError):
+        return err.exit_code
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 1
-    if isinstance(err, DisconnectedGraphError):
-        return 2
-    return 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class ArtinError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``exit_code`` is the command line's exit status for the error: 1 for
+    invalid input, 2 for a precondition violation.
+    """
+
+    exit_code = 1
 
 
 class GraphFormatError(ArtinError):
@@ -24,6 +30,8 @@ class WordFormatError(ArtinError):
 class DisconnectedGraphError(ArtinError):
     """Operation requires a connected graph. Carries the components."""
 
+    exit_code = 2
+
     def __init__(self, components):
         self.components = tuple(tuple(c) for c in components)
         parts = ", ".join("{" + ",".join(c) + "}" for c in self.components)
@@ -32,6 +40,8 @@ class DisconnectedGraphError(ArtinError):
 
 class PreconditionError(ArtinError):
     """Input is well formed but outside the operation's domain."""
+
+    exit_code = 2
 
 
 class NoJsjExistsError(PreconditionError):

@@ -24,7 +24,7 @@ label 2 group is Z^2 and has no JSJ over cyclic subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 from .errors import NoJsjExistsError, PreconditionError
@@ -251,102 +251,56 @@ def _chunk_id(chunk: BigChunk) -> str:
     return "B_" + "_".join(chunk.vertices)
 
 
-def _build(g: LabelledGraph, with_groups: bool) -> GraphOfGroups:
+def build_skeleton(g: LabelledGraph) -> GraphOfGroups:
+    """The underlying coloured graph of the decomposition, without groups."""
+    gog = build_jsj(g)
+    return replace(
+        gog,
+        vertices=tuple(replace(v, group=None) for v in gog.vertices),
+        edges=tuple(replace(e, edge_group=None, injections=None) for e in gog.edges),
+    )
+
+
+def build_jsj(g: LabelledGraph) -> GraphOfGroups:
+    """The JSJ graph of groups of the Artin group on a connected graph, |V| >= 3.
+
+    Vertices come in the order black, white, red; edges in the order
+    white-black, black-red, loops.
+    """
     if len(g.vertices) < 3:
         raise PreconditionError(
             "the decomposition is defined for graphs on at least 3 vertices;"
             " use the dihedral decomposition for a single edge"
         )
     decomp = big_chunks(g)
-    vertices: list[GoGVertex] = []
-    edges: list[GoGEdge] = []
-
-    black_ids: list[str] = []
-    classes: list[ChunkClass] = []
+    black: list[GoGVertex] = []
+    red: list[GoGVertex] = []
+    red_edges: list[GoGEdge] = []
+    loops: list[GoGEdge] = []
     for chunk in decomp.chunks:
         kind = classify_chunk(g, chunk)
-        classes.append(kind)
-        vid = _chunk_id(chunk)
-        black_ids.append(vid)
-        group: GroupDescriptor | None = None
-        if with_groups:
-            if kind.kind == CHUNK_TORAL_LEAF:
-                base = next(v for v in chunk.vertices if v != kind.tip)
-                group = CyclicOnGenerator(base)
-            elif kind.kind == CHUNK_BRAIDED_LEAF:
-                base = next(v for v in chunk.vertices if v != kind.tip)
-                group = FreeAbelianPair(base, alternating(base, kind.tip, kind.label))
-            else:
-                group = ChunkParabolic(chunk)
-        vertices.append(GoGVertex(vid, BLACK, group, chunk, kind))
-
-    for v in decomp.separating:
-        vertices.append(
-            GoGVertex(f"W_{v}", WHITE, CyclicOnGenerator(v) if with_groups else None)
-        )
-
-    red_ids: dict[int, str] = {}
-    for i, kind in enumerate(classes):
-        if kind.kind != CHUNK_BRAIDED_LEAF:
-            continue
-        chunk = decomp.chunks[i]
+        bid = _chunk_id(chunk)
         base = next(v for v in chunk.vertices if v != kind.tip)
-        rid = f"R_{base}_{kind.tip}"
-        red_ids[i] = rid
-        group = CyclicOnWord(Word(((base, 1), (kind.tip, 1)))) if with_groups else None
-        vertices.append(GoGVertex(rid, RED, group))
-
+        if kind.kind == CHUNK_TORAL_LEAF:
+            group: GroupDescriptor = CyclicOnGenerator(base)
+            word = Word.generator(base)
+            loops.append(GoGEdge((bid, bid), group, (word, word), stable_letter=kind.tip))
+        elif kind.kind == CHUNK_BRAIDED_LEAF:
+            z_word = alternating(base, kind.tip, kind.label)
+            group = FreeAbelianPair(base, z_word)
+            rid = f"R_{base}_{kind.tip}"
+            red.append(GoGVertex(rid, RED, CyclicOnWord(Word(((base, 1), (kind.tip, 1))))))
+            red_edges.append(GoGEdge((bid, rid), CyclicOnWord(z_word), (z_word, z_word)))
+        else:
+            group = ChunkParabolic(chunk)
+        black.append(GoGVertex(bid, BLACK, group, chunk, kind))
+    white = [GoGVertex(f"W_{v}", WHITE, CyclicOnGenerator(v)) for v in decomp.separating]
+    cyclic = []
     for v, idxs in decomp.incidence:
+        word = Word.generator(v)
         for i in idxs:
-            word = Word.generator(v)
-            edges.append(
-                GoGEdge(
-                    (f"W_{v}", black_ids[i]),
-                    CyclicOnGenerator(v) if with_groups else None,
-                    (word, word) if with_groups else None,
-                )
-            )
-
-    for i, kind in enumerate(classes):
-        if kind.kind != CHUNK_BRAIDED_LEAF:
-            continue
-        chunk = decomp.chunks[i]
-        base = next(v for v in chunk.vertices if v != kind.tip)
-        z_word = alternating(base, kind.tip, kind.label)
-        edges.append(
-            GoGEdge(
-                (black_ids[i], red_ids[i]),
-                CyclicOnWord(z_word) if with_groups else None,
-                (z_word, z_word) if with_groups else None,
-            )
-        )
-
-    for i, kind in enumerate(classes):
-        if kind.kind != CHUNK_TORAL_LEAF:
-            continue
-        chunk = decomp.chunks[i]
-        base = next(v for v in chunk.vertices if v != kind.tip)
-        word = Word.generator(base)
-        edges.append(
-            GoGEdge(
-                (black_ids[i], black_ids[i]),
-                CyclicOnGenerator(base) if with_groups else None,
-                (word, word) if with_groups else None,
-                stable_letter=kind.tip,
-            )
-        )
-
-    return GraphOfGroups(tuple(vertices), tuple(edges), graph=g)
-
-
-def build_skeleton(g: LabelledGraph) -> GraphOfGroups:
-    """The underlying coloured graph of the decomposition, without groups."""
-    return _build(g, with_groups=False)
-
-
-def build_jsj(g: LabelledGraph) -> GraphOfGroups:
-    """The JSJ graph of groups of the Artin group on a connected graph, |V| >= 3."""
-    return _build(g, with_groups=True)
+            cyclic.append(GoGEdge((f"W_{v}", black[i].id), CyclicOnGenerator(v), (word, word)))
+    return GraphOfGroups(tuple(black + white + red), tuple(cyclic + red_edges + loops), graph=g)
 
 
 def collapse_jsj(gog: GraphOfGroups) -> GraphOfGroups:

@@ -96,12 +96,6 @@ class LabelledGraph:
 
     # basic queries
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._adj
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(self._adj[v]))
-
     def valence(self, v: str) -> int:
         return len(self._adj[v])
 
@@ -177,7 +171,7 @@ def parse_graph(text: str) -> LabelledGraph:
                 raise GraphFormatError("edge line must be 'e NAME NAME LABEL'", lineno)
             u, v, raw_label = parts[1], parts[2], parts[3]
             for name in (u, v):
-                if not NAME_RE.fullmatch(name):
+                if name not in vertices and not NAME_RE.fullmatch(name):
                     raise GraphFormatError(f"bad vertex name {name!r}", lineno)
             if u == v:
                 raise GraphFormatError(f"self loop at {u!r}", lineno)

@@ -190,10 +190,6 @@ class AbelianShape:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-def shapes_equal(a: AbelianShape, b: AbelianShape) -> bool:
-    return a == b
-
-
 def abelianize(p: Presentation) -> AbelianShape:
     """Abelianization of the presented group, via Smith normal form."""
     gens = p.generators

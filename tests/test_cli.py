@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from artin import errors
 from artin.cli import main
 
 from corpus import FAN_TEXT
@@ -192,8 +195,33 @@ def test_exit_codes(capsys, tmp_path, path_file):
     code, _, err = _run(capsys, ["dihedral-nf", "3", "a q"])
     assert code == 1
 
+    code, _, err = _run(capsys, ["dihedral-jsj", "2"])
+    assert code == 2 and "no JSJ" in err
+
+    code, _, err = _run(capsys, ["dihedral-nf", "x", "a"])
+    assert code == 1 and "invalid int value" in err
+
+    cycle = tmp_path / "c13.graph"
+    cycle.write_text("".join(f"e v{i} v{(i + 1) % 13} 3\n" for i in range(13)))
+    code, _, err = _run(capsys, ["profile", str(cycle)])
+    assert code == 2 and "capped at 12 vertices" in err
+
     code, _, _ = _run(capsys, [])
     assert code == 1
+
+
+def test_error_classes_carry_documented_exit_codes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {
+        name: int(code)
+        for name, code in re.findall(r"^\| `(\w+)`[^|]*\| (\d+) \|$", readme, re.MULTILINE)
+    }
+    classes = {
+        name: obj
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.ArtinError)
+    }
+    assert {name: cls.exit_code for name, cls in classes.items()} == documented
 
 
 def test_output_is_byte_stable(capsys, fan_file):

@@ -27,6 +27,13 @@ def test_fan_jsj_structure():
     colors = {v.id: v.color for v in gog.vertices}
     assert colors["W_a"] == WHITE and colors["R_a_d"] == RED
     assert all(colors[i] == BLACK for i in ("B_a_b", "B_a_d", "B_a_c_e"))
+    assert [e.ends for e in gog.edges] == [
+        ("W_a", "B_a_b"),
+        ("W_a", "B_a_d"),
+        ("W_a", "B_a_c_e"),
+        ("B_a_d", "R_a_d"),
+        ("B_a_b", "B_a_b"),
+    ]
 
     by_id = {v.id: v for v in gog.vertices}
     assert isinstance(by_id["B_a_d"].group, FreeAbelianPair)
@@ -46,12 +53,22 @@ def test_fan_jsj_structure():
 
 
 def test_skeleton_has_no_groups():
-    gog = build_skeleton(fan_graph())
-    assert all(v.group is None for v in gog.vertices)
-    assert all(e.edge_group is None for e in gog.edges)
-    assert [v.id for v in gog.vertices] == [
-        v.id for v in build_jsj(fan_graph()).vertices
-    ]
+    rng = random.Random(48)
+    graphs = [g for g in connected_atlas(5) if len(g.vertices) >= 3]
+    graphs += [random_connected_graph(rng, rng.randint(3, 9)) for _ in range(30)]
+    graphs.append(fan_graph())
+    for g in graphs:
+        skeleton = build_skeleton(g)
+        gog = build_jsj(g)
+        assert all(v.group is None for v in skeleton.vertices)
+        assert all(e.edge_group is None and e.injections is None for e in skeleton.edges)
+        assert [(v.id, v.color, v.chunk, v.chunk_class) for v in skeleton.vertices] == [
+            (v.id, v.color, v.chunk, v.chunk_class) for v in gog.vertices
+        ]
+        assert [(e.ends, e.stable_letter) for e in skeleton.edges] == [
+            (e.ends, e.stable_letter) for e in gog.edges
+        ]
+        assert skeleton.graph == g and skeleton.legend == ()
 
 
 def test_jsj_without_leaves_is_bipartite():

@@ -65,6 +65,7 @@ def test_to_text_round_trip():
         ("e a b two\n", 1),
         ("e a b\n", 1),
         ("v 1bad\n", 1),
+        ("e a b 3\ne b c 3\ne c 1x 3\ne 1x d 2\n", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
