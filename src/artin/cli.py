@@ -24,6 +24,7 @@ from .graphs import big_chunks, parse_graph, retract_word
 from .invariants import aut_acylindrically_hyperbolic, compare, profile
 from .presentations import (
     abelianize,
+    artin_abelianization,
     artin_presentation,
     gog_presentation,
     render_presentation,
@@ -161,12 +162,11 @@ def _cmd_dihedral_jsj(args) -> int:
 def _cmd_abelianize(args) -> int:
     g = _load_graph(args.file)
     if args.of_jsj:
-        pres = gog_presentation(build_jsj(g))
+        shape = abelianize(gog_presentation(build_jsj(g)))
         source = "fundamental group of the decomposition"
     else:
-        pres = artin_presentation(g)
+        shape = artin_abelianization(g)
         source = "vertex presentation"
-    shape = abelianize(pres)
     payload = {"source": source, "abelianization": shape.to_json_dict()}
     _emit(payload, f"{shape.describe()} (from the {source})", args.json)
     return 0

@@ -28,7 +28,7 @@ from .graphs import (
     big_chunks,
     canonical_form,
 )
-from .presentations import AbelianShape, abelianize, artin_presentation
+from .presentations import AbelianShape, artin_abelianization
 
 VERDICT_NON_ISOMORPHIC = "NonIsomorphic"
 VERDICT_CONSISTENT = "Consistent"
@@ -87,7 +87,7 @@ def profile(g: LabelledGraph) -> InvariantProfile:
             if k.kind == CHUNK_BIG_BIG
         )
     )
-    shape = abelianize(artin_presentation(g))
+    shape = artin_abelianization(g)
     if len(g.vertices) >= 3:
         betti = betti_number(build_jsj(g))
     else:

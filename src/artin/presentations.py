@@ -13,8 +13,9 @@ All linear algebra is exact over the integers.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import PreconditionError, WordFormatError
 from .gog import (
@@ -25,7 +26,7 @@ from .gog import (
     GoGVertex,
     GraphOfGroups,
 )
-from .graphs import LabelledGraph
+from .graphs import LabelledGraph, odd_components
 from .words import NAME_RE, Word, alternating, rename_word
 
 
@@ -90,28 +91,129 @@ def artin_presentation(g: LabelledGraph) -> Presentation:
 # Smith normal form
 
 
+class _SparseRow(Sequence[int]):
+    """A matrix row of ``width`` entries held as {column: nonzero value}.
+
+    ``abelianize`` hands these to ``smith_normal_form`` so that a
+    relation matrix is never built densely.
+    """
+
+    def __init__(self, entries: dict[int, int], width: int):
+        self.entries = entries
+        self.width = width
+
+    def __len__(self) -> int:
+        return self.width
+
+    def __getitem__(self, j):
+        return self.entries.get(range(self.width)[j], 0)
+
+
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factors of an integer matrix, zeros trailing.
 
     Returns a tuple of length min(rows, cols) with d_1 | d_2 | ... and
     all entries nonnegative. Exact arbitrary-precision arithmetic.
 
+    The rows are held sparse, as {column: value} with a column-to-rows
+    index. Pivots +-1 are eliminated first (Havas, Majewski & Matthews,
+    Exp. Math. 7(2), 1998); each elimination touches only the rows of
+    its column, and each contributes an invariant factor 1. The nonzero
+    block left over, in which no entry is a unit, is reduced densely.
+    Relation matrices of presentations are mostly +-1 entries, so that
+    block is small.
+
     >>> smith_normal_form([[2, 0], [0, 3]])
     (1, 6)
     """
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    for r in rows:
+    matrix = [r if isinstance(r, _SparseRow) else list(r) for r in matrix]
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    rows: list[dict[int, int]] = []
+    for r in matrix:
         if len(r) != ncols:
             raise PreconditionError("matrix rows have unequal lengths")
+        if isinstance(r, _SparseRow):
+            rows.append(dict(r.entries))
+            continue
         for x in r:
             if not isinstance(x, int):
                 raise PreconditionError("matrix entries must be integers")
+        rows.append({j: x for j, x in enumerate(r) if x})
     k = min(nrows, ncols)
     if k == 0:
         return ()
-    m = rows
+    units = _eliminate_unit_pivots(rows)
+    rest = [row for row in rows if row]
+    cols = sorted({j for row in rest for j in row})
+    position = {j: t for t, j in enumerate(cols)}
+    dense = []
+    for row in rest:
+        line = [0] * len(cols)
+        for j, x in row.items():
+            line[position[j]] = x
+        dense.append(line)
+    diag = (1,) * units + _dense_factors(dense)
+    return diag + (0,) * (k - len(diag))
+
+
+def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:
+    """Eliminate +-1 pivots from sparse rows in place; return their number.
+
+    A pivot comes from the shortest row holding a unit, in that row's
+    unit column with the fewest entries (a local Markowitz choice). The
+    rows wait in a heap keyed by length; a row pushes itself again when
+    an elimination changes it, and a popped key whose length is out of
+    date is skipped. The pivot row and column are cleared: row
+    operations remove the column from the other rows, and column
+    operations, which touch no other row, remove the rest of the row.
+    """
+    where: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    count = 0
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = rows[i]
+        if len(row) != size:
+            continue
+        choice = min(
+            ((len(where[j]), j) for j, x in row.items() if x == 1 or x == -1),
+            default=None,
+        )
+        if choice is None:
+            continue
+        pivot = choice[1]
+        rows[i] = {}
+        for j in row:
+            where[j].discard(i)
+        sign = row.pop(pivot)
+        for o in where.pop(pivot):
+            other = rows[o]
+            f = other.pop(pivot) * sign
+            for j, x in row.items():
+                y = other.get(j, 0) - f * x
+                if y:
+                    if j not in other:
+                        where[j].add(o)
+                    other[j] = y
+                elif j in other:
+                    del other[j]
+                    where[j].discard(o)
+            if other:
+                heapq.heappush(heap, (len(other), o))
+        count += 1
+    return count
+
+
+def _dense_factors(m: list[list[int]]) -> tuple[int, ...]:
+    """Nonzero invariant factors of a dense matrix, by pivoting on a least entry."""
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    k = min(nrows, ncols)
     diag: list[int] = []
     t = 0
     while t < k:
@@ -169,7 +271,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
             m[t] = [a + b for a, b in zip(m[t], m[offender])]
         diag.append(m[t][t])
         t += 1
-    return tuple(diag) + (0,) * (k - len(diag))
+    return tuple(diag)
 
 
 @dataclass(frozen=True)
@@ -191,22 +293,38 @@ class AbelianShape:
 
 
 def abelianize(p: Presentation) -> AbelianShape:
-    """Abelianization of the presented group, via Smith normal form."""
+    """Abelianization of the presented group, via Smith normal form.
+
+    The relation matrix has one row of exponent sums per relator; it is
+    passed to ``smith_normal_form`` as sparse rows, so its cost follows
+    the nonzero entries rather than relators times generators. For the
+    vertex presentation of an Artin group, ``artin_abelianization``
+    gives the same answer in closed form.
+    """
     gens = p.generators
     if not gens:
         return AbelianShape(0, ())
     if not p.relators:
         return AbelianShape(len(gens), ())
     col = {g: i for i, g in enumerate(gens)}
-    rows = []
-    for rel in p.relators:
-        row = [0] * len(gens)
-        for name, exp in rel.letters:
-            row[col[name]] += exp
-        rows.append(row)
+    rows = [
+        _SparseRow({col[name]: e for name, e in rel.exponent_sums().items()}, len(gens))
+        for rel in p.relators
+    ]
     factors = smith_normal_form(rows)
     nonzero = [d for d in factors if d != 0]
     return AbelianShape(len(gens) - len(nonzero), tuple(d for d in nonzero if d > 1))
+
+
+def artin_abelianization(g: LabelledGraph) -> AbelianShape:
+    """Abelianization of the Artin group on ``g``, in closed form.
+
+    An edge with odd label m identifies its two generators in H_1 and an
+    even label imposes nothing, so H_1 is free abelian of rank the number
+    of odd-label components. O(V+E), and only the parity of a label is
+    read: no relator is built.
+    """
+    return AbelianShape(len(odd_components(g)), ())
 
 
 # fundamental group of a graph of groups
@@ -331,20 +449,21 @@ def gog_presentation(gog: GraphOfGroups) -> Presentation:
     for v in gog.vertices:
         locals_by_id[v.id] = _LocalGroup(v, taken, graph_vertices)
 
+    incident: dict[str, list[int]] = {v.id: [] for v in gog.vertices}
+    for idx, e in enumerate(gog.edges):
+        if not e.is_loop:
+            incident[e.ends[0]].append(idx)
+            incident[e.ends[1]].append(idx)
     tree_edges: set[int] = set()
     seen = {gog.vertices[0].id}
     frontier = [gog.vertices[0].id]
     while frontier:
         nxt = []
         for vid in frontier:
-            for idx, e in enumerate(gog.edges):
-                if e.is_loop or idx in tree_edges:
-                    continue
-                if e.ends[0] == vid and e.ends[1] not in seen:
-                    other = e.ends[1]
-                elif e.ends[1] == vid and e.ends[0] not in seen:
-                    other = e.ends[0]
-                else:
+            for idx in incident[vid]:
+                ends = gog.edges[idx].ends
+                other = ends[1] if ends[0] == vid else ends[0]
+                if other in seen:
                     continue
                 tree_edges.add(idx)
                 seen.add(other)
@@ -380,37 +499,59 @@ def gog_presentation(gog: GraphOfGroups) -> Presentation:
 def simplify_identifications(p: Presentation) -> Presentation:
     """Eliminate relators identifying one generator with another.
 
-    Repeatedly finds a two-letter relator s^e t^f with |e| = |f| = 1 and
-    s distinct from t, substitutes the longer-named generator away, and
-    free-reduces. This undoes the duplication in gog_presentation while
-    leaving every other relation intact.
+    Repeatedly takes the first two-letter relator s^e t^f with
+    |e| = |f| = 1 and s distinct from t, substitutes the longer-named
+    generator away, and free-reduces. This undoes the duplication in
+    gog_presentation while leaving every other relation intact.
+
+    Relators stay keyed by their position, with an index from each
+    generator to the relators holding it and a min-heap of positions
+    that hold identifications; an elimination rewrites only the relators
+    holding the generator it drops.
     """
-    gens = list(p.generators)
-    rels = [r.free_reduce() for r in p.relators]
-    rels = [r for r in rels if r.letters]
-    while True:
-        target = None
-        for i, r in enumerate(rels):
-            if len(r.letters) != 2:
-                continue
-            (n1, e1), (n2, e2) = r.letters
-            if n1 != n2 and abs(e1) == 1 and abs(e2) == 1:
-                target = i
-                break
-        if target is None:
-            break
-        (n1, e1), (n2, e2) = rels[target].letters
+    rels: dict[int, Word] = {}
+    holding: dict[str, set[int]] = {}
+    pending: list[int] = []
+    for i, r in enumerate(p.relators):
+        r = r.free_reduce()
+        if r.letters:
+            rels[i] = r
+            for name, _ in r.letters:
+                holding.setdefault(name, set()).add(i)
+            if _is_identification(r):
+                pending.append(i)
+    dropped: set[str] = set()
+    while pending:
+        target = heapq.heappop(pending)
+        if target not in rels or not _is_identification(rels[target]):
+            continue
+        (n1, e1), (n2, e2) = rels.pop(target).letters
         sign = -e1 * e2
         keep, drop = sorted((n1, n2), key=lambda s: (len(s), s))
-        rels.pop(target)
-        out = []
-        for r in rels:
-            letters = tuple(
-                (keep, e * sign) if n == drop else (n, e) for n, e in r.letters
-            )
-            reduced = Word(letters).free_reduce()
+        holding[keep].discard(target)
+        for i in holding.pop(drop):
+            if i == target:
+                continue
+            old = rels.pop(i)
+            for name, _ in old.letters:
+                if name != drop:
+                    holding[name].discard(i)
+            reduced = Word(
+                tuple((keep, e * sign) if n == drop else (n, e) for n, e in old.letters)
+            ).free_reduce()
             if reduced.letters:
-                out.append(reduced)
-        rels = out
-        gens.remove(drop)
-    return Presentation(tuple(gens), tuple(rels))
+                rels[i] = reduced
+                for name, _ in reduced.letters:
+                    holding[name].add(i)
+                if _is_identification(reduced):
+                    heapq.heappush(pending, i)
+        dropped.add(drop)
+    gens = tuple(g for g in p.generators if g not in dropped)
+    return Presentation(gens, tuple(rels[i] for i in sorted(rels)))
+
+
+def _is_identification(r: Word) -> bool:
+    if len(r.letters) != 2:
+        return False
+    (n1, e1), (n2, e2) = r.letters
+    return n1 != n2 and abs(e1) == 1 and abs(e2) == 1

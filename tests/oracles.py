@@ -4,8 +4,13 @@ The chunk oracle enumerates every induced subgraph and applies the
 definition of a big chunk literally: connected, no separating vertex,
 maximal among such. The Smith oracle recovers invariant factors from
 gcds of k-by-k minors. The retraction oracle measures every distance by
-breadth-first search from every vertex. All are written against plain
+breadth-first search from every vertex. These are written against plain
 adjacency data, not the library graph algorithms.
+
+Two more are the library's earlier, simpler algorithms, kept as second
+methods for the fast ones: the dense Smith normal form that rescans the
+matrix for each pivot, and identification elimination that rewrites
+every relator after each step.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+
+from artin import Presentation, Word
 
 
 def _adjacency_masks(g):
@@ -180,3 +187,113 @@ def oracle_invariant_factors(matrix):
         g_prev = g_k
     det.cache_clear()
     return tuple(factors)
+
+
+def oracle_dense_snf(matrix):
+    """Invariant factors by dense pivoting on a least nonzero entry, zeros trailing.
+
+    The whole matrix is rescanned for every pivot.
+    """
+    rows = [list(r) for r in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    k = min(nrows, ncols)
+    if k == 0:
+        return ()
+    m = rows
+    diag = []
+    t = 0
+    while t < k:
+        pivot_pos = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                val = abs(m[i][j])
+                if val and (best is None or val < best):
+                    best = val
+                    pivot_pos = (i, j)
+        if pivot_pos is None:
+            break
+        pi, pj = pivot_pos
+        m[t], m[pi] = m[pi], m[t]
+        for row in m:
+            row[t], row[pj] = row[pj], row[t]
+        while True:
+            if m[t][t] < 0:
+                m[t] = [-x for x in m[t]]
+            p = m[t][t]
+            restart = False
+            for i in range(nrows):
+                if i != t and m[i][t]:
+                    q = m[i][t] // p
+                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+                    if m[i][t]:
+                        m[t], m[i] = m[i], m[t]
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(ncols):
+                if j != t and m[t][j]:
+                    q = m[t][j] // p
+                    for row in m:
+                        row[j] -= q * row[t]
+                    if m[t][j]:
+                        for row in m:
+                            row[t], row[j] = row[j], row[t]
+                        restart = True
+                        break
+            if restart:
+                continue
+            offender = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if m[i][j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            m[t] = [a + b for a, b in zip(m[t], m[offender])]
+        diag.append(m[t][t])
+        t += 1
+    return tuple(diag) + (0,) * (k - len(diag))
+
+
+def oracle_simplify_identifications(p):
+    """Identification elimination by rescanning every relator after each step.
+
+    Takes the first two-letter relator s^e t^f (|e| = |f| = 1, s != t),
+    substitutes the shortlex-larger name away in every relator, and
+    free-reduces, until no such relator is left.
+    """
+    gens = list(p.generators)
+    rels = [r.free_reduce() for r in p.relators]
+    rels = [r for r in rels if r.letters]
+    while True:
+        target = None
+        for i, r in enumerate(rels):
+            if len(r.letters) != 2:
+                continue
+            (n1, e1), (n2, e2) = r.letters
+            if n1 != n2 and abs(e1) == 1 and abs(e2) == 1:
+                target = i
+                break
+        if target is None:
+            break
+        (n1, e1), (n2, e2) = rels[target].letters
+        sign = -e1 * e2
+        keep, drop = sorted((n1, n2), key=lambda s: (len(s), s))
+        rels.pop(target)
+        out = []
+        for r in rels:
+            letters = tuple(
+                (keep, e * sign) if n == drop else (n, e) for n, e in r.letters
+            )
+            reduced = Word(letters).free_reduce()
+            if reduced.letters:
+                out.append(reduced)
+        rels = out
+        gens.remove(drop)
+    return Presentation(tuple(gens), tuple(rels))

@@ -235,3 +235,24 @@ def test_output_is_byte_stable(capsys, fan_file):
         code, out, _ = _run(capsys, ["jsj", fan_file, "--json"])
         first.append(out)
     assert first[2] == first[3]
+
+
+@pytest.mark.parametrize("text", ["e a b 1000000001\n", "e a b 1000000001\ne b c 3\n"])
+def test_huge_odd_label_needs_no_alternating_words(capsys, tmp_path, monkeypatch, text):
+    # only the parity of the label matters for H_1: no relator is built
+    import artin.gog
+    import artin.presentations
+    import artin.words
+
+    def refuse(*args):
+        raise AssertionError("alternating word built")
+
+    for module in (artin.words, artin.presentations, artin.gog):
+        monkeypatch.setattr(module, "alternating", refuse)
+    p = tmp_path / "huge.graph"
+    p.write_text(text)
+    code, out, _ = _run(capsys, ["abelianize", str(p)])
+    assert (code, out) == (0, "Z (from the vertex presentation)\n")
+    code, out, _ = _run(capsys, ["profile", str(p), "--json"])
+    assert code == 0
+    assert json.loads(out)["abelianization"] == {"free_rank": 1, "torsion": []}

@@ -4,12 +4,15 @@ import pytest
 
 from artin import (
     AbelianShape,
+    NoJsjExistsError,
     Presentation,
     Word,
     abelianize,
+    artin_abelianization,
     artin_presentation,
     build_jsj,
     collapse_jsj,
+    dihedral_jsj,
     gog_presentation,
     odd_components,
     parse_presentation,
@@ -17,9 +20,14 @@ from artin import (
     simplify_identifications,
     smith_normal_form,
 )
+from artin.gog import BLACK, CyclicOnGenerator, GoGEdge, GoGVertex, GraphOfGroups
 
 from corpus import connected_atlas, path3, random_connected_graph, triangle
-from oracles import oracle_invariant_factors
+from oracles import (
+    oracle_dense_snf,
+    oracle_invariant_factors,
+    oracle_simplify_identifications,
+)
 
 
 def test_artin_presentation_path3():
@@ -122,8 +130,160 @@ def test_simplify_preserves_abelianization():
         assert len(simp.generators) <= len(pres.generators)
 
 
+def test_gog_presentation_spanning_tree_takes_edges_in_index_order():
+    # a base with a triangle, parallel edges and a loop: the breadth-first
+    # tree from A takes A's edges 1 and 2 (ascending), so edges 0 and 3
+    # get stable letters, as does the loop
+    vertices = tuple(GoGVertex(v.upper(), BLACK, CyclicOnGenerator(v)) for v in "abc")
+    edges = tuple(
+        GoGEdge(ends, CyclicOnGenerator(ends[0].lower()),
+                (Word.from_text(left), Word.from_text(right)))
+        for ends, left, right in [
+            (("B", "C"), "b", "c"),
+            (("A", "C"), "a", "c^2"),
+            (("A", "B"), "a^3", "b"),
+            (("B", "A"), "b^5", "a"),
+            (("C", "C"), "c", "c^-1"),
+        ]
+    )
+    assert render_presentation(gog_presentation(GraphOfGroups(vertices, edges))) == (
+        "gen: a b c t0 t3 t4\n"
+        "rel: t0 b t0^-1 c^-1\n"
+        "rel: a c^-2\n"
+        "rel: a^3 b^-1\n"
+        "rel: t3 b^5 t3^-1 a^-1\n"
+        "rel: t4 c t4^-1 c\n"
+    )
+
+
 def test_gog_presentation_requires_connected_base():
     gog = build_jsj(path3())
     broken = type(gog)(gog.vertices, (), graph=gog.graph, legend=gog.legend)
     with pytest.raises(Exception):
         gog_presentation(broken)
+
+
+def _relation_matrix(p):
+    """Dense exponent-sum matrix: one row per relator, one column per generator."""
+    col = {g: i for i, g in enumerate(p.generators)}
+    rows = []
+    for rel in p.relators:
+        row = [0] * len(p.generators)
+        for name, exp in rel.letters:
+            row[col[name]] += exp
+        rows.append(row)
+    return rows
+
+
+def _shape_from_factors(ncols, factors):
+    nonzero = [d for d in factors if d]
+    return AbelianShape(ncols - len(nonzero), tuple(d for d in nonzero if d > 1))
+
+
+def _mostly_units(rng, rows, cols):
+    return [[rng.choice((0, 0, 0, 1, -1, 1, -1, 2, -3)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _zero_lines(rng, rows, cols):
+    m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+    for i in rng.sample(range(rows), rng.randint(0, rows)):
+        m[i] = [0] * cols
+    for j in rng.sample(range(cols), rng.randint(0, cols)):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def _no_units(rng, rows, cols):
+    return [[rng.choice((0, 0, 2, -2, 3, -4, 6, 9, -10, 15)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _large(rng, rows, cols):
+    big = 10**12
+    return [[rng.choice((0, 1, -1, rng.randint(-big, big), rng.randint(-9, 9)))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("kind", [_mostly_units, _zero_lines, _no_units, _large])
+def test_sparse_snf_matches_minor_gcd_oracle(kind):
+    rng = random.Random(kind.__name__)
+    for _ in range(150):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        m = kind(rng, rows, cols)
+        if kind is _no_units:
+            assert all(abs(x) != 1 for row in m for x in row)
+        assert smith_normal_form(m) == oracle_invariant_factors(m), m
+
+
+def _presentation_corpus():
+    rng = random.Random(404)
+    graphs = [g for g in connected_atlas(5) if len(g.vertices) >= 3][::3]
+    for n in (12, 20, 30, 40, 50, 60):
+        for p in (1.5 / n, 3.0 / n):
+            graphs.append(random_connected_graph(rng, n, extra_p=p))
+    for g in graphs:
+        jsj = build_jsj(g)
+        yield g, gog_presentation(jsj)
+        yield g, gog_presentation(collapse_jsj(jsj))
+
+
+def test_sparse_snf_matches_dense_oracle_on_gog_presentations():
+    for g, pres in _presentation_corpus():
+        m = _relation_matrix(pres)
+        want = oracle_dense_snf(m)
+        assert smith_normal_form(m) == want, g.to_text()
+        assert abelianize(pres) == _shape_from_factors(len(pres.generators), want)
+
+
+def test_sparse_snf_matches_dense_oracle_on_dihedral_jsj():
+    with pytest.raises(NoJsjExistsError):
+        dihedral_jsj(2)
+    for n in range(3, 41):
+        pres = gog_presentation(dihedral_jsj(n))
+        m = _relation_matrix(pres)
+        want = oracle_dense_snf(m)
+        assert smith_normal_form(m) == want, n
+        assert abelianize(pres) == _shape_from_factors(len(pres.generators), want)
+
+
+def test_simplify_matches_rescanning_oracle_byte_for_byte():
+    rng = random.Random(303)
+    graphs = [g for g in connected_atlas(5) if len(g.vertices) >= 3]
+    graphs += [random_connected_graph(rng, rng.randint(3, 9)) for _ in range(60)]
+    graphs += [random_connected_graph(rng, n, extra_p=2.0 / n) for n in (15, 30, 45)]
+    for g in graphs:
+        jsj = build_jsj(g)
+        for pres in (gog_presentation(jsj), gog_presentation(collapse_jsj(jsj))):
+            want = render_presentation(oracle_simplify_identifications(pres))
+            assert render_presentation(simplify_identifications(pres)) == want, g.to_text()
+    for n in range(3, 12):
+        pres = gog_presentation(dihedral_jsj(n))
+        want = render_presentation(oracle_simplify_identifications(pres))
+        assert render_presentation(simplify_identifications(pres)) == want
+
+
+def test_simplify_takes_identifications_in_order():
+    # eliminating d (from "d b") turns the first relator into the
+    # identification "a^-1 b^-1", which comes before "d a" (now "b^-1 a")
+    # and must be taken first; taking "b^-1 a" first leaves a^-2
+    pres = parse_presentation("gen: a b c d e\nrel: a^-1 b^-1 d b\nrel: d b\nrel: d a\n")
+    want = "gen: a c e\nrel: a^2\n"
+    assert render_presentation(oracle_simplify_identifications(pres)) == want
+    assert render_presentation(simplify_identifications(pres)) == want
+
+
+def test_closed_form_abelianization_matches_snf():
+    rng = random.Random(23)
+    graphs = list(connected_atlas(5))
+    graphs += [random_connected_graph(rng, rng.randint(2, 9)) for _ in range(60)]
+    for g in graphs:
+        assert artin_abelianization(g) == abelianize(artin_presentation(g)), g.to_text()
+    # huge labels: one per graph, so the relators stay a few million letters
+    for big in (10**6, 10**6 + 1):
+        g = random_connected_graph(rng, 5)
+        u, v, _ = g.edges[0]
+        h = type(g).from_edges([(u, v, big)] + list(g.edges[1:]), vertices=g.vertices)
+        assert artin_abelianization(h) == abelianize(artin_presentation(h)), h.to_text()
