@@ -48,11 +48,13 @@ def _load_graph(path: str):
         return parse_graph(fh.read())
 
 
-def _emit(payload: dict, text: str, as_json: bool):
+def _emit(payload, text, as_json: bool):
+    """Print ``payload()`` as JSON or else ``text()``; only that one is built."""
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        out = text()
+        print(out, end="" if out.endswith("\n") else "\n")
 
 
 def _gog_text(gog: GraphOfGroups) -> str:
@@ -88,59 +90,65 @@ def _write_dot(gog: GraphOfGroups, path: str) -> int:
 
 def _cmd_validate(args) -> int:
     g = _load_graph(args.file)
-    payload = {
-        "vertices": list(g.vertices),
-        "edges": [[u, v, m] for u, v, m in g.edges],
-        "connected": g.is_connected(),
-    }
-    text = (
-        f"ok: {len(g.vertices)} vertices, {len(g.edges)} edges,"
-        f" {'connected' if g.is_connected() else 'disconnected'}"
+    connected = g.is_connected()
+    _emit(
+        lambda: {
+            "vertices": list(g.vertices),
+            "edges": [[u, v, m] for u, v, m in g.edges],
+            "connected": connected,
+        },
+        lambda: f"ok: {len(g.vertices)} vertices, {len(g.edges)} edges, "
+        + ("connected" if connected else "disconnected"),
+        args.json,
     )
-    _emit(payload, text, args.json)
     return 0
 
 
 def _cmd_chunks(args) -> int:
-    g = _load_graph(args.file)
-    decomp = big_chunks(g)
-    lines = [
-        f"chunk {i}: {{{','.join(c.vertices)}}} {cls}"
-        for i, (c, cls) in enumerate(zip(decomp.chunks, decomp.classes()))
-    ]
-    lines.append("separating: " + (" ".join(decomp.separating) or "(none)"))
-    _emit(decomp.to_json_dict(), "\n".join(lines), args.json)
+    decomp = big_chunks(_load_graph(args.file))
+
+    def text():
+        lines = [
+            f"chunk {i}: {{{','.join(c.vertices)}}} {cls}"
+            for i, (c, cls) in enumerate(zip(decomp.chunks, decomp.classes()))
+        ]
+        lines.append("separating: " + (" ".join(decomp.separating) or "(none)"))
+        return "\n".join(lines)
+
+    _emit(decomp.to_json_dict, text, args.json)
     return 0
 
 
 def _cmd_split(args) -> int:
-    g = _load_graph(args.file)
-    verdict = splits_over_cyclic(g)
-    lines = [f"verdict: {verdict.verdict}", f"ends: {verdict.ends}"]
-    if verdict.vertex is not None:
-        lines.append(
-            f"witness: amalgam over <{verdict.vertex}> of the parabolics"
-            f" on {{{','.join(verdict.left)}}} and {{{','.join(verdict.right)}}}"
-        )
-    if verdict.label is not None:
-        lines.append(f"witness: single edge with label {verdict.label}")
-    if verdict.components is not None:
-        lines.append(
-            "witness: free product over components "
-            + " ".join("{" + ",".join(c) + "}" for c in verdict.components)
-        )
-    _emit(verdict.to_json_dict(), "\n".join(lines), args.json)
+    verdict = splits_over_cyclic(_load_graph(args.file))
+
+    def text():
+        lines = [f"verdict: {verdict.verdict}", f"ends: {verdict.ends}"]
+        if verdict.vertex is not None:
+            lines.append(
+                f"witness: amalgam over <{verdict.vertex}> of the parabolics"
+                f" on {{{','.join(verdict.left)}}} and {{{','.join(verdict.right)}}}"
+            )
+        if verdict.label is not None:
+            lines.append(f"witness: single edge with label {verdict.label}")
+        if verdict.components is not None:
+            lines.append(
+                "witness: free product over components "
+                + " ".join("{" + ",".join(c) + "}" for c in verdict.components)
+            )
+        return "\n".join(lines)
+
+    _emit(verdict.to_json_dict, text, args.json)
     return 0
 
 
 def _cmd_jsj(args) -> int:
-    g = _load_graph(args.file)
-    gog = build_jsj(g)
+    gog = build_jsj(_load_graph(args.file))
     if args.collapsed:
         gog = collapse_jsj(gog)
     if args.dot:
         return _write_dot(gog, args.dot)
-    _emit(gog.to_json_dict(), _gog_text(gog), args.json)
+    _emit(gog.to_json_dict, lambda: _gog_text(gog), args.json)
     return 0
 
 
@@ -149,13 +157,11 @@ def _cmd_dihedral_jsj(args) -> int:
     if args.dot:
         return _write_dot(gog, args.dot)
     pres = gog_presentation(gog)
-    text = _gog_text(gog) + "presentation: " + render_presentation(pres)
-    payload = gog.to_json_dict()
-    payload["presentation"] = {
-        "generators": list(pres.generators),
-        "relators": [r.to_text() for r in pres.relators],
-    }
-    _emit(payload, text, args.json)
+    _emit(
+        lambda: {**gog.to_json_dict(), "presentation": pres.to_json_dict()},
+        lambda: _gog_text(gog) + "presentation: " + render_presentation(pres),
+        args.json,
+    )
     return 0
 
 
@@ -167,8 +173,11 @@ def _cmd_abelianize(args) -> int:
     else:
         shape = artin_abelianization(g)
         source = "vertex presentation"
-    payload = {"source": source, "abelianization": shape.to_json_dict()}
-    _emit(payload, f"{shape.describe()} (from the {source})", args.json)
+    _emit(
+        lambda: {"source": source, "abelianization": shape.to_json_dict()},
+        lambda: f"{shape.describe()} (from the {source})",
+        args.json,
+    )
     return 0
 
 
@@ -180,67 +189,59 @@ def _cmd_presentation(args) -> int:
             pres = simplify_identifications(pres)
     else:
         pres = artin_presentation(g)
-    payload = {
-        "generators": list(pres.generators),
-        "relators": [r.to_text() for r in pres.relators],
-    }
-    _emit(payload, render_presentation(pres), args.json)
+    _emit(pres.to_json_dict, lambda: render_presentation(pres), args.json)
     return 0
 
 
 def _cmd_profile(args) -> int:
-    g = _load_graph(args.file)
-    p = profile(g)
-    d = p.to_json_dict()
-    lines = [f"{key}: {value}" for key, value in d.items()]
-    _emit(d, "\n".join(lines), args.json)
+    p = profile(_load_graph(args.file))
+    _emit(
+        p.to_json_dict,
+        lambda: "\n".join(f"{key}: {value}" for key, value in p.to_json_dict().items()),
+        args.json,
+    )
     return 0
 
 
 def _cmd_compare(args) -> int:
-    p = profile(_load_graph(args.file1))
-    q = profile(_load_graph(args.file2))
-    verdict = compare(p, q)
-    lines = [f"verdict: {verdict.verdict}"]
-    lines += [f"reason: {r}" for r in verdict.reasons]
-    lines += [f"note: {n}" for n in verdict.notes]
-    _emit(verdict.to_json_dict(), "\n".join(lines), args.json)
+    verdict = compare(profile(_load_graph(args.file1)), profile(_load_graph(args.file2)))
+    _emit(verdict.to_json_dict, lambda: "\n".join(
+        [f"verdict: {verdict.verdict}"]
+        + [f"reason: {r}" for r in verdict.reasons]
+        + [f"note: {n}" for n in verdict.notes]
+    ), args.json)
     return 0
 
 
 def _cmd_acylindrical(args) -> int:
-    g = _load_graph(args.file)
-    verdict = aut_acylindrically_hyperbolic(g)
-    lines = [f"acylindrically hyperbolic: {'yes' if verdict.value else 'no'}"]
-    if verdict.witness:
-        lines.append(f"witness: ({verdict.witness[0]}, {verdict.witness[1]})")
-    lines.append(f"reason: {verdict.reason}")
-    _emit(verdict.to_json_dict(), "\n".join(lines), args.json)
+    verdict = aut_acylindrically_hyperbolic(_load_graph(args.file))
+
+    def text():
+        lines = [f"acylindrically hyperbolic: {'yes' if verdict.value else 'no'}"]
+        if verdict.witness:
+            lines.append(f"witness: ({verdict.witness[0]}, {verdict.witness[1]})")
+        lines.append(f"reason: {verdict.reason}")
+        return "\n".join(lines)
+
+    _emit(verdict.to_json_dict, text, args.json)
     return 0
 
 
 def _nf_payload(n: int, nf) -> dict:
     if isinstance(nf, AbelianNormalForm):
         return {"label": n, "a_exp": nf.a_exp, "b_exp": nf.b_exp}
-    return {
-        "label": n,
-        "central": nf.central,
-        "syllables": [[s, e] for s, e in nf.syllables],
-    }
+    return {"label": n, "central": nf.central, "syllables": [[s, e] for s, e in nf.syllables]}
 
 
 def _cmd_dihedral_nf(args) -> int:
-    w = Word.from_text(args.word)
-    nf = normal_form(args.label, w)
-    _emit(_nf_payload(args.label, nf), str(nf), args.json)
+    nf = normal_form(args.label, Word.from_text(args.word))
+    _emit(lambda: _nf_payload(args.label, nf), lambda: str(nf), args.json)
     return 0
 
 
 def _cmd_dihedral_eq(args) -> int:
-    u = Word.from_text(args.word1)
-    v = Word.from_text(args.word2)
-    equal = words_equal(args.label, u, v)
-    _emit({"equal": equal}, "equal" if equal else "different", args.json)
+    equal = words_equal(args.label, Word.from_text(args.word1), Word.from_text(args.word2))
+    _emit(lambda: {"equal": equal}, lambda: "equal" if equal else "different", args.json)
     return 0
 
 
@@ -252,35 +253,37 @@ def _cmd_retract(args) -> int:
             f"chunk index {args.chunk} out of range; the graph has"
             f" {len(decomp.chunks)} chunks"
         )
-    w = Word.from_text(args.word)
-    out = retract_word(g, decomp.chunks[args.chunk], w)
-    _emit({"word": out.to_text()}, out.to_text(), args.json)
+    out = retract_word(g, decomp.chunks[args.chunk], Word.from_text(args.word))
+    _emit(lambda: {"word": out.to_text()}, out.to_text, args.json)
     return 0
 
 
 def _cmd_root_search(args) -> int:
     hits = root_bound_search(args.label, args.max_len, args.max_degree)
-    m = args.label // 2
-    payload = {
-        "label": args.label,
-        "max_length": args.max_len,
-        "max_degree": args.max_degree,
-        "counterexamples": [
-            {"word": w.to_text(), "degree": k, "a_exp": i, "z_exp": j}
-            for w, k, (i, j) in hits
-        ],
-    }
-    if hits:
-        text = "\n".join(
-            f"counterexample: ({w.to_text()})^{k} = a^{i} z^{j}"
-            for w, k, (i, j) in hits
+
+    def text():
+        if hits:
+            return "\n".join(
+                f"counterexample: ({w.to_text()})^{k} = a^{i} z^{j}" for w, k, (i, j) in hits
+            )
+        return (
+            f"no counterexamples: no primitive element of <a, z> has a root of degree"
+            f" {args.label // 2 + 1}..{args.max_degree} among words up to length {args.max_len}"
         )
-    else:
-        text = (
-            f"no counterexamples: no primitive element of <a, z> has a root of"
-            f" degree {m + 1}..{args.max_degree} among words up to length {args.max_len}"
-        )
-    _emit(payload, text, args.json)
+
+    _emit(
+        lambda: {
+            "label": args.label,
+            "max_length": args.max_len,
+            "max_degree": args.max_degree,
+            "counterexamples": [
+                {"word": w.to_text(), "degree": k, "a_exp": i, "z_exp": j}
+                for w, k, (i, j) in hits
+            ],
+        },
+        text,
+        args.json,
+    )
     return 0
 
 
@@ -359,11 +362,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as err:
-        message = str(err)
-        print(f"error: {message}", file=sys.stderr)
-        if "invalid choice" in message:
-            return 64
-        return 1
+        print(f"error: {err}", file=sys.stderr)
+        return 64 if "invalid choice" in str(err) else 1
     if not getattr(args, "fn", None):
         parser.print_help()
         return 1

@@ -34,6 +34,7 @@ from .graphs import (
     BigChunk,
     ChunkClass,
     LabelledGraph,
+    _components,
     big_chunks,
     classify_chunk,
 )
@@ -179,21 +180,11 @@ class GraphOfGroups:
         return tuple(e for e in self.edges if e.is_loop)
 
     def base_is_connected(self) -> bool:
-        if not self.vertices:
-            return False
         adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
         for e in self.edges:
             adj[e.ends[0]].add(e.ends[1])
             adj[e.ends[1]].add(e.ends[0])
-        start = self.vertices[0].id
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return len(_components(adj, adj)) == 1
 
     def to_json_dict(self) -> dict:
         return {

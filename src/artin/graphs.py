@@ -120,21 +120,7 @@ class LabelledGraph:
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components as sorted vertex tuples, sorted by first vertex."""
-        seen: set[str] = set()
-        out = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                for w in self._adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(tuple(sorted(comp)))
-        return tuple(out)
+        return _components(self.vertices, self._adj)
 
     def is_connected(self) -> bool:
         return len(self.vertices) > 0 and len(self.components()) == 1
@@ -392,17 +378,33 @@ def classify_chunk(g: LabelledGraph, chunk: BigChunk) -> ChunkClass:
     return ChunkClass(CHUNK_EVEN_NONLEAF, m)
 
 
+def _components(vertices, adj) -> tuple[tuple[str, ...], ...]:
+    """Components as sorted tuples, in ``vertices`` order; ``adj[v]`` holds v's neighbours."""
+    seen: set[str] = set()
+    out = []
+    for start in vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
+
+
 def odd_components(g: LabelledGraph) -> tuple[tuple[str, ...], ...]:
     """Components of the subgraph keeping only odd-labelled edges.
 
     Their number equals the rank of the abelianization of the Artin group
     (generators of an odd edge are identified there).
     """
-    odd = LabelledGraph(
-        g.vertices,
-        tuple((u, v, m) for u, v, m in g.edges if m % 2 == 1),
-    )
-    return odd.components()
+    odd = {v: [w for w, m in near.items() if m % 2] for v, near in g._adj.items()}
+    return _components(g.vertices, odd)
 
 
 def retract_word(g: LabelledGraph, chunk: BigChunk, w: Word) -> Word:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraphError, PreconditionError
-from .gog import betti_number, build_jsj
 from .graphs import (
     CHUNK_BIG_BIG,
     CHUNK_BRAIDED_LEAF,
@@ -88,11 +87,12 @@ def profile(g: LabelledGraph) -> InvariantProfile:
         )
     )
     shape = artin_abelianization(g)
-    if len(g.vertices) >= 3:
-        betti = betti_number(build_jsj(g))
-    else:
-        betti = toral
-    assert betti == toral, "Betti number must match the toral leaf count"
+    # Betti number of gog.build_jsj(g) off the block-cut tree: an edge per incidence and
+    # a loop per toral leaf, a vertex per chunk and per separating vertex (a braided
+    # leaf's red vertex and red edge cancel); it equals toral when the incidence is a tree.
+    incidences = sum(len(idxs) for _, idxs in decomp.incidence)
+    betti = incidences + toral - len(decomp.chunks) - len(decomp.separating) + 1
+    assert betti == toral, "the block-cut incidence must be a tree"
     return InvariantProfile(
         chunk_count=len(decomp.chunks),
         toral_leaf_count=toral,

@@ -50,6 +50,12 @@ class Presentation:
             if stray:
                 raise WordFormatError(f"relator uses unknown generators {sorted(stray)}")
 
+    def to_json_dict(self) -> dict:
+        return {
+            "generators": list(self.generators),
+            "relators": [r.to_text() for r in self.relators],
+        }
+
 
 def render_presentation(p: Presentation) -> str:
     """Serialize as a ``gen:`` line followed by one ``rel:`` line per relator."""

@@ -64,6 +64,13 @@ def test_split_output(capsys, path_file):
     assert data["witness"]["vertex"] == "b"
     assert data["ends"] == "OneEnded"
 
+    code, out, _ = _run(capsys, ["split", path_file])
+    assert code == 0
+    assert out == (
+        "verdict: VisualSplit\nends: OneEnded\n"
+        "witness: amalgam over <b> of the parabolics on {a,b} and {b,c}\n"
+    )
+
 
 def test_jsj_text_json_and_dot(capsys, tmp_path, fan_file):
     code, out, _ = _run(capsys, ["jsj", fan_file])
@@ -112,6 +119,15 @@ def test_abelianize_both_sources_agree(capsys, fan_file):
     code, out2, _ = _run(capsys, ["abelianize", fan_file, "--of-jsj"])
     assert code == 0 and out2.startswith("Z^4")
 
+    for flags, source in (([], "vertex presentation"),
+                          (["--of-jsj"], "fundamental group of the decomposition")):
+        code, out, _ = _run(capsys, ["abelianize", fan_file, *flags, "--json"])
+        assert code == 0
+        assert json.loads(out) == {
+            "source": source,
+            "abelianization": {"free_rank": 4, "torsion": []},
+        }
+
 
 def test_presentation_simplify(capsys, path_file):
     code, out, _ = _run(
@@ -137,12 +153,31 @@ def test_profile_and_compare(capsys, tmp_path, fan_file):
     assert data["verdict"] == "NonIsomorphic"
     assert "ChunkCountMismatch" in data["reasons"]
 
+    code, out, _ = _run(capsys, ["compare", fan_file, str(other)])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "verdict: NonIsomorphic"
+    assert [line for line in lines if line.startswith("reason: ")] == [
+        f"reason: {r}" for r in data["reasons"]
+    ]
+    assert [line for line in lines if line.startswith("note: ")] == [
+        f"note: {n}" for n in data["notes"]
+    ]
+    assert len(lines) == 1 + len(data["reasons"]) + len(data["notes"])
+
 
 def test_acylindrical(capsys, path_file):
     code, out, _ = _run(capsys, ["acylindrical", path_file])
     assert code == 0
     assert "acylindrically hyperbolic: yes" in out
     assert "witness: (b, a)" in out
+
+    code, out, _ = _run(capsys, ["acylindrical", path_file, "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["acylindrically_hyperbolic"] is True
+    assert data["witness"] == ["b", "a"]
+    assert data["reason"].startswith("separating vertex b and vertex a generate")
 
 
 def test_dihedral_nf_and_eq(capsys):
@@ -154,10 +189,22 @@ def test_dihedral_nf_and_eq(capsys):
     code, out, _ = _run(capsys, ["dihedral-eq", "3", "a b", "b a"])
     assert code == 0 and out.strip() == "different"
 
+    code, out, _ = _run(capsys, ["dihedral-nf", "3", "a b a", "--json"])
+    assert code == 0
+    assert json.loads(out) == {"label": 3, "central": 0, "syllables": [["x", 1]]}
+    code, out, _ = _run(capsys, ["dihedral-nf", "2", "a b a^-1", "--json"])
+    assert code == 0
+    assert json.loads(out) == {"label": 2, "a_exp": 0, "b_exp": 1}
+    for u, v, equal in (("a b a", "b a b", True), ("a b", "b a", False)):
+        code, out, _ = _run(capsys, ["dihedral-eq", "3", u, v, "--json"])
+        assert code == 0 and json.loads(out) == {"equal": equal}
+
 
 def test_retract(capsys, fan_file):
     code, out, _ = _run(capsys, ["retract", fan_file, "2", "a b c"])
     assert code == 0 and out.strip() == "a a c"
+    code, out, _ = _run(capsys, ["retract", fan_file, "2", "a b c", "--json"])
+    assert code == 0 and json.loads(out) == {"word": "a a c"}
 
     code, _, err = _run(capsys, ["retract", fan_file, "9", "a"])
     assert code == 2 and "out of range" in err
@@ -237,9 +284,19 @@ def test_output_is_byte_stable(capsys, fan_file):
     assert first[2] == first[3]
 
 
-@pytest.mark.parametrize("text", ["e a b 1000000001\n", "e a b 1000000001\ne b c 3\n"])
+# graph text -> (rank of H_1, betti, braided leaf labels)
+HUGE_LABEL_CASES = {
+    "e a b 1000000001\n": (1, 0, []),
+    "e a b 1000000001\ne b c 3\n": (1, 0, []),
+    "e a b 2000000\ne b c 3\n": (2, 0, [2000000]),
+}
+
+
+@pytest.mark.parametrize("text", list(HUGE_LABEL_CASES))
 def test_huge_odd_label_needs_no_alternating_words(capsys, tmp_path, monkeypatch, text):
-    # only the parity of the label matters for H_1: no relator is built
+    # only the parity of the label matters for H_1, and the Betti number is
+    # read off the block-cut tree: no relator and no braided leaf word is built
+    rank, betti, braided = HUGE_LABEL_CASES[text]
     import artin.gog
     import artin.presentations
     import artin.words
@@ -251,8 +308,12 @@ def test_huge_odd_label_needs_no_alternating_words(capsys, tmp_path, monkeypatch
         monkeypatch.setattr(module, "alternating", refuse)
     p = tmp_path / "huge.graph"
     p.write_text(text)
+    shape = "Z" if rank == 1 else f"Z^{rank}"
     code, out, _ = _run(capsys, ["abelianize", str(p)])
-    assert (code, out) == (0, "Z (from the vertex presentation)\n")
+    assert (code, out) == (0, f"{shape} (from the vertex presentation)\n")
     code, out, _ = _run(capsys, ["profile", str(p), "--json"])
     assert code == 0
-    assert json.loads(out)["abelianization"] == {"free_rank": 1, "torsion": []}
+    data = json.loads(out)
+    assert data["abelianization"] == {"free_rank": rank, "torsion": []}
+    assert data["betti"] == betti
+    assert data["braided_leaf_labels"] == braided

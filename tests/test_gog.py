@@ -12,6 +12,7 @@ from artin import (
     dihedral_jsj,
     gog_presentation,
     parse_graph,
+    profile,
     simplify_identifications,
 )
 from artin.gog import BLACK, ChunkParabolic, FreeAbelianPair, RED, WHITE, betti_number
@@ -109,6 +110,8 @@ def test_betti_equals_toral_leaf_count_on_corpus():
         )
         assert betti_number(gog) == toral
         assert betti_number(collapse_jsj(gog)) == 0
+        # profile reads the Betti number off the block-cut tree instead
+        assert profile(g).betti == betti_number(gog)
 
 
 def test_preconditions():
