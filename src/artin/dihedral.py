@@ -262,12 +262,7 @@ def as_defining_generators(nf: NormalForm) -> Word:
     """Rewrite a normal form as a word over a, b again."""
     n = nf.label
     if isinstance(nf, AbelianNormalForm):
-        out = Word()
-        if nf.a_exp:
-            out = out * Word.generator("a", nf.a_exp)
-        if nf.b_exp:
-            out = out * Word.generator("b", nf.b_exp)
-        return out
+        return Word._trusted(tuple(p for p in (("a", nf.a_exp), ("b", nf.b_exp)) if p[1]))
     if isinstance(nf, OddNormalForm):
         x = alternating("a", "b", n)
         c = x ** 2
@@ -278,7 +273,7 @@ def as_defining_generators(nf: NormalForm) -> Word:
     letters = list((c ** nf.central).letters)
     for s, e in nf.syllables:
         letters += ((x if s == "x" else y) ** e).letters
-    return Word(tuple(letters))
+    return Word._trusted(tuple(letters))
 
 
 def membership_a_z(n: int, w: Word) -> tuple[int, int] | None:
@@ -300,22 +295,21 @@ def membership_a_z(n: int, w: Word) -> tuple[int, int] | None:
 
 
 def reduced_words(max_len: int) -> Iterator[Word]:
-    """Freely reduced nonempty words over a, b up to the given length."""
-    units = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
+    """Freely reduced nonempty words over a, b up to the given length.
 
-    def extend(prefix: list):
+    Depth first from an explicit stack, each word right before its
+    extensions, which add a, a^-1, b, b^-1 in that order.
+    """
+    if max_len < 0:
+        raise PreconditionError(f"word length must be nonnegative, got {max_len}")
+    units = (("b", -1), ("b", 1), ("a", -1), ("a", 1))
+    stack: list[tuple] = [()]
+    while stack:
+        prefix = stack.pop()
         if prefix:
-            yield Word(tuple(prefix))
-        if len(prefix) == max_len:
-            return
-        for name, exp in units:
-            if prefix and prefix[-1][0] == name and prefix[-1][1] == -exp:
-                continue
-            prefix.append((name, exp))
-            yield from extend(prefix)
-            prefix.pop()
-
-    yield from extend([])
+            yield Word(prefix)
+        if len(prefix) < max_len:
+            stack += [prefix + (u,) for u in units if not prefix or prefix[-1] != (u[0], -u[1])]
 
 
 def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:

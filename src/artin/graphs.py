@@ -13,12 +13,17 @@ computed; a brute-force maximality oracle in the test suite enforces the
 equivalence. The blocks, with their edges, come from one iterative
 Hopcroft-Tarjan depth-first search in O(V + E) (Hopcroft & Tarjan,
 "Algorithm 447", CACM 16(6), 1973); the separating vertices, the
-block-cut tree and the retractions onto chunks are all read off it.
+block-cut tree, the retractions onto chunks and connectivity are read off it.
+
+Input checks: ``LabelledGraph(...)``, ``LabelledGraph.from_edges`` and
+``parse_graph`` (with line numbers) check what they are given. Graphs
+derived from checked ones (chunk graphs, induced subgraphs) are built by
+the private ``LabelledGraph._trusted`` and are not checked again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -45,7 +50,6 @@ class LabelledGraph:
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, int], ...]
-    _adj: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
         seen = set()
@@ -57,7 +61,6 @@ class LabelledGraph:
             seen.add(v)
         if tuple(sorted(self.vertices)) != self.vertices:
             raise GraphFormatError("vertices must be sorted")
-        adj: dict[str, dict[str, int]] = {v: {} for v in self.vertices}
         prev = None
         for u, v, m in self.edges:
             if u not in seen or v not in seen:
@@ -73,9 +76,22 @@ class LabelledGraph:
             if prev is not None and (u, v) < prev:
                 raise GraphFormatError("edges must be sorted")
             prev = (u, v)
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[str, ...], edges) -> "LabelledGraph":
+        """A graph on vertices and edges derived from checked ones; they are not checked again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
+
+    @cached_property
+    def _adj(self) -> dict[str, dict[str, int]]:
+        adj: dict[str, dict[str, int]] = {v: {} for v in self.vertices}
+        for u, v, m in self.edges:
             adj[u][v] = m
             adj[v][u] = m
-        object.__setattr__(self, "_adj", adj)
+        return adj
 
     @classmethod
     def from_edges(cls, edges, vertices=()) -> "LabelledGraph":
@@ -113,7 +129,7 @@ class LabelledGraph:
         missing = keep - set(self.vertices)
         if missing:
             raise PreconditionError(f"not vertices of the graph: {sorted(missing)}")
-        return LabelledGraph(
+        return LabelledGraph._trusted(
             tuple(sorted(keep)),
             tuple((u, v, m) for u, v, m in self.edges if u in keep and v in keep),
         )
@@ -175,7 +191,7 @@ def parse_graph(text: str) -> LabelledGraph:
             vertices.add(v)
         else:
             raise GraphFormatError(f"unknown line type {parts[0]!r}", lineno)
-    return LabelledGraph(
+    return LabelledGraph._trusted(
         tuple(sorted(vertices)),
         tuple((u, v, edges[(u, v)]) for u, v in sorted(edges)),
     )
@@ -259,10 +275,10 @@ class BlockDecomposition:
         }
 
 
-def _blocks(g: LabelledGraph) -> list[tuple[tuple[str, ...], tuple[tuple[str, str, int], ...]]]:
-    """The blocks of g as (sorted vertices, sorted edges), in no fixed order.
+def _blocks(g: LabelledGraph, roots) -> list[tuple[tuple[str, ...], tuple]]:
+    """Blocks (sorted vertices, sorted edges) of the components holding ``roots``, in no order.
 
-    One iterative Hopcroft-Tarjan search over every component: ``low[v]``
+    One iterative Hopcroft-Tarjan search from each unreached root: ``low[v]``
     is the least discovery index reachable from v's subtree by one back
     edge. Tree and back edges go on an edge stack; when a child w of u
     finishes with low[w] >= disc[u], the edges down to (u, w) form a
@@ -272,7 +288,7 @@ def _blocks(g: LabelledGraph) -> list[tuple[tuple[str, ...], tuple[tuple[str, st
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
     out = []
-    for root in g.vertices:
+    for root in roots:
         if root in disc:
             continue
         disc[root] = low[root] = len(disc)
@@ -326,7 +342,7 @@ def separating_vertices(g: LabelledGraph) -> tuple[str, ...]:
     These are the vertices lying in two or more blocks of the linear
     depth-first search, on any graph, connected or not.
     """
-    at = _chunks_at(t for t, _ in _blocks(g))
+    at = _chunks_at(t for t, _ in _blocks(g, g.vertices))
     return tuple(v for v in g.vertices if len(at[v]) > 1)
 
 
@@ -335,17 +351,16 @@ def big_chunks(g: LabelledGraph) -> BlockDecomposition:
 
     Each chunk's graph is built from the edges its block popped off the
     search's edge stack (a block's vertex set induces exactly those).
-    Raises :class:`DisconnectedGraphError` on disconnected input (the
-    components are reported on the error).
+    The search starts from one vertex; when its blocks miss a vertex,
+    :class:`DisconnectedGraphError` is raised with the components.
     """
     if not g.vertices:
         raise PreconditionError("empty graph")
-    comps = g.components()
-    if len(comps) > 1:
-        raise DisconnectedGraphError(comps)
-    blocks = sorted(_blocks(g), key=lambda b: (b[0][0], len(b[0]), b[0]))
-    chunks = tuple(BigChunk(t, LabelledGraph(t, e)) for t, e in blocks)
+    blocks = sorted(_blocks(g, g.vertices[:1]), key=lambda b: (b[0][0], len(b[0]), b[0]))
     at = _chunks_at(t for t, _ in blocks)
+    if len(at) < len(g.vertices):
+        raise DisconnectedGraphError(g.components())
+    chunks = tuple(BigChunk(t, LabelledGraph._trusted(t, e)) for t, e in blocks)
     incidence = tuple((v, at[v]) for v in g.vertices if len(at[v]) > 1)
     return BlockDecomposition(g, chunks, tuple(v for v, _ in incidence), incidence)
 
@@ -414,10 +429,9 @@ def retract_word(g: LabelledGraph, chunk: BigChunk, w: Word) -> Word:
     hanging off the chunk attaches through one vertex); letters are
     replaced accordingly. The map is checked to send edges to edges with
     the same label or to collapse them, which makes it a group
-    retraction onto the chunk's Artin group.
+    retraction onto the chunk's Artin group. The graph is disconnected
+    only if the search misses a vertex.
     """
-    if not g.is_connected():
-        raise DisconnectedGraphError(g.components())
     chunk_set = set(chunk.vertices)
     if not chunk_set <= set(g.vertices):
         raise PreconditionError("chunk does not live in the graph")
@@ -436,10 +450,12 @@ def retract_word(g: LabelledGraph, chunk: BigChunk, w: Word) -> Word:
                         near |= nearest[x]
         nearest.update(layer)
         frontier = list(layer)
+    if len(nearest) < len(g.vertices) and not g.is_connected():
+        raise DisconnectedGraphError(g.components())
 
     rho: dict[str, str] = {}
     for v in g.vertices:
-        if len(nearest[v]) != 1:
+        if len(nearest.get(v, ())) != 1:
             raise PreconditionError(
                 f"no unique nearest chunk vertex for {v}; not a big chunk"
             )
@@ -457,7 +473,7 @@ def retract_word(g: LabelledGraph, chunk: BigChunk, w: Word) -> Word:
     for name, _ in w.letters:
         if name not in rho:
             raise WordFormatError(f"letter {name!r} is not a vertex of the graph")
-    return Word(tuple((rho[n], e) for n, e in w.letters))
+    return Word._trusted(tuple((rho[n], e) for n, e in w.letters))
 
 
 # canonical form

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DisconnectedGraphError, PreconditionError
+from .errors import PreconditionError
 from .graphs import (
     CHUNK_BIG_BIG,
     CHUNK_BRAIDED_LEAF,
@@ -69,11 +69,9 @@ class InvariantProfile:
 
 def profile(g: LabelledGraph) -> InvariantProfile:
     """Invariant profile of the Artin group on a connected graph."""
-    if not g.is_connected():
-        raise DisconnectedGraphError(g.components())
+    decomp = big_chunks(g)
     if len(g.vertices) < 2:
         raise PreconditionError("profiles need at least two vertices")
-    decomp = big_chunks(g)
     classes = decomp.classes()
     toral = sum(1 for k in classes if k.kind == CHUNK_TORAL_LEAF)
     braided = tuple(sorted(k.label for k in classes if k.kind == CHUNK_BRAIDED_LEAF))
@@ -186,11 +184,9 @@ def aut_acylindrically_hyperbolic(g: LabelledGraph) -> AcylindricityVerdict:
     verdict applies to the automorphism group of the Artin group,
     assuming torsion-free throughout.
     """
-    if not g.is_connected():
-        raise DisconnectedGraphError(g.components())
+    decomp = big_chunks(g)
     if len(g.vertices) < 3:
         raise PreconditionError("the criterion applies to graphs on >= 3 vertices")
-    decomp = big_chunks(g)
     for s in decomp.separating:
         for t in g.vertices:
             if t == s:

@@ -542,7 +542,7 @@ def simplify_identifications(p: Presentation) -> Presentation:
             for name, _ in old.letters:
                 if name != drop:
                     holding[name].discard(i)
-            reduced = Word(
+            reduced = Word._trusted(
                 tuple((keep, e * sign) if n == drop else (n, e) for n, e in old.letters)
             ).free_reduce()
             if reduced.letters:

@@ -4,6 +4,10 @@ A word is a finite sequence of letters (generator name, nonzero exponent).
 Words are not freely reduced on construction; reduction is explicit.
 Text syntax: whitespace-separated tokens ``sym`` or ``sym^k`` with k a
 nonzero integer, e.g. ``a b^-1 a^3``.
+
+Input checks: ``Word(...)``, ``Word.generator``, ``Word.from_text``,
+``alternating`` and ``rename_word`` check what they are given; words
+derived from checked ones come from the private ``Word._trusted`` unchecked.
 """
 
 from __future__ import annotations
@@ -37,22 +41,30 @@ class Word:
                 raise WordFormatError(f"exponent of {name} must be a nonzero integer")
 
     @classmethod
+    def _trusted(cls, letters: tuple[Letter, ...]) -> "Word":
+        """A word on letters derived from checked ones; they are not checked again."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def from_text(cls, text: str) -> "Word":
         """Parse ``a b^-1 a^3``. The empty string is the empty word.
 
         >>> Word.from_text("a b^-1").letters
         (('a', 1), ('b', -1))
         """
-        letters = []
-        for token in text.split():
+        tokens = text.split()
+        parsed: dict[str, Letter] = {}
+        for token in dict.fromkeys(tokens):
             m = TOKEN_RE.fullmatch(token)
             if not m:
                 raise WordFormatError(f"bad word token {token!r}")
             exp = int(m.group(2)) if m.group(2) is not None else 1
             if exp == 0:
                 raise WordFormatError(f"zero exponent in token {token!r}")
-            letters.append((m.group(1), exp))
-        return cls(tuple(letters))
+            parsed[token] = (m.group(1), exp)
+        return cls._trusted(tuple(map(parsed.__getitem__, tokens)))
 
     @classmethod
     def generator(cls, name: str, exp: int = 1) -> "Word":
@@ -65,16 +77,14 @@ class Word:
         return self.to_text()
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word._trusted(self.letters + other.letters)
 
     def __pow__(self, k: int) -> "Word":
-        if k == 0:
-            return Word()
-        base = self if k > 0 else self.inverse()
-        return Word(base.letters * abs(k))
+        base = self if k >= 0 else self.inverse()
+        return Word._trusted(base.letters * abs(k))
 
     def inverse(self) -> "Word":
-        return Word(tuple((n, -e) for n, e in reversed(self.letters)))
+        return Word._trusted(tuple((n, -e) for n, e in reversed(self.letters)))
 
     def free_reduce(self) -> "Word":
         """Merge adjacent letters on the same generator, dropping zero exponents."""
@@ -86,7 +96,7 @@ class Word:
                     out.pop()
             else:
                 out.append([name, exp])
-        return Word(tuple((n, e) for n, e in out))
+        return Word._trusted(tuple((n, e) for n, e in out))
 
     def units(self) -> Iterator[tuple[str, int]]:
         """Yield single steps (name, +1 or -1), expanding exponents."""
@@ -116,9 +126,12 @@ def alternating(u: str, v: str, n: int) -> Word:
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    pair = (u, v)
-    return Word(tuple((pair[i % 2], 1) for i in range(n)))
+    pair = Word(((u, 1), (v, 1))[:n]).letters  # checks only the names used
+    return Word._trusted(pair * (n // 2) + pair[: n % 2])
 
 
 def rename_word(w: Word, mapping: dict[str, str]) -> Word:
-    return Word(tuple((mapping.get(n, n), e) for n, e in w.letters))
+    """Rename letters by ``mapping``; only the names mapped to are checked."""
+    renamed = {n: mapping[n] for n, _ in w.letters if n in mapping}
+    Word(tuple((name, 1) for name in renamed.values()))  # checks the new names
+    return Word._trusted(tuple((renamed.get(n, n), e) for n, e in w.letters))

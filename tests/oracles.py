@@ -7,10 +7,11 @@ gcds of k-by-k minors. The retraction oracle measures every distance by
 breadth-first search from every vertex. These are written against plain
 adjacency data, not the library graph algorithms.
 
-Two more are the library's earlier, simpler algorithms, kept as second
+Three more are the library's earlier, simpler algorithms, kept as second
 methods for the fast ones: the dense Smith normal form that rescans the
-matrix for each pivot, and identification elimination that rewrites
-every relator after each step.
+matrix for each pivot, identification elimination that rewrites every
+relator after each step, and the recursive enumeration of freely reduced
+words.
 """
 
 from __future__ import annotations
@@ -297,3 +298,22 @@ def oracle_simplify_identifications(p):
         rels = out
         gens.remove(drop)
     return Presentation(tuple(gens), tuple(rels))
+
+
+def oracle_reduced_words(max_len: int):
+    """Freely reduced nonempty words over a, b up to max_len, by recursion."""
+    units = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
+
+    def extend(prefix: list):
+        if prefix:
+            yield Word(tuple(prefix))
+        if len(prefix) == max_len:
+            return
+        for name, exp in units:
+            if prefix and prefix[-1][0] == name and prefix[-1][1] == -exp:
+                continue
+            prefix.append((name, exp))
+            yield from extend(prefix)
+            prefix.pop()
+
+    yield from extend([])

@@ -1,0 +1,224 @@
+"""Where input is checked: every public constructor keeps every message,
+derived values are not checked again, and only listed call sites build
+values through the private constructors."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from artin import (
+    DisconnectedGraphError,
+    GraphFormatError,
+    LabelledGraph,
+    Word,
+    WordFormatError,
+    alternating,
+    aut_acylindrically_hyperbolic,
+    big_chunks,
+    parse_graph,
+    profile,
+    retract_word,
+    splits_over_cyclic,
+)
+from artin import graphs, presentations, words
+from artin.cli import main
+from artin.graphs import BigChunk
+from artin.words import rename_word
+
+from corpus import FAN_TEXT
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "artin"
+
+
+def _exact(message):
+    return "^" + re.escape(message) + "$"
+
+
+GRAPH_MESSAGES = [
+    (("1a",), (), "bad vertex name '1a'"),
+    (("a", "a"), (), "duplicate vertex 'a'"),
+    (("b", "a"), (), "vertices must be sorted"),
+    (("a",), (("a", "b", 2),), "edge a-b on unknown vertex"),
+    (("a",), (("a", "a", 2),), "self loop at 'a'"),
+    (("a", "b"), (("b", "a", 2),), "edge b-a not in canonical order"),
+    (("a", "b"), (("a", "b", 1),), "edge a-b label must be an integer >= 2"),
+    (("a", "b"), (("a", "b", 3.0),), "edge a-b label must be an integer >= 2"),
+    (("a", "b"), (("a", "b", 2), ("a", "b", 3)), "duplicate edge a-b"),
+    (("a", "b", "c"), (("a", "c", 2), ("a", "b", 2)), "edges must be sorted"),
+]
+
+
+@pytest.mark.parametrize("vertices, edges, message", GRAPH_MESSAGES)
+def test_graph_constructor_messages(vertices, edges, message):
+    with pytest.raises(GraphFormatError, match=_exact(message)):
+        LabelledGraph(vertices, edges)
+
+
+def test_from_edges_rejects_duplicate_edge():
+    with pytest.raises(GraphFormatError, match=_exact("duplicate edge a-b")):
+        LabelledGraph.from_edges([("a", "b", 2), ("b", "a", 3)])
+
+
+WORD_MESSAGES = [
+    (("a",), "bad letter 'a'"),
+    ((("a", 1, 2),), "bad letter ('a', 1, 2)"),
+    ((("1a", 1),), "bad generator name '1a'"),
+    (((3, 1),), "bad generator name 3"),
+    ((("a", 0),), "exponent of a must be a nonzero integer"),
+    ((("a", 1.0),), "exponent of a must be a nonzero integer"),
+]
+
+
+@pytest.mark.parametrize("letters, message", WORD_MESSAGES)
+def test_word_constructor_messages(letters, message):
+    with pytest.raises(WordFormatError, match=_exact(message)):
+        Word(letters)
+
+
+def test_generator_and_alternating_messages():
+    with pytest.raises(WordFormatError, match=_exact("bad generator name '1a'")):
+        Word.generator("1a")
+    with pytest.raises(WordFormatError, match=_exact("exponent of a must be a nonzero integer")):
+        Word.generator("a", 0)
+    with pytest.raises(WordFormatError, match=_exact("bad generator name '1b'")):
+        alternating("a", "1b", 2)
+    with pytest.raises(WordFormatError, match=_exact("bad generator name '1a'")):
+        alternating("1a", "1b", 5)
+    with pytest.raises(ValueError, match=_exact("length must be nonnegative")):
+        alternating("a", "b", -1)
+    # only the names a word uses are checked
+    assert alternating("1a", "1b", 0) == Word()
+    assert alternating("a", "1b", 1) == Word.generator("a")
+
+
+def test_rename_word_checks_the_names_it_maps_to():
+    w = Word.from_text("a b^2 a^-1")
+    assert rename_word(w, {"a": "c", "z": "1z"}).to_text() == "c b^2 c^-1"
+    with pytest.raises(WordFormatError, match=_exact("bad generator name '1c'")):
+        rename_word(w, {"b": "2d", "a": "1c"})
+
+
+def _count_name_checks(monkeypatch, capsys, argv):
+    pattern = words.NAME_RE
+    calls = []
+
+    class Counting:
+        def fullmatch(self, s):
+            calls.append(s)
+            return pattern.fullmatch(s)
+
+    for module in (words, graphs, presentations):
+        monkeypatch.setattr(module, "NAME_RE", Counting())
+    assert main(argv) == 0
+    capsys.readouterr()
+    return len(calls)
+
+
+def test_relator_names_are_not_checked_per_letter(monkeypatch, capsys, tmp_path):
+    small, large = tmp_path / "small.graph", tmp_path / "large.graph"
+    small.write_text("e a b 3\n")
+    large.write_text("e a b 100001\n")
+    assert _count_name_checks(monkeypatch, capsys, ["presentation", str(small)]) == (
+        _count_name_checks(monkeypatch, capsys, ["presentation", str(large)])
+    )
+
+
+def test_chunk_graphs_are_not_checked_again(monkeypatch, capsys, tmp_path):
+    n = 400
+    edges = [f"e v{i} v{(i + 1) % n} 3" for i in range(n)]
+    edges += [f"e v{i} v{i + 7} 2" for i in range(0, n - 7, 5)]
+    big = tmp_path / "big.graph"
+    big.write_text("\n".join(edges) + "\n")
+    assert _count_name_checks(monkeypatch, capsys, ["chunks", str(big)]) <= n
+
+
+# command -> (searches with the input graph's adjacency, other searches)
+COMPONENT_SEARCHES = {
+    ("validate",): (1, 0),
+    ("split",): (1, 0),
+    ("chunks",): (0, 0),
+    ("jsj",): (0, 0),
+    ("acylindrical",): (0, 0),
+    ("retract", "0", "a"): (0, 0),
+    ("profile",): (0, 1),
+}
+
+
+@pytest.mark.parametrize("command", list(COMPONENT_SEARCHES), ids=" ".join)
+def test_components_searched_at_most_once(monkeypatch, capsys, tmp_path, command):
+    fan = parse_graph(FAN_TEXT)
+    path = tmp_path / "fan.graph"
+    path.write_text(FAN_TEXT)
+    real = graphs._components
+    seen = []
+
+    def counting(vertices, adj):
+        seen.append(adj == fan._adj)
+        return real(vertices, adj)
+
+    monkeypatch.setattr(graphs, "_components", counting)
+    assert main([command[0], str(path), *command[1:]]) == 0
+    capsys.readouterr()
+    assert (seen.count(True), seen.count(False)) == COMPONENT_SEARCHES[command]
+
+
+@pytest.mark.parametrize("text", ["e a b 2\nv z\n", "e a b 3\ne b c 2\ne c a 4\ne x y 3\n"])
+def test_disconnected_graphs_report_components(text):
+    g = parse_graph(text)
+    comps = g.components()
+    chunk = BigChunk(("a", "b"), g.induced({"a", "b"}))
+    for call in (
+        lambda: big_chunks(g),
+        lambda: retract_word(g, chunk, Word()),
+        lambda: profile(g),
+        lambda: aut_acylindrically_hyperbolic(g),
+    ):
+        with pytest.raises(DisconnectedGraphError) as exc:
+            call()
+        assert exc.value.components == comps
+    assert splits_over_cyclic(g).components == comps
+
+
+# (module, function) sites allowed to build unchecked values
+PRIVATE_CONSTRUCTOR_SITES = {
+    ("words", "Word.from_text"),
+    ("words", "Word.__mul__"),
+    ("words", "Word.__pow__"),
+    ("words", "Word.inverse"),
+    ("words", "Word.free_reduce"),
+    ("words", "alternating"),
+    ("words", "rename_word"),
+    ("graphs", "LabelledGraph.induced"),
+    ("graphs", "parse_graph"),
+    ("graphs", "big_chunks"),
+    ("graphs", "retract_word"),
+    ("dihedral", "as_defining_generators"),
+    ("presentations", "simplify_identifications"),
+}
+
+
+def _uses(name):
+    """(module, enclosing qualified name) of every use of ``name`` in the package."""
+    found = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            found.add((module, ".".join(scope)))
+        if isinstance(node, ast.Name) and node.id == name:
+            found.add((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return found
+
+
+def test_private_constructors_only_at_listed_sites():
+    assert _uses("_trusted") == PRIVATE_CONSTRUCTOR_SITES
+    # each class has one private constructor, and nothing else makes bare instances
+    assert _uses("__new__") == {("words", "Word._trusted"), ("graphs", "LabelledGraph._trusted")}

@@ -217,6 +217,37 @@ def test_root_search(capsys):
     assert data["counterexamples"] == []
 
 
+def test_root_search_negative_length(capsys):
+    for extra in ([], ["--json"]):
+        code, out, err = _run(capsys, ["root-search", "4", "-1", "5"] + extra)
+        assert (code, out, err) == (2, "", "error: word length must be nonnegative, got -1\n")
+
+
+TINY_GRAPHS = {"empty": "", "one": "v a\n", "two": "v a\nv b\n"}
+GRAPH_COMMANDS = [
+    ["validate"], ["chunks"], ["split"], ["jsj"], ["jsj", "--collapsed"], ["abelianize"],
+    ["abelianize", "--of-jsj"], ["presentation"], ["presentation", "--of-jsj", "--simplify"],
+    ["profile"], ["compare", None], ["acylindrical"], ["retract", "0", "a"],
+]
+
+
+@pytest.mark.parametrize("name", list(TINY_GRAPHS))
+def test_graph_commands_on_tiny_graphs(capsys, tmp_path, name):
+    # every graph command answers or fails with one error line, never a traceback
+    p = tmp_path / f"{name}.graph"
+    p.write_text(TINY_GRAPHS[name])
+    for command in GRAPH_COMMANDS:
+        for extra in ([], ["--json"]):
+            argv = [command[0], str(p)] + [str(p) if a is None else a for a in command[1:]]
+            code, out, err = _run(capsys, argv + extra)
+            assert code in (0, 1, 2), argv
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+                assert "Traceback" not in err + out
+            if name == "empty" and command[0] in ("profile", "compare", "acylindrical"):
+                assert (code, err) == (2, "error: empty graph\n"), argv
+
+
 def test_exit_codes(capsys, tmp_path, path_file):
     code, _, err = _run(capsys, ["no-such-command"])
     assert code == 64 and "invalid choice" in err

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from artin import (
     words_equal,
 )
 from artin.dihedral import AbelianNormalForm, reduced_words
+
+from oracles import oracle_reduced_words
 
 
 W = Word.from_text
@@ -204,6 +207,25 @@ def test_reduced_words_enumeration():
         units = list(w.units())
         for (u, e), (v, f) in zip(units, units[1:]):
             assert not (u == v and e == -f)
+
+
+@pytest.mark.parametrize("max_len", range(7))
+def test_reduced_words_match_recursive_oracle(max_len):
+    assert list(reduced_words(max_len)) == list(oracle_reduced_words(max_len))
+
+
+def test_reduced_words_go_deep_without_recursion():
+    # depth first: the first 1500 words are a, a a, ..., a^1500 letter by letter
+    words = list(itertools.islice(reduced_words(1500), 1501))
+    assert words[1499].letters == (("a", 1),) * 1500
+    assert words[1500].letters == (("a", 1),) * 1499 + (("b", 1),)
+
+
+def test_negative_word_length_refused():
+    with pytest.raises(PreconditionError, match="^word length must be nonnegative, got -1$"):
+        next(reduced_words(-1))
+    with pytest.raises(PreconditionError):
+        root_bound_search(4, -1, 5)
 
 
 def test_invalid_letters_rejected():
