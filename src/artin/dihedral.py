@@ -5,21 +5,26 @@ equality of the two length-n alternating words. Its centre is generated
 by z = Delta^2 for odd n and z = Delta for even n, where Delta is the
 alternating word of length n starting with a.
 
-Change of generators, writing m = n // 2:
+Change of generators, writing m = n // 2 (``_new_generators``):
 
-* odd n:  x = alternating(a, b, n), y = a b. The group becomes the
-  amalgam <x, y | x^2 = y^n>, with a = y^-h x and b = x^-1 y^(h+1) for
-  h = (n - 1) // 2. The centre is generated by c = x^2 = y^n.
+* odd n:  x = Delta, y = a b. The group becomes the amalgam
+  <x, y | x^2 = y^n>, with a = y^-m x and b = x^-1 y^(m+1). The centre
+  is generated by c = x^2 = y^n.
 * even n: x = a, y = a b. The group becomes the HNN extension
   <x, y | x y^m x^-1 = y^m>, with a = x and b = x^-1 y. The centre is
-  generated by z = y^m.
+  generated by z = y^m = Delta.
 
 Killing the centre leaves a free product (Z/2 * Z/n for odd n, Z/m * Z
 for even n, with x spanning the infinite factor). Group elements
 correspond bijectively to pairs (central exponent, reduced syllable
-sequence in the free product); the engines below maintain that pair one
-letter at a time, which solves the word problem. Label 2 is Z^2 and is
-handled by exponent pairs.
+sequence in the free product). One reduction finds the pair for both
+parities from one table of the images of a, b and the modulus of each
+symbol (x mod 2, y mod n; or y mod m, x free): a syllable merges into
+the top one, the quotient by the modulus is carried into the central
+exponent at once and a zero residue is dropped. Eager carrying is sound
+because the carried power is central, so the carries add up to the same
+total: floor((s + t)/q) = floor(s/q) + floor((s mod q + t)/q) for a
+modulus q. Label 2 is Z^2 and is handled by exponent pairs.
 """
 
 from __future__ import annotations
@@ -36,7 +41,10 @@ GENERATORS = ("a", "b")
 
 @dataclass(frozen=True)
 class OddNormalForm:
-    """Central exponent of c = x^2 = y^n plus a reduced word in Z/2 * Z/n."""
+    """Central exponent of c = x^2 = y^n plus a reduced word in Z/2 * Z/n.
+
+    Syllables alternate between ("x", 1) and ("y", r) with 0 < r < n.
+    """
 
     label: int
     central: int
@@ -116,71 +124,32 @@ def _check_label(n: int):
         raise PreconditionError("edge labels start at 2")
 
 
-class _OddEngine:
-    """Reduced form in Z/2 * Z/n with the central exponent of c tracked."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.central = 0
-        self.stack: list[list] = []
-
-    def push(self, sym: str, exp: int):
-        if self.stack and self.stack[-1][0] == sym:
-            self.stack[-1][1] += exp
-        else:
-            self.stack.append([sym, exp])
-        modulus = 2 if sym == "x" else self.n
-        e = self.stack[-1][1]
-        r = e % modulus
-        self.central += (e - r) // modulus
-        if r == 0:
-            self.stack.pop()
-        else:
-            self.stack[-1][1] = r
-
-    def result(self, label: int) -> OddNormalForm:
-        return OddNormalForm(label, self.central, tuple((s, e) for s, e in self.stack))
+def _new_generators(n: int) -> tuple[Word, Word, Word]:
+    """The words in a, b for x, y and the central generator on label n."""
+    delta = alternating("a", "b", n)
+    y = alternating("a", "b", 2)
+    if n % 2:
+        return delta, y, delta ** 2
+    return Word.generator("a"), y, delta
 
 
-class _EvenEngine:
-    """Reduced form in Z/m * Z with the central exponent of z = y^m tracked."""
+def _reduction_table(n: int) -> dict[tuple[str, bool], tuple[tuple[str, int, int], ...]]:
+    """The images in x, y of a^±1, b^±1 keyed by (name, exponent > 0), n >= 3.
 
-    def __init__(self, m: int):
-        self.m = m
-        self.central = 0
-        self.stack: list[list] = []
-
-    def _settle_y(self):
-        top = self.stack[-1]
-        r = top[1] % self.m
-        self.central += (top[1] - r) // self.m
-        if r == 0:
-            self.stack.pop()
-        else:
-            top[1] = r
-
-    def push(self, sym: str, exp: int):
-        if sym == "y":
-            if self.stack and self.stack[-1][0] == "y":
-                self.stack[-1][1] += exp
-                if self.stack[-1][1] == 0:
-                    self.stack.pop()
-            else:
-                self.stack.append(["y", exp])
-            return
-        if self.stack and self.stack[-1][0] == "y":
-            self._settle_y()
-        if self.stack and self.stack[-1][0] == "x":
-            self.stack[-1][1] += exp
-            if self.stack[-1][1] == 0:
-                self.stack.pop()
-        else:
-            self.stack.append(["x", exp])
-
-    def result(self, label: int) -> EvenNormalForm:
-        if self.stack and self.stack[-1][0] == "y":
-            self._settle_y()
-        return EvenNormalForm(label, self.central, tuple((s, e) for s, e in self.stack))
+    Each syllable carries its symbol's modulus, 0 for a free x.
+    """
+    m = n // 2
+    if n % 2:
+        images = {"a": (("y", -m), ("x", 1)), "b": (("x", -1), ("y", m + 1))}
+        moduli = {"x": 2, "y": n}
+    else:
+        images = {"a": (("x", 1),), "b": (("x", -1), ("y", 1))}
+        moduli = {"x": 0, "y": m}
+    table = {}
+    for name, image in images.items():
+        table[name, True] = tuple((s, e, moduli[s]) for s, e in image)
+        table[name, False] = tuple((s, -e, moduli[s]) for s, e in reversed(image))
+    return table
 
 
 def normal_form(n: int, w: Word) -> NormalForm:
@@ -196,29 +165,26 @@ def normal_form(n: int, w: Word) -> NormalForm:
     if n == 2:
         sums = w.exponent_sums()
         return AbelianNormalForm(2, sums.get("a", 0), sums.get("b", 0))
-    if n % 2 == 1:
-        h = (n - 1) // 2
-        eng = _OddEngine(n)
-        for name, exp in w.letters:
-            steps = abs(exp)
-            if name == "a":
-                seq = ((("y", -h), ("x", 1)) if exp > 0 else (("x", -1), ("y", h)))
-            else:
-                seq = ((("x", -1), ("y", h + 1)) if exp > 0 else (("y", -h - 1), ("x", 1)))
-            for _ in range(steps):
-                for s, e in seq:
-                    eng.push(s, e)
-        return eng.result(n)
-    meng = _EvenEngine(n // 2)
+    table = _reduction_table(n)
+    central = 0
+    stack: list[tuple[str, int]] = []
+    push, pop = stack.append, stack.pop
     for name, exp in w.letters:
-        if name == "a":
-            meng.push("x", exp)
-            continue
-        seq = (("x", -1), ("y", 1)) if exp > 0 else (("y", -1), ("x", 1))
-        for _ in range(abs(exp)):
-            for s, e in seq:
-                meng.push(s, e)
-    return meng.result(n)
+        image = table[name, exp > 0]
+        steps = abs(exp)
+        if len(image) == 1:
+            ((sym, e, modulus),) = image
+            image, steps = ((sym, e * steps, modulus),), 1
+        for _ in range(steps):
+            for sym, e, modulus in image:
+                if stack and stack[-1][0] == sym:
+                    e += pop()[1]
+                if modulus:
+                    q, e = divmod(e, modulus)
+                    central += q
+                if e:
+                    push((sym, e))
+    return (OddNormalForm if n % 2 else EvenNormalForm)(n, central, tuple(stack))
 
 
 def words_equal(n: int, u: Word, v: Word) -> bool:
@@ -240,9 +206,8 @@ def is_central(n: int, w: Word) -> bool:
 def garside(n: int) -> GarsideData:
     """The Garside element Delta and the centre generator z."""
     _check_label(n)
-    delta = alternating("a", "b", n)
-    z = delta if n % 2 == 0 else delta ** 2
-    return GarsideData(n, delta, z)
+    x, _, z = _new_generators(n)
+    return GarsideData(n, x if n % 2 else z, z)  # Delta is x for odd n, z for even n
 
 
 def delta_conjugates_generators(n: int) -> bool:
@@ -260,16 +225,9 @@ def delta_conjugates_generators(n: int) -> bool:
 
 def as_defining_generators(nf: NormalForm) -> Word:
     """Rewrite a normal form as a word over a, b again."""
-    n = nf.label
     if isinstance(nf, AbelianNormalForm):
         return Word._trusted(tuple(p for p in (("a", nf.a_exp), ("b", nf.b_exp)) if p[1]))
-    if isinstance(nf, OddNormalForm):
-        x = alternating("a", "b", n)
-        c = x ** 2
-    else:
-        x = Word.generator("a")
-        c = alternating("a", "b", n)
-    y = Word.from_text("a b")
+    x, y, c = _new_generators(nf.label)
     letters = list((c ** nf.central).letters)
     for s, e in nf.syllables:
         letters += ((x if s == "x" else y) ** e).letters
@@ -319,12 +277,17 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
     (deduplicated by normal form) and all degrees m < k <= max_degree
     for w^k = a^i z^j with gcd(i, j) = 1. Any hit (w, k, (i, j)) would
     contradict the root bound, so the expected result is empty; degree
-    m itself is achieved by r = a b with r^m = z.
+    m itself is achieved by r = a b with r^m = z. An empty degree range,
+    max_degree <= m, is refused.
     """
     _check_label(n)
     if n % 2 or n < 4:
         raise PreconditionError("the root bound search needs an even label >= 4")
     m = n // 2
+    if max_degree <= m:
+        raise PreconditionError(
+            f"degree range {m + 1}..{max_degree} is empty: the maximum degree must exceed {m}"
+        )
     seen: set = set()
     hits = []
     for w in reduced_words(max_len):

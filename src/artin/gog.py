@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Union
 
+from .dihedral import _check_label, _new_generators
 from .errors import NoJsjExistsError, PreconditionError
 from .graphs import (
     CHUNK_BRAIDED_LEAF,
@@ -330,8 +331,7 @@ def dihedral_jsj(n: int) -> GraphOfGroups:
     of <y> with stable letter x = a conjugating y^m to itself. For n = 2
     the group is Z^2 and no JSJ exists; NoJsjExistsError is raised.
     """
-    if n < 2:
-        raise PreconditionError("edge labels start at 2")
+    _check_label(n)
     if n == 2:
         raise NoJsjExistsError(
             "the label 2 group is free abelian of rank 2 and has no JSJ"
@@ -350,10 +350,6 @@ def dihedral_jsj(n: int) -> GraphOfGroups:
                 (Word.generator("x", 2), Word.generator("y", n)),
             ),
         )
-        legend = (
-            ("x", alternating("a", "b", n)),
-            ("y", Word.from_text("a b")),
-        )
     else:
         m = n // 2
         vertices = (GoGVertex("B_y", BLACK, CyclicOnGenerator("y")),)
@@ -365,8 +361,5 @@ def dihedral_jsj(n: int) -> GraphOfGroups:
                 stable_letter="x",
             ),
         )
-        legend = (
-            ("x", Word.generator("a")),
-            ("y", Word.from_text("a b")),
-        )
-    return GraphOfGroups(vertices, edges, graph=g, legend=legend)
+    x, y, _ = _new_generators(n)
+    return GraphOfGroups(vertices, edges, graph=g, legend=(("x", x), ("y", y)))

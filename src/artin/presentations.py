@@ -446,23 +446,14 @@ def gog_presentation(gog: GraphOfGroups) -> Presentation:
     contribute identification relators, remaining edges stable letters.
     Generators are sorted; relator order follows vertices then edges.
     """
-    if not gog.base_is_connected():
-        raise PreconditionError("graph of groups has a disconnected base")
-
-    graph_vertices = set(gog.graph.vertices) if gog.graph is not None else set()
-    taken: set[str] = set()
-    locals_by_id: dict[str, _LocalGroup] = {}
-    for v in gog.vertices:
-        locals_by_id[v.id] = _LocalGroup(v, taken, graph_vertices)
-
     incident: dict[str, list[int]] = {v.id: [] for v in gog.vertices}
     for idx, e in enumerate(gog.edges):
         if not e.is_loop:
             incident[e.ends[0]].append(idx)
             incident[e.ends[1]].append(idx)
     tree_edges: set[int] = set()
-    seen = {gog.vertices[0].id}
-    frontier = [gog.vertices[0].id]
+    frontier = [v.id for v in gog.vertices[:1]]
+    seen = set(frontier)
     while frontier:
         nxt = []
         for vid in frontier:
@@ -475,6 +466,12 @@ def gog_presentation(gog: GraphOfGroups) -> Presentation:
                 seen.add(other)
                 nxt.append(other)
         frontier = nxt
+    if not seen or len(seen) < len(gog.vertices):
+        raise PreconditionError("graph of groups has a disconnected base")
+
+    graph_vertices = set(gog.graph.vertices) if gog.graph is not None else set()
+    taken: set[str] = set()
+    locals_by_id = {v.id: _LocalGroup(v, taken, graph_vertices) for v in gog.vertices}
 
     stable: dict[int, str] = {}
     for idx, e in enumerate(gog.edges):

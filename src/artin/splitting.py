@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import DisconnectedGraphError, PreconditionError
 from .graphs import LabelledGraph, big_chunks
 
 NO_SPLIT = "NoSplit"
@@ -69,20 +69,16 @@ def splits_over_cyclic(g: LabelledGraph) -> SplitVerdict:
     n = len(g.vertices)
     if n == 0:
         raise PreconditionError("empty graph has no associated group")
-    comps = g.components()
-    if len(comps) > 1:
-        if n == 2:
-            return SplitVerdict(FREE_RANK_TWO, MORE_THAN_ONE_END, components=comps)
-        return SplitVerdict(FREE_PRODUCT_SPLIT, MORE_THAN_ONE_END, components=comps)
+    try:
+        decomp = big_chunks(g)
+    except DisconnectedGraphError as e:
+        verdict = FREE_RANK_TWO if n == 2 else FREE_PRODUCT_SPLIT
+        return SplitVerdict(verdict, MORE_THAN_ONE_END, components=e.components)
     if n == 1:
         return SplitVerdict(INFINITE_CYCLIC, MORE_THAN_ONE_END)
     if n == 2:
         m = g.edges[0][2]
-        if m == 2:
-            return SplitVerdict(ABELIAN_RANK_TWO, ONE_ENDED, label=m)
-        return SplitVerdict(DIHEDRAL_SPLIT, ONE_ENDED, label=m)
-
-    decomp = big_chunks(g)
+        return SplitVerdict(ABELIAN_RANK_TWO if m == 2 else DIHEDRAL_SPLIT, ONE_ENDED, label=m)
     if len(decomp.chunks) == 1:
         return SplitVerdict(NO_SPLIT, ONE_ENDED)
 

@@ -10,8 +10,9 @@ adjacency data, not the library graph algorithms.
 Three more are the library's earlier, simpler algorithms, kept as second
 methods for the fast ones: the dense Smith normal form that rescans the
 matrix for each pivot, identification elimination that rewrites every
-relator after each step, and the recursive enumeration of freely reduced
-words.
+relator after each step, the recursive enumeration of freely reduced
+words, and the dihedral normal form with one engine per label parity,
+which settles an even label's powers of y only when an x follows.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from itertools import combinations
 from math import gcd
 
 from artin import Presentation, Word
+from artin.dihedral import AbelianNormalForm, EvenNormalForm, OddNormalForm
 
 
 def _adjacency_masks(g):
@@ -317,3 +319,100 @@ def oracle_reduced_words(max_len: int):
             prefix.pop()
 
     yield from extend([])
+
+
+class _OddEngine:
+    """Reduced form in Z/2 * Z/n with the central exponent of c tracked."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.central = 0
+        self.stack: list[list] = []
+
+    def push(self, sym: str, exp: int):
+        if self.stack and self.stack[-1][0] == sym:
+            self.stack[-1][1] += exp
+        else:
+            self.stack.append([sym, exp])
+        modulus = 2 if sym == "x" else self.n
+        e = self.stack[-1][1]
+        r = e % modulus
+        self.central += (e - r) // modulus
+        if r == 0:
+            self.stack.pop()
+        else:
+            self.stack[-1][1] = r
+
+    def result(self, label: int) -> OddNormalForm:
+        return OddNormalForm(label, self.central, tuple((s, e) for s, e in self.stack))
+
+
+class _EvenEngine:
+    """Reduced form in Z/m * Z with the central exponent of z = y^m tracked."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.central = 0
+        self.stack: list[list] = []
+
+    def _settle_y(self):
+        top = self.stack[-1]
+        r = top[1] % self.m
+        self.central += (top[1] - r) // self.m
+        if r == 0:
+            self.stack.pop()
+        else:
+            top[1] = r
+
+    def push(self, sym: str, exp: int):
+        if sym == "y":
+            if self.stack and self.stack[-1][0] == "y":
+                self.stack[-1][1] += exp
+                if self.stack[-1][1] == 0:
+                    self.stack.pop()
+            else:
+                self.stack.append(["y", exp])
+            return
+        if self.stack and self.stack[-1][0] == "y":
+            self._settle_y()
+        if self.stack and self.stack[-1][0] == "x":
+            self.stack[-1][1] += exp
+            if self.stack[-1][1] == 0:
+                self.stack.pop()
+        else:
+            self.stack.append(["x", exp])
+
+    def result(self, label: int) -> EvenNormalForm:
+        if self.stack and self.stack[-1][0] == "y":
+            self._settle_y()
+        return EvenNormalForm(label, self.central, tuple((s, e) for s, e in self.stack))
+
+
+def oracle_normal_form(n: int, w: Word):
+    """Dihedral normal form of a valid word over a, b on a label n >= 2."""
+    if n == 2:
+        sums = w.exponent_sums()
+        return AbelianNormalForm(2, sums.get("a", 0), sums.get("b", 0))
+    if n % 2 == 1:
+        h = (n - 1) // 2
+        eng = _OddEngine(n)
+        for name, exp in w.letters:
+            steps = abs(exp)
+            if name == "a":
+                seq = ((("y", -h), ("x", 1)) if exp > 0 else (("x", -1), ("y", h)))
+            else:
+                seq = ((("x", -1), ("y", h + 1)) if exp > 0 else (("y", -h - 1), ("x", 1)))
+            for _ in range(steps):
+                for s, e in seq:
+                    eng.push(s, e)
+        return eng.result(n)
+    meng = _EvenEngine(n // 2)
+    for name, exp in w.letters:
+        if name == "a":
+            meng.push("x", exp)
+            continue
+        seq = (("x", -1), ("y", 1)) if exp > 0 else (("y", -1), ("x", 1))
+        for _ in range(abs(exp)):
+            for s, e in seq:
+                meng.push(s, e)
+    return meng.result(n)

@@ -137,7 +137,7 @@ def test_chunk_graphs_are_not_checked_again(monkeypatch, capsys, tmp_path):
 # command -> (searches with the input graph's adjacency, other searches)
 COMPONENT_SEARCHES = {
     ("validate",): (1, 0),
-    ("split",): (1, 0),
+    ("split",): (0, 0),
     ("chunks",): (0, 0),
     ("jsj",): (0, 0),
     ("acylindrical",): (0, 0),

@@ -223,6 +223,15 @@ def test_root_search_negative_length(capsys):
         assert (code, out, err) == (2, "", "error: word length must be nonnegative, got -1\n")
 
 
+def test_root_search_empty_degree_range(capsys):
+    for args in (["4", "3", "2"], ["4", "3", "0"], ["6", "2", "-5"]):
+        for extra in ([], ["--json"]):
+            code, out, err = _run(capsys, ["root-search", *args] + extra)
+            low = int(args[0]) // 2 + 1
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: degree range {low}..{args[2]} is empty"), err
+
+
 TINY_GRAPHS = {"empty": "", "one": "v a\n", "two": "v a\nv b\n"}
 GRAPH_COMMANDS = [
     ["validate"], ["chunks"], ["split"], ["jsj"], ["jsj", "--collapsed"], ["abelianize"],

@@ -17,9 +17,9 @@ from artin import (
     root_bound_search,
     words_equal,
 )
-from artin.dihedral import AbelianNormalForm, reduced_words
+from artin.dihedral import AbelianNormalForm, EvenNormalForm, OddNormalForm, reduced_words
 
-from oracles import oracle_reduced_words
+from oracles import oracle_normal_form, oracle_reduced_words
 
 
 W = Word.from_text
@@ -61,6 +61,41 @@ def _random_word(rng, max_len):
     for _ in range(n):
         letters.append((rng.choice("ab"), rng.choice((-2, -1, 1, 1, 2))))
     return Word(tuple(letters)).free_reduce() if letters else Word(())
+
+
+ORACLE_LABELS = list(range(2, 14)) + [1000, 1001, 10**5, 10**5 + 1]
+
+
+def _oracle_words(rng):
+    exponents = [e for e in range(-5, 6) if e]
+    for _ in range(60):
+        yield Word(tuple((rng.choice("ab"), rng.choice(exponents)) for _ in range(rng.randint(1, 30))))
+    for text in ("a^500 b^-500", "b^500 a^-500", "a^-499 b^501 a^3", "b^-1000", "a^2 b^-2"):
+        yield W(text)
+    yield Word(())
+
+
+@pytest.mark.parametrize("n", ORACLE_LABELS)
+def test_normal_form_matches_two_engine_oracle(n):
+    rng = random.Random(n)
+    for w in _oracle_words(rng):
+        assert normal_form(n, w) == oracle_normal_form(n, w), (n, w.to_text())
+
+
+@pytest.mark.parametrize("n", [k for k in ORACLE_LABELS if k > 2])
+def test_normal_form_shape(n):
+    # the shapes stated in the OddNormalForm and EvenNormalForm docstrings
+    m = n // 2
+    for w in _oracle_words(random.Random(n + 1)):
+        nf = normal_form(n, w)
+        assert isinstance(nf, OddNormalForm if n % 2 else EvenNormalForm)
+        symbols = [s for s, _ in nf.syllables]
+        assert all(s != t for s, t in zip(symbols, symbols[1:])), nf
+        for s, e in nf.syllables:
+            if n % 2:
+                assert (s, e) == ("x", 1) or (s == "y" and 1 <= e <= n - 1), nf
+            else:
+                assert (s == "x" and e != 0) or (s == "y" and 1 <= e <= m - 1), nf
 
 
 def test_round_trip_through_defining_generators():
@@ -187,6 +222,13 @@ def test_membership_requires_even_label():
 def test_root_bound_holds_on_small_searches():
     assert root_bound_search(4, 4, 3) == ()
     assert root_bound_search(6, 3, 4) == ()
+
+
+def test_root_bound_search_refuses_empty_degree_range():
+    for n, max_degree in ((4, 2), (4, 0), (6, -5), (6, 3)):
+        with pytest.raises(PreconditionError, match=f"^degree range {n // 2 + 1}..{max_degree} is empty"):
+            root_bound_search(n, 3, max_degree)
+    assert root_bound_search(4, 3, 3) == ()
 
 
 def test_tight_witness_root_of_degree_m():

@@ -5,6 +5,7 @@ import pytest
 from artin import (
     AbelianShape,
     NoJsjExistsError,
+    PreconditionError,
     Presentation,
     Word,
     abelianize,
@@ -159,7 +160,7 @@ def test_gog_presentation_spanning_tree_takes_edges_in_index_order():
 def test_gog_presentation_requires_connected_base():
     gog = build_jsj(path3())
     broken = type(gog)(gog.vertices, (), graph=gog.graph, legend=gog.legend)
-    with pytest.raises(Exception):
+    with pytest.raises(PreconditionError, match="disconnected base"):
         gog_presentation(broken)
 
 
