@@ -124,13 +124,12 @@ def _check_label(n: int):
         raise PreconditionError("edge labels start at 2")
 
 
-def _new_generators(n: int) -> tuple[Word, Word, Word]:
-    """The words in a, b for x, y and the central generator on label n."""
-    delta = alternating("a", "b", n)
+def _new_generators(n: int) -> tuple[Word, Word]:
+    """The words in a, b for x and y on label n."""
     y = alternating("a", "b", 2)
     if n % 2:
-        return delta, y, delta ** 2
-    return Word.generator("a"), y, delta
+        return alternating("a", "b", n), y
+    return Word.generator("a"), y
 
 
 def _reduction_table(n: int) -> dict[tuple[str, bool], tuple[tuple[str, int, int], ...]]:
@@ -206,8 +205,11 @@ def is_central(n: int, w: Word) -> bool:
 def garside(n: int) -> GarsideData:
     """The Garside element Delta and the centre generator z."""
     _check_label(n)
-    x, _, z = _new_generators(n)
-    return GarsideData(n, x if n % 2 else z, z)  # Delta is x for odd n, z for even n
+    x, y = _new_generators(n)
+    if n % 2:
+        return GarsideData(n, x, x ** 2)  # Delta = x, z = Delta^2
+    z = y ** (n // 2)
+    return GarsideData(n, z, z)  # Delta = z = (a b)^(n/2)
 
 
 def delta_conjugates_generators(n: int) -> bool:
@@ -227,7 +229,8 @@ def as_defining_generators(nf: NormalForm) -> Word:
     """Rewrite a normal form as a word over a, b again."""
     if isinstance(nf, AbelianNormalForm):
         return Word._trusted(tuple(p for p in (("a", nf.a_exp), ("b", nf.b_exp)) if p[1]))
-    x, y, c = _new_generators(nf.label)
+    x, y = _new_generators(nf.label)
+    c = x ** 2 if nf.label % 2 else y ** (nf.label // 2)
     letters = list((c ** nf.central).letters)
     for s, e in nf.syllables:
         letters += ((x if s == "x" else y) ** e).letters

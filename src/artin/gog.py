@@ -361,5 +361,5 @@ def dihedral_jsj(n: int) -> GraphOfGroups:
                 stable_letter="x",
             ),
         )
-    x, y, _ = _new_generators(n)
+    x, y = _new_generators(n)
     return GraphOfGroups(vertices, edges, graph=g, legend=(("x", x), ("y", y)))

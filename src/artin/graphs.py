@@ -519,17 +519,20 @@ def _rank(sigs):
     return [order[s] for s in sigs]
 
 
-def canonical_form(g: LabelledGraph, cap: int = CANONICAL_FORM_CAP) -> bytes:
+def canonical_form(g: LabelledGraph) -> bytes:
     """Canonical byte string: equal for exactly the isomorphic labelled graphs.
 
     Minimizes the flattened lower-triangle label matrix over vertex
     orderings compatible with the refinement classes, with prefix pruning
     and skipping of interchangeable vertices (pairs whose transposition
-    is an automorphism). Capped at ``cap`` vertices.
+    is an automorphism). Graphs of more than ``CANONICAL_FORM_CAP``
+    vertices raise ``GraphTooLargeError``.
     """
     n = len(g.vertices)
-    if n > cap:
-        raise GraphTooLargeError(f"canonical form capped at {cap} vertices, got {n}")
+    if n > CANONICAL_FORM_CAP:
+        raise GraphTooLargeError(
+            f"canonical form capped at {CANONICAL_FORM_CAP} vertices, got {n}"
+        )
     if n == 0:
         return b"0|"
     names = g.vertices

@@ -8,7 +8,14 @@ contributes a stable letter t with relator t a t^-1 w^-1 for the two
 images a, w. Vertex-group copies are kept duplicated and identified, a
 separate simplification step eliminates the identification relators.
 
-All linear algebra is exact over the integers.
+All linear algebra is exact over the integers. The Smith normal form is
+one sparse Euclidean elimination to a diagonal, whose entries above 1
+are then made a divisor chain pairwise by gcd and lcm.
+
+Input checks: ``Presentation(...)`` and ``parse_presentation`` check
+generator names and that relators use only the generators;
+``artin_presentation`` and ``simplify_identifications`` build from
+checked values through the private ``Presentation._trusted``.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import PreconditionError, WordFormatError
 from .gog import (
@@ -49,6 +57,14 @@ class Presentation:
             stray = rel.support() - seen
             if stray:
                 raise WordFormatError(f"relator uses unknown generators {sorted(stray)}")
+
+    @classmethod
+    def _trusted(cls, generators: tuple[str, ...], relators: tuple[Word, ...]) -> "Presentation":
+        """A presentation derived from checked names and words; it is not checked again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "generators", generators)
+        object.__setattr__(p, "relators", relators)
+        return p
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,7 +107,7 @@ def artin_presentation(g: LabelledGraph) -> Presentation:
     relators = tuple(
         alternating(u, v, m) * alternating(v, u, m).inverse() for u, v, m in g.edges
     )
-    return Presentation(g.vertices, relators)
+    return Presentation._trusted(g.vertices, relators)
 
 
 # Smith normal form
@@ -122,13 +138,14 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     all entries nonnegative. Exact arbitrary-precision arithmetic.
 
     The rows are held sparse, as {column: value} with a column-to-rows
-    index. Pivots +-1 are eliminated first (Havas, Majewski & Matthews,
-    Exp. Math. 7(2), 1998); each elimination touches only the rows of
-    its column, and each contributes an invariant factor 1. The nonzero
-    block left over, in which no entry is a unit, is reduced densely.
-    Relation matrices of presentations are mostly +-1 entries, so that
-    block is small.
+    index, and ``_diagonalize`` brings them to a diagonal by one
+    Euclidean elimination. Its entries above 1 are then made a divisor
+    chain by replacing pairs diag(a, b) with diag(gcd, lcm), which is
+    equivalent over Z (Newman, Integral Matrices, 1972); the 1s already
+    divide everything and are left out of that step:
 
+    >>> smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]])
+    (2, 2, 60)
     >>> smith_normal_form([[2, 0], [0, 3]])
     (1, 6)
     """
@@ -149,30 +166,29 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     k = min(nrows, ncols)
     if k == 0:
         return ()
-    units = _eliminate_unit_pivots(rows)
-    rest = [row for row in rows if row]
-    cols = sorted({j for row in rest for j in row})
-    position = {j: t for t, j in enumerate(cols)}
-    dense = []
-    for row in rest:
-        line = [0] * len(cols)
-        for j, x in row.items():
-            line[position[j]] = x
-        dense.append(line)
-    diag = (1,) * units + _dense_factors(dense)
+    diagonal = _diagonalize(rows)
+    chain = [d for d in diagonal if d != 1]
+    for s in range(len(chain)):
+        for t in range(s + 1, len(chain)):
+            a, b = chain[s], chain[t]
+            chain[s] = gcd(a, b)
+            chain[t] = a // chain[s] * b
+    diag = (1,) * (len(diagonal) - len(chain)) + tuple(chain)
     return diag + (0,) * (k - len(diag))
 
 
-def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:
-    """Eliminate +-1 pivots from sparse rows in place; return their number.
+def _diagonalize(rows: list[dict[int, int]]) -> list[int]:
+    """Reduce sparse rows to a diagonal in place; return its nonzero entries, positive.
 
-    A pivot comes from the shortest row holding a unit, in that row's
-    unit column with the fewest entries (a local Markowitz choice). The
-    rows wait in a heap keyed by length; a row pushes itself again when
-    an elimination changes it, and a popped key whose length is out of
-    date is skipped. The pivot row and column are cleared: row
-    operations remove the column from the other rows, and column
-    operations, which touch no other row, remove the rest of the row.
+    The rows wait in a heap keyed by length; a row pushes itself again
+    when an elimination changes it, and a popped key whose length is out
+    of date is skipped. The pivot is the popped row's least entry, in
+    its sparsest column (a local Markowitz choice; after Havas, Majewski
+    & Matthews, Exp. Math. 7(2), 1998). Row operations reduce the pivot's
+    column, then column operations, which touch no other row because the
+    column is clear, reduce its row. A nonzero remainder is a smaller
+    pivot, and the reduction starts again from it (Euclid), so a +-1
+    pivot is finished in one step and touches only the rows of its column.
     """
     where: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -180,104 +196,48 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:
             where.setdefault(j, set()).add(i)
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
-    count = 0
+    diagonal = []
     while heap:
         size, i = heapq.heappop(heap)
         row = rows[i]
         if len(row) != size:
             continue
-        choice = min(
-            ((len(where[j]), j) for j, x in row.items() if x == 1 or x == -1),
-            default=None,
-        )
-        if choice is None:
-            continue
-        pivot = choice[1]
-        rows[i] = {}
+        c = min((abs(x), len(where[j]), j) for j, x in row.items())[2]
+        while True:
+            p = row[c]
+            for o in where[c] - {i}:  # row operations reduce the column
+                other = rows[o]
+                f = other[c] // p
+                for j, x in row.items():
+                    y = other.get(j, 0) - f * x
+                    if y:
+                        if j not in other:
+                            where[j].add(o)
+                        other[j] = y
+                    elif j in other:
+                        del other[j]
+                        where[j].discard(o)
+                if other:
+                    heapq.heappush(heap, (len(other), o))
+            if len(where[c]) > 1:  # a remainder is the next pivot
+                i = min((abs(rows[o][c]), o) for o in where[c] - {i})[1]
+                row = rows[i]
+                continue
+            if p == 1 or p == -1:  # a unit leaves no remainder in its row
+                break
+            rest = {j: r for j, x in row.items() if (r := x % p)}  # column operations
+            if not rest:
+                break
+            for j in row.keys() - rest.keys() - {c}:
+                del row[j]
+                where[j].discard(i)
+            row.update(rest)
+            c = min((abs(x), len(where[j]), j) for j, x in rest.items())[2]
+        diagonal.append(abs(p))
         for j in row:
             where[j].discard(i)
-        sign = row.pop(pivot)
-        for o in where.pop(pivot):
-            other = rows[o]
-            f = other.pop(pivot) * sign
-            for j, x in row.items():
-                y = other.get(j, 0) - f * x
-                if y:
-                    if j not in other:
-                        where[j].add(o)
-                    other[j] = y
-                elif j in other:
-                    del other[j]
-                    where[j].discard(o)
-            if other:
-                heapq.heappush(heap, (len(other), o))
-        count += 1
-    return count
-
-
-def _dense_factors(m: list[list[int]]) -> tuple[int, ...]:
-    """Nonzero invariant factors of a dense matrix, by pivoting on a least entry."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    k = min(nrows, ncols)
-    diag: list[int] = []
-    t = 0
-    while t < k:
-        pivot_pos = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                val = abs(m[i][j])
-                if val and (best is None or val < best):
-                    best = val
-                    pivot_pos = (i, j)
-        if pivot_pos is None:
-            break
-        pi, pj = pivot_pos
-        m[t], m[pi] = m[pi], m[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            if m[t][t] < 0:
-                m[t] = [-x for x in m[t]]
-            p = m[t][t]
-            restart = False
-            for i in range(nrows):
-                if i != t and m[i][t]:
-                    q = m[i][t] // p
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(ncols):
-                if j != t and m[t][j]:
-                    q = m[t][j] // p
-                    for row in m:
-                        row[j] -= q * row[t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if m[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            m[t] = [a + b for a, b in zip(m[t], m[offender])]
-        diag.append(m[t][t])
-        t += 1
-    return tuple(diag)
+        rows[i] = {}
+    return diagonal
 
 
 @dataclass(frozen=True)
@@ -550,7 +510,7 @@ def simplify_identifications(p: Presentation) -> Presentation:
                     heapq.heappush(pending, i)
         dropped.add(drop)
     gens = tuple(g for g in p.generators if g not in dropped)
-    return Presentation(gens, tuple(rels[i] for i in sorted(rels)))
+    return Presentation._trusted(gens, tuple(rels[i] for i in sorted(rels)))
 
 
 def _is_identification(r: Word) -> bool:

@@ -12,12 +12,14 @@ from artin import (
     DisconnectedGraphError,
     GraphFormatError,
     LabelledGraph,
+    Presentation,
     Word,
     WordFormatError,
     alternating,
     aut_acylindrically_hyperbolic,
     big_chunks,
     parse_graph,
+    parse_presentation,
     profile,
     retract_word,
     splits_over_cyclic,
@@ -98,6 +100,26 @@ def test_rename_word_checks_the_names_it_maps_to():
     assert rename_word(w, {"a": "c", "z": "1z"}).to_text() == "c b^2 c^-1"
     with pytest.raises(WordFormatError, match=_exact("bad generator name '1c'")):
         rename_word(w, {"b": "2d", "a": "1c"})
+
+
+PRESENTATION_MESSAGES = [
+    (("1a",), (), "gen: 1a\n", "bad generator name '1a'"),
+    (("a", "b", "a"), (), "gen: a b a\n", "duplicate generator 'a'"),
+    (
+        ("a",),
+        ("a c b^2",),
+        "gen: a\nrel: a c b^2\n",
+        "relator uses unknown generators ['b', 'c']",
+    ),
+]
+
+
+@pytest.mark.parametrize("generators, relators, text, message", PRESENTATION_MESSAGES)
+def test_presentation_messages(generators, relators, text, message):
+    with pytest.raises(WordFormatError, match=_exact(message)):
+        Presentation(generators, tuple(Word.from_text(r) for r in relators))
+    with pytest.raises(WordFormatError, match=_exact(message)):
+        parse_presentation(text)
 
 
 def _count_name_checks(monkeypatch, capsys, argv):
@@ -195,6 +217,7 @@ PRIVATE_CONSTRUCTOR_SITES = {
     ("graphs", "big_chunks"),
     ("graphs", "retract_word"),
     ("dihedral", "as_defining_generators"),
+    ("presentations", "artin_presentation"),
     ("presentations", "simplify_identifications"),
 }
 
@@ -221,4 +244,8 @@ def _uses(name):
 def test_private_constructors_only_at_listed_sites():
     assert _uses("_trusted") == PRIVATE_CONSTRUCTOR_SITES
     # each class has one private constructor, and nothing else makes bare instances
-    assert _uses("__new__") == {("words", "Word._trusted"), ("graphs", "LabelledGraph._trusted")}
+    assert _uses("__new__") == {
+        ("words", "Word._trusted"),
+        ("graphs", "LabelledGraph._trusted"),
+        ("presentations", "Presentation._trusted"),
+    }

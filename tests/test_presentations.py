@@ -8,6 +8,7 @@ from artin import (
     PreconditionError,
     Presentation,
     Word,
+    WordFormatError,
     abelianize,
     artin_abelianization,
     artin_presentation,
@@ -49,7 +50,7 @@ def test_render_parse_round_trip():
 
 
 def test_presentation_validates_support():
-    with pytest.raises(Exception):
+    with pytest.raises(WordFormatError):
         Presentation(("a",), (Word.from_text("a b"),))
 
 
@@ -217,6 +218,28 @@ def test_sparse_snf_matches_minor_gcd_oracle(kind):
         if kind is _no_units:
             assert all(abs(x) != 1 for row in m for x in row)
         assert smith_normal_form(m) == oracle_invariant_factors(m), m
+
+
+@pytest.mark.parametrize("kind", [_no_units, _mostly_units, _large])
+def test_snf_matches_dense_oracle_on_larger_matrices(kind):
+    rng = random.Random(f"larger/{kind.__name__}")
+    for _ in range(30):
+        size, other = rng.randint(7, 14), rng.randint(1, 14)
+        rows, cols = (size, other) if rng.random() < 0.5 else (other, size)
+        m = kind(rng, rows, cols)
+        assert smith_normal_form(m) == oracle_dense_snf(m), m
+
+
+def test_snf_brings_the_diagonal_to_a_divisor_chain():
+    assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == (2, 2, 60)
+    assert smith_normal_form([[0, 0, 0], [0, 6, 0], [0, 0, 4]]) == (2, 12, 0)
+
+
+def test_snf_reaches_a_unit_through_column_remainders():
+    # no entry is a unit: 6 leaves the remainders 4 and 3 in its row,
+    # then 3 leaves 1
+    assert smith_normal_form([[6, 10, 15]]) == (1,)
+    assert smith_normal_form([[6], [10], [15]]) == (1,)
 
 
 def _presentation_corpus():
