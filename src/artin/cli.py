@@ -33,6 +33,9 @@ from .presentations import (
 from .splitting import splits_over_cyclic
 from .words import Word
 
+_encode_str = json.encoder.encode_basestring_ascii
+_PLAIN = frozenset((str, int))  # member types of tuples that share a rendering
+
 
 class _UsageError(Exception):
     pass
@@ -48,10 +51,49 @@ def _load_graph(path: str):
         return parse_graph(fh.read())
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)``, nested at the given newline.
+
+    ``json.dumps`` leaves its C encoder whenever ``indent`` is set. This
+    writer renders each distinct item of a list once, and strings and
+    ints by the encoder's own functions. Only tuples of exact ``str``
+    and ``int`` share a rendering, since equal values can render
+    differently (``True == 1 == 1.0``); anything else it does not build
+    itself is ``json.dumps``'d, its newlines indented to this depth
+    (strings escape their own newlines).
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        items = (_encode_str(k) + ": " + _json_text(v, inner) for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        shared: dict = {}
+        parts = []
+        for item in value:
+            if type(item) is tuple and _PLAIN.issuperset(map(type, item)):
+                text = shared.get(item)
+                if text is None:
+                    text = shared[item] = _json_text(item, inner)
+            else:
+                text = _json_text(item, inner)
+            parts.append(text)
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    return json.dumps(value, indent=2).replace("\n", newline)
+
+
 def _emit(payload, text, as_json: bool):
     """Print ``payload()`` as JSON or else ``text()``; only that one is built."""
     if as_json:
-        print(json.dumps(payload(), indent=2))
+        print(_json_text(payload()))
     else:
         out = text()
         print(out, end="" if out.endswith("\n") else "\n")
@@ -230,7 +272,7 @@ def _cmd_acylindrical(args) -> int:
 def _nf_payload(n: int, nf) -> dict:
     if isinstance(nf, AbelianNormalForm):
         return {"label": n, "a_exp": nf.a_exp, "b_exp": nf.b_exp}
-    return {"label": n, "central": nf.central, "syllables": [[s, e] for s, e in nf.syllables]}
+    return {"label": n, "central": nf.central, "syllables": nf.syllables}
 
 
 def _cmd_dihedral_nf(args) -> int:

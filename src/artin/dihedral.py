@@ -25,6 +25,16 @@ exponent at once and a zero residue is dropped. Eager carrying is sound
 because the carried power is central, so the carries add up to the same
 total: floor((s + t)/q) = floor(s/q) + floor((s mod q + t)/q) for a
 modulus q. Label 2 is Z^2 and is handled by exponent pairs.
+
+The reduction applies a whole letter name^e at a time. The image of
+a^±1 or b^±1 is reduced once per call, to residues plus a central
+carry; every residue is nonzero. A two-syllable image starts and ends
+with different symbols, so its |e| repeats meet without merging: the
+image of name^e is that reduced image repeated |e| times, with |e|
+times its carry (a one-syllable image is a power of the free x).
+Applying it merges only at the stack top, and only while each merge
+cancels; the rest is appended as it is. Each distinct letter is reduced
+once per call.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from .errors import PreconditionError, WordFormatError
 from .words import Word, alternating
 
 GENERATORS = ("a", "b")
+ROOT_SEARCH_MAX_LEN = 10  # root_bound_search grows about 3x per unit of length
 
 
 @dataclass(frozen=True)
@@ -132,10 +143,15 @@ def _new_generators(n: int) -> tuple[Word, Word]:
     return Word.generator("a"), y
 
 
-def _reduction_table(n: int) -> dict[tuple[str, bool], tuple[tuple[str, int, int], ...]]:
-    """The images in x, y of a^±1, b^±1 keyed by (name, exponent > 0), n >= 3.
+def _reduction_table(n: int) -> tuple[dict, dict[str, int]]:
+    """The reduced images in x, y of a^±1, b^±1, and each symbol's modulus, n >= 3.
 
-    Each syllable carries its symbol's modulus, 0 for a free x.
+    The table maps (name, exponent > 0) to (syllables, carry): the image
+    with each exponent reduced mod its symbol's modulus (0 for a free x),
+    and the central power those reductions split off. Every residue is
+    nonzero for n >= 3, and a two-syllable image starts and ends with
+    different symbols; the only one-syllable image, a for even n, is a
+    power of the free x.
     """
     m = n // 2
     if n % 2:
@@ -146,9 +162,26 @@ def _reduction_table(n: int) -> dict[tuple[str, bool], tuple[tuple[str, int, int
         moduli = {"x": 0, "y": m}
     table = {}
     for name, image in images.items():
-        table[name, True] = tuple((s, e, moduli[s]) for s, e in image)
-        table[name, False] = tuple((s, -e, moduli[s]) for s, e in reversed(image))
-    return table
+        inverse = tuple((s, -e) for s, e in reversed(image))
+        for positive, syllables in ((True, image), (False, inverse)):
+            carry, reduced = 0, []
+            for s, e in syllables:
+                if moduli[s]:
+                    q, e = divmod(e, moduli[s])
+                    carry += q
+                reduced.append((s, e))
+            table[name, positive] = (tuple(reduced), carry)
+    return table, moduli
+
+
+def _letter_image(table: dict, name: str, exp: int) -> tuple[tuple, int]:
+    """The reduced image of the letter name^exp and its central carry."""
+    syllables, carry = table[name, exp > 0]
+    if len(syllables) == 1:  # a power of the free x
+        ((sym, e),) = syllables
+        return ((sym, e * abs(exp)),), 0
+    # first and last symbols differ, so the repeats meet without merging
+    return syllables * abs(exp), carry * abs(exp)
 
 
 def normal_form(n: int, w: Word) -> NormalForm:
@@ -164,25 +197,38 @@ def normal_form(n: int, w: Word) -> NormalForm:
     if n == 2:
         sums = w.exponent_sums()
         return AbelianNormalForm(2, sums.get("a", 0), sums.get("b", 0))
-    table = _reduction_table(n)
+    table, moduli = _reduction_table(n)
+    images: dict = {}  # letter -> (image, carry, first symbol)
     central = 0
     stack: list[tuple[str, int]] = []
-    push, pop = stack.append, stack.pop
-    for name, exp in w.letters:
-        image = table[name, exp > 0]
-        steps = abs(exp)
-        if len(image) == 1:
-            ((sym, e, modulus),) = image
-            image, steps = ((sym, e * steps, modulus),), 1
-        for _ in range(steps):
-            for sym, e, modulus in image:
-                if stack and stack[-1][0] == sym:
-                    e += pop()[1]
-                if modulus:
-                    q, e = divmod(e, modulus)
-                    central += q
-                if e:
-                    push((sym, e))
+    push, pop, extend = stack.append, stack.pop, stack.extend
+    for letter in w.letters:
+        found = images.get(letter)
+        if found is None:
+            image, carry = _letter_image(table, *letter)
+            found = images[letter] = (image, carry, image[0][0])
+        image, carry, first = found
+        central += carry
+        if not stack or stack[-1][0] != first:
+            extend(image)
+            continue
+        # Merge at the top while each merge cancels. Stack and image both
+        # alternate between the two symbols, so after a cancelling merge
+        # the new top has the symbol of the next image syllable.
+        i = 0
+        while True:
+            sym, e = image[i]
+            e += pop()[1]
+            if moduli[sym]:
+                q, e = divmod(e, moduli[sym])
+                central += q
+            i += 1
+            if e:
+                push((sym, e))
+                break
+            if i == len(image) or not stack:
+                break
+        extend(image[i:])
     return (OddNormalForm if n % 2 else EvenNormalForm)(n, central, tuple(stack))
 
 
@@ -281,7 +327,8 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
     for w^k = a^i z^j with gcd(i, j) = 1. Any hit (w, k, (i, j)) would
     contradict the root bound, so the expected result is empty; degree
     m itself is achieved by r = a b with r^m = z. An empty degree range,
-    max_degree <= m, is refused.
+    max_degree <= m, is refused, and so is a max_len above
+    ``ROOT_SEARCH_MAX_LEN``, since there are about 3^max_len words.
     """
     _check_label(n)
     if n % 2 or n < 4:
@@ -290,6 +337,11 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
     if max_degree <= m:
         raise PreconditionError(
             f"degree range {m + 1}..{max_degree} is empty: the maximum degree must exceed {m}"
+        )
+    if max_len > ROOT_SEARCH_MAX_LEN:
+        raise PreconditionError(
+            f"word length {max_len} is above the root search cap"
+            f" ROOT_SEARCH_MAX_LEN = {ROOT_SEARCH_MAX_LEN}"
         )
     seen: set = set()
     hits = []

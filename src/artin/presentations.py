@@ -103,11 +103,19 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def artin_presentation(g: LabelledGraph) -> Presentation:
-    """One generator per vertex; per edge the two alternating words agree."""
-    relators = tuple(
-        alternating(u, v, m) * alternating(v, u, m).inverse() for u, v, m in g.edges
-    )
-    return Presentation._trusted(g.vertices, relators)
+    """One generator per vertex; per edge the two alternating words agree.
+
+    The relator of an edge u-v labelled m is alternating(u, v, m) times
+    the inverse of alternating(v, u, m). That inverse is itself an
+    alternating word of length m in u^-1, v^-1, starting with u^-1 for
+    even m and v^-1 for odd m, so it is built by tuple repetition too.
+    """
+    relators = []
+    for u, v, m in g.edges:
+        pair = ((u, -1), (v, -1)) if m % 2 == 0 else ((v, -1), (u, -1))
+        inverse = pair * (m // 2) + pair[: m % 2]
+        relators.append(Word._trusted(alternating(u, v, m).letters + inverse))
+    return Presentation._trusted(g.vertices, tuple(relators))
 
 
 # Smith normal form

@@ -1,11 +1,12 @@
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
 from artin import errors
-from artin.cli import main
+from artin.cli import _json_text, main
 
 from corpus import FAN_TEXT
 
@@ -27,6 +28,9 @@ def path_file(tmp_path):
 def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
+    if "--json" in argv and code == 0:
+        # the bytes of json.dumps(..., indent=2), not merely equal JSON
+        assert out.out == json.dumps(json.loads(out.out), indent=2) + "\n"
     return code, out.out, out.err
 
 
@@ -230,6 +234,42 @@ def test_root_search_empty_degree_range(capsys):
             low = int(args[0]) // 2 + 1
             assert (code, out) == (2, "")
             assert err.startswith(f"error: degree range {low}..{args[2]} is empty"), err
+
+
+def test_root_search_length_cap(capsys):
+    message = "error: word length 11 is above the root search cap ROOT_SEARCH_MAX_LEN = 10\n"
+    for extra in ([], ["--json"]):
+        code, out, err = _run(capsys, ["root-search", "4", "11", "5"] + extra)
+        assert (code, out, err) == (2, "", message)
+
+
+def _random_payload(rng, depth):
+    leaves = [True, False, None, 0, 1, -7, 10**30, 1.0, 0.5, -2.25, 1e300, "", "x",
+              'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "caf\u00e9 \u2203 \U0001f600"]
+    kind = rng.randrange(5) if depth < 4 else 0
+    if kind == 0:
+        return rng.choice(leaves)
+    if kind == 1:
+        return {rng.choice(leaves[11:]) + str(i): _random_payload(rng, depth + 1)
+                for i in range(rng.randrange(4))}
+    if kind == 2:
+        return [_random_payload(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 3:  # tuples that repeat, some of them equal but typed apart
+        pool = [(rng.choice("xy"), rng.choice([1, True, 1.0, 2, None])) for _ in range(3)]
+        return [rng.choice(pool) for _ in range(rng.randrange(8))]
+    return tuple(_random_payload(rng, depth + 1) for _ in range(rng.randrange(4)))
+
+
+def test_json_writer_matches_json_dumps():
+    explicit = [
+        [("x", 1), ("x", True)], [("x", True), ("x", 1)], [1, True, 1.0], [(1,), (True,), (1.0,)],
+        [], {}, [[]], [{}], (), {"": ()}, [("x", 1), ["x", 1], ("x", 1)], [(("x", 1),), (("x", True),)],
+        {"nested": {"deep": [("a", -1), ("a", -1), {"k": ("a", -1)}]}}, "\u2028", 3, None,
+        {1: [("x", 1)], None: 2, 2.5: True},
+    ]
+    rng = random.Random(9)
+    for payload in explicit + [_random_payload(rng, 0) for _ in range(500)]:
+        assert _json_text(payload) == json.dumps(payload, indent=2), payload
 
 
 TINY_GRAPHS = {"empty": "", "one": "v a\n", "two": "v a\nv b\n"}

@@ -17,7 +17,13 @@ from artin import (
     root_bound_search,
     words_equal,
 )
-from artin.dihedral import AbelianNormalForm, EvenNormalForm, OddNormalForm, reduced_words
+from artin.dihedral import (
+    ROOT_SEARCH_MAX_LEN,
+    AbelianNormalForm,
+    EvenNormalForm,
+    OddNormalForm,
+    reduced_words,
+)
 
 from oracles import oracle_normal_form, oracle_reduced_words
 
@@ -38,6 +44,8 @@ def test_normal_form_frozen_examples():
     assert str(normal_form(6, W("a b a b a b"))) == "y^3"
     assert str(normal_form(4, W("b a b a"))) == "y^2"
     assert str(normal_form(4, W(""))) == "1"
+    # a = c^-1 y^2 x for n = 3 (m = 1), and the repeats of y^2 x meet without merging
+    assert normal_form(3, W("a^6")) == OddNormalForm(3, -6, (("y", 2), ("x", 1)) * 6)
 
 
 def test_normal_form_label_two_is_abelian():
@@ -70,7 +78,8 @@ def _oracle_words(rng):
     exponents = [e for e in range(-5, 6) if e]
     for _ in range(60):
         yield Word(tuple((rng.choice("ab"), rng.choice(exponents)) for _ in range(rng.randint(1, 30))))
-    for text in ("a^500 b^-500", "b^500 a^-500", "a^-499 b^501 a^3", "b^-1000", "a^2 b^-2"):
+    for text in ("a^500 b^-500", "b^500 a^-500", "a^-499 b^501 a^3", "b^-1000", "a^2 b^-2",
+                 "a^100000 b^-99999", "b a^1000 b^-1 a^-999"):
         yield W(text)
     yield Word(())
 
@@ -96,6 +105,39 @@ def test_normal_form_shape(n):
                 assert (s, e) == ("x", 1) or (s == "y" and 1 <= e <= n - 1), nf
             else:
                 assert (s == "x" and e != 0) or (s == "y" and 1 <= e <= m - 1), nf
+
+
+# The reduction applies a whole letter name^e at once: the reduced image
+# of name^±1 repeated |e| times, with |e| times its central carry, merged
+# at the stack top only while each merge cancels.
+
+LETTER_LABELS = [k for k in ORACLE_LABELS if k > 2]
+
+
+def _identity(n):
+    return (OddNormalForm if n % 2 else EvenNormalForm)(n, 0, ())
+
+
+def _long_word(rng, letters):
+    exponents = (1, -1, 1, -1, 2, -2, 3, -3, 40, -40)
+    return Word(tuple((rng.choice("ab"), rng.choice(exponents)) for _ in range(letters)))
+
+
+@pytest.mark.parametrize("n", LETTER_LABELS)
+def test_word_times_inverse_cascades_to_identity(n):
+    # every letter of w^-1 cancels the stack top left by w, all the way down
+    w = _long_word(random.Random(n), 10_000)
+    assert normal_form(n, w) == oracle_normal_form(n, w)
+    assert normal_form(n, w * w.inverse()) == _identity(n)
+    assert normal_form(n, w.inverse() * w) == _identity(n)
+
+
+@pytest.mark.parametrize("n", LETTER_LABELS)
+def test_conjugated_relator_is_trivial(n):
+    relator = alternating("a", "b", n) * alternating("b", "a", n).inverse()
+    u = _long_word(random.Random(n + 7), 300)
+    assert normal_form(n, u * relator * u.inverse()) == _identity(n)
+    assert normal_form(n, u * relator) == normal_form(n, u) == oracle_normal_form(n, u)
 
 
 def test_round_trip_through_defining_generators():
@@ -229,6 +271,15 @@ def test_root_bound_search_refuses_empty_degree_range():
         with pytest.raises(PreconditionError, match=f"^degree range {n // 2 + 1}..{max_degree} is empty"):
             root_bound_search(n, 3, max_degree)
     assert root_bound_search(4, 3, 3) == ()
+
+
+def test_root_bound_search_length_cap():
+    # about 3^max_len words: above the cap the search is refused before it starts
+    assert ROOT_SEARCH_MAX_LEN == 10
+    for max_len in (11, 1500):
+        message = f"^word length {max_len} is above the root search cap ROOT_SEARCH_MAX_LEN = 10$"
+        with pytest.raises(PreconditionError, match=message):
+            root_bound_search(4, max_len, 5)
 
 
 def test_tight_witness_root_of_degree_m():

@@ -4,12 +4,14 @@ import pytest
 
 from artin import (
     AbelianShape,
+    LabelledGraph,
     NoJsjExistsError,
     PreconditionError,
     Presentation,
     Word,
     WordFormatError,
     abelianize,
+    alternating,
     artin_abelianization,
     artin_presentation,
     build_jsj,
@@ -39,6 +41,14 @@ def test_artin_presentation_path3():
         "a b a b^-1 a^-1 b^-1",
         "b c b^-1 c^-1",
     ]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 1000, 1001])
+def test_artin_relator_is_alternating_word_times_inverse(m):
+    # the inverse half is built by tuple repetition, not letter by letter
+    g = LabelledGraph(("u", "v"), (("u", "v", m),))
+    (relator,) = artin_presentation(g).relators
+    assert relator == alternating("u", "v", m) * alternating("v", "u", m).inverse()
 
 
 def test_render_parse_round_trip():
