@@ -479,31 +479,21 @@ def retract_word(g: LabelledGraph, chunk: BigChunk, w: Word) -> Word:
 # canonical form
 
 
-def _wl_classes(n: int, adj_label) -> list[list[int]]:
+def _wl_classes(nbrs) -> list[list[int]]:
     """Partition vertex indexes by iterated neighbourhood refinement.
 
+    ``nbrs[i]`` lists the (edge label, neighbour index) pairs of vertex i.
     Colours start from the sorted multiset of incident labels and refine
     by (own colour, sorted multiset of (edge label, neighbour colour)).
     The refinement is isomorphism-invariant, as is the order of the
     resulting classes.
     """
-    sigs = [tuple(sorted(adj_label[i][j] for j in range(n) if adj_label[i][j])) for i in range(n)]
-    colors = _rank(sigs)
+    colors = _rank([tuple(sorted(m for m, _ in nb)) for nb in nbrs])
     while True:
-        sigs = [
-            (
-                colors[i],
-                tuple(
-                    sorted(
-                        (adj_label[i][j], colors[j])
-                        for j in range(n)
-                        if adj_label[i][j]
-                    )
-                ),
-            )
-            for i in range(n)
-        ]
-        new = _rank(sigs)
+        new = _rank([
+            (colors[i], tuple(sorted((m, colors[j]) for m, j in nb)))
+            for i, nb in enumerate(nbrs)
+        ])
         if len(set(new)) == len(set(colors)):
             colors = new
             break
@@ -519,14 +509,51 @@ def _rank(sigs):
     return [order[s] for s in sigs]
 
 
+def _find(parent: list[int], i: int) -> int:
+    """Root of i in a union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def canonical_form(g: LabelledGraph) -> bytes:
     """Canonical byte string: equal for exactly the isomorphic labelled graphs.
 
-    Minimizes the flattened lower-triangle label matrix over vertex
-    orderings compatible with the refinement classes, with prefix pruning
-    and skipping of interchangeable vertices (pairs whose transposition
-    is an automorphism). Graphs of more than ``CANONICAL_FORM_CAP``
-    vertices raise ``GraphTooLargeError``.
+    The form is ``n|`` and the least flattened lower-triangle label matrix
+    (row i lists the labels from the i-th vertex to the earlier ones, 0
+    for no edge) over the vertex orderings that list the classes of
+    ``_wl_classes`` one after another. The search places one vertex per
+    level and reaches that least matrix with these exact prunings, after
+    McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
+    Comput. 60 (2014):
+
+    - prefix: a partial matrix larger than the best one's prefix only
+      leads to larger matrices;
+    - interchangeable vertices (pairs whose transposition is an
+      automorphism) are tried once per level: their subtrees are images
+      of one another;
+    - least row only: the candidates at a level add rows of one length,
+      so one whose row is larger than the least row loses at that row;
+      only the least-row candidates are searched;
+    - orbits: a leaf whose matrix ties the best gives an automorphism,
+      ``best_order[i] -> order[i]``. A candidate that the recorded
+      automorphisms fixing the placed vertices pointwise map from a
+      searched sibling is skipped: such an automorphism maps the
+      sibling's subtree onto the candidate's, matrix for matrix;
+    - unwinding: the automorphism of a tie fixes the levels before the
+      first one where ``order`` departs from ``best_order``, and maps the
+      best's subtree there onto the subtree being searched, so the search
+      returns to that level at once.
+
+    Graphs of more than ``CANONICAL_FORM_CAP`` vertices raise
+    ``GraphTooLargeError``.
+
+    >>> square = LabelledGraph.from_edges(
+    ...     [("a", "b", 2), ("b", "c", 2), ("c", "d", 2), ("a", "d", 2)]
+    ... )
+    >>> canonical_form(square)
+    b'4|0,2,2,2,2,0'
     """
     n = len(g.vertices)
     if n > CANONICAL_FORM_CAP:
@@ -535,60 +562,86 @@ def canonical_form(g: LabelledGraph) -> bytes:
         )
     if n == 0:
         return b"0|"
-    names = g.vertices
-    idx = {v: i for i, v in enumerate(names)}
+    idx = {v: i for i, v in enumerate(g.vertices)}
     adj = [[0] * n for _ in range(n)]
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, m in g.edges:
-        adj[idx[u]][idx[v]] = m
-        adj[idx[v]][idx[u]] = m
+        i, j = idx[u], idx[v]
+        adj[i][j] = adj[j][i] = m
+        nbrs[i].append((m, j))
+        nbrs[j].append((m, i))
 
-    classes = _wl_classes(n, adj)
+    classes = _wl_classes(nbrs)
     class_for_pos: list[int] = []
     for k, cls in enumerate(classes):
         class_for_pos += [k] * len(cls)
 
     # interchangeable pairs: swapping them fixes the labelled graph
     swap_class = list(range(n))
-
-    def sfind(i):
-        while swap_class[i] != i:
-            swap_class[i] = swap_class[swap_class[i]]
-            i = swap_class[i]
-        return i
-
     for cls in classes:
         for a, b in combinations(cls, 2):
             if all(adj[a][k] == adj[b][k] for k in range(n) if k not in (a, b)):
-                swap_class[sfind(a)] = sfind(b)
+                swap_class[_find(swap_class, a)] = _find(swap_class, b)
+    twin = [_find(swap_class, i) for i in range(n)]
 
     best: list[int] | None = None
+    best_order: list[int] = []
+    automorphisms: list[list[int]] = []
     order: list[int] = []
     flat: list[int] = []
     placed = [False] * n
 
-    def dfs(pos: int):
-        nonlocal best
+    def dfs(pos: int) -> int:
+        """Search below ``order``; return the level to unwind to, n for none."""
+        nonlocal best, best_order
         if pos == n:
             if best is None or flat < best:
-                best = flat.copy()
-            return
-        seen_swap: set[int] = set()
+                best, best_order = flat.copy(), order.copy()
+                return n
+            gamma = [0] * n
+            for b, o in zip(best_order, order):
+                gamma[b] = o
+            automorphisms.append(gamma)
+            return next(i for i in range(n) if order[i] != best_order[i])
+        least: list[int] | None = None
+        candidates: list[int] = []
+        seen_twins: set[int] = set()
         for u in classes[class_for_pos[pos]]:
-            if placed[u]:
+            if placed[u] or twin[u] in seen_twins:
                 continue
-            root = sfind(u)
-            if root in seen_swap:
-                continue
-            seen_swap.add(root)
+            seen_twins.add(twin[u])
             row = [adj[u][w] for w in order]
-            flat.extend(row)
-            if best is None or flat <= best[: len(flat)]:
+            if least is None or row < least:
+                least, candidates = row, [u]
+            elif row == least:
+                candidates.append(u)
+        assert least is not None
+        flat.extend(least)
+        back = n
+        if best is None or flat <= best[: len(flat)]:
+            searched: list[int] = []
+            orbit = list(range(n))  # orbits of the automorphisms fixing ``order``
+            merged = 0
+            for u in candidates:
+                if searched:
+                    for gamma in automorphisms[merged:]:
+                        if all(gamma[v] == v for v in order):
+                            for i, j in enumerate(gamma):
+                                orbit[_find(orbit, i)] = _find(orbit, j)
+                    merged = len(automorphisms)
+                    root = _find(orbit, u)
+                    if any(_find(orbit, s) == root for s in searched):
+                        continue
                 placed[u] = True
                 order.append(u)
-                dfs(pos + 1)
+                back = dfs(pos + 1)
                 order.pop()
                 placed[u] = False
-            del flat[len(flat) - len(row):]
+                if back < pos:
+                    break
+                searched.append(u)
+        del flat[len(flat) - len(least):]
+        return back if back < pos else n
 
     dfs(0)
     assert best is not None

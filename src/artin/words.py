@@ -24,6 +24,19 @@ TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 Letter = tuple[str, int]
 
 
+class _LetterText(dict):
+    """Text of each letter, formatted when the letter is first looked up.
+
+    Lookups run at C speed and hash each letter once; only a letter not
+    seen before calls ``__missing__``.
+    """
+
+    def __missing__(self, letter: Letter) -> str:
+        name, exp = letter
+        text = self[letter] = name if exp == 1 else f"{name}^{exp}"
+        return text
+
+
 @dataclass(frozen=True)
 class Word:
     """Immutable word; ``letters`` holds (name, exponent) pairs, exponents nonzero."""
@@ -71,7 +84,12 @@ class Word:
         return cls(((name, exp),))
 
     def to_text(self) -> str:
-        return " ".join(n if e == 1 else f"{n}^{e}" for n, e in self.letters)
+        """Render as text, formatting each distinct letter once.
+
+        >>> Word((("a", 1), ("b", -2), ("a", 1))).to_text()
+        'a b^-2 a'
+        """
+        return " ".join(map(_LetterText().__getitem__, self.letters))
 
     def __str__(self) -> str:
         return self.to_text()

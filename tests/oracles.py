@@ -13,12 +13,17 @@ matrix for each pivot, identification elimination that rewrites every
 relator after each step, the recursive enumeration of freely reduced
 words, and the dihedral normal form with one engine per label parity,
 which settles an even label's powers of y only when an x follows.
+
+The canonical form has two: the earlier depth-first search with prefix
+pruning and interchangeable pairs only, over a refinement that scans the
+full label matrix, and for 7 or fewer vertices a brute force that tries
+every ordering fitting the refinement classes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import gcd
 
 from artin import Presentation, Word
@@ -416,3 +421,140 @@ def oracle_normal_form(n: int, w: Word):
             for s, e in seq:
                 meng.push(s, e)
     return meng.result(n)
+
+
+# canonical form: the library's earlier depth-first search, verbatim, and
+# a brute force over every ordering for small graphs
+
+
+def oracle_wl_classes(n: int, adj_label) -> list[list[int]]:
+    """Partition vertex indexes by iterated neighbourhood refinement.
+
+    Colours start from the sorted multiset of incident labels and refine
+    by (own colour, sorted multiset of (edge label, neighbour colour)).
+    The refinement is isomorphism-invariant, as is the order of the
+    resulting classes.
+    """
+    sigs = [tuple(sorted(adj_label[i][j] for j in range(n) if adj_label[i][j])) for i in range(n)]
+    colors = _rank(sigs)
+    while True:
+        sigs = [
+            (
+                colors[i],
+                tuple(
+                    sorted(
+                        (adj_label[i][j], colors[j])
+                        for j in range(n)
+                        if adj_label[i][j]
+                    )
+                ),
+            )
+            for i in range(n)
+        ]
+        new = _rank(sigs)
+        if len(set(new)) == len(set(colors)):
+            colors = new
+            break
+        colors = new
+    classes: dict[int, list[int]] = {}
+    for i, c in enumerate(colors):
+        classes.setdefault(c, []).append(i)
+    return [classes[c] for c in sorted(classes)]
+
+
+def _rank(sigs):
+    order = {s: k for k, s in enumerate(sorted(set(sigs)))}
+    return [order[s] for s in sigs]
+
+
+def label_matrix(g):
+    """Symmetric matrix of edge labels in vertex order, 0 for no edge."""
+    n = len(g.vertices)
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    adj = [[0] * n for _ in range(n)]
+    for u, v, m in g.edges:
+        adj[idx[u]][idx[v]] = m
+        adj[idx[v]][idx[u]] = m
+    return adj
+
+
+def oracle_canonical_form(g) -> bytes:
+    """The earlier depth-first search: prefix pruning and interchangeable pairs only."""
+    n = len(g.vertices)
+    if n == 0:
+        return b"0|"
+    adj = label_matrix(g)
+
+    classes = oracle_wl_classes(n, adj)
+    class_for_pos: list[int] = []
+    for k, cls in enumerate(classes):
+        class_for_pos += [k] * len(cls)
+
+    # interchangeable pairs: swapping them fixes the labelled graph
+    swap_class = list(range(n))
+
+    def sfind(i):
+        while swap_class[i] != i:
+            swap_class[i] = swap_class[swap_class[i]]
+            i = swap_class[i]
+        return i
+
+    for cls in classes:
+        for a, b in combinations(cls, 2):
+            if all(adj[a][k] == adj[b][k] for k in range(n) if k not in (a, b)):
+                swap_class[sfind(a)] = sfind(b)
+
+    best: list[int] | None = None
+    order: list[int] = []
+    flat: list[int] = []
+    placed = [False] * n
+
+    def dfs(pos: int):
+        nonlocal best
+        if pos == n:
+            if best is None or flat < best:
+                best = flat.copy()
+            return
+        seen_swap: set[int] = set()
+        for u in classes[class_for_pos[pos]]:
+            if placed[u]:
+                continue
+            root = sfind(u)
+            if root in seen_swap:
+                continue
+            seen_swap.add(root)
+            row = [adj[u][w] for w in order]
+            flat.extend(row)
+            if best is None or flat <= best[: len(flat)]:
+                placed[u] = True
+                order.append(u)
+                dfs(pos + 1)
+                order.pop()
+                placed[u] = False
+            del flat[len(flat) - len(row):]
+
+    dfs(0)
+    assert best is not None
+    payload = ",".join(str(x) for x in best)
+    return f"{n}|{payload}".encode("ascii")
+
+
+def oracle_brute_canonical_form(g) -> bytes:
+    """Least flattened lower triangle over every ordering that fits the classes.
+
+    The classes are those of ``oracle_wl_classes``, taken in order; every
+    ordering of each class is tried, so this is for 7 or fewer vertices.
+    """
+    n = len(g.vertices)
+    if n > 7:
+        raise ValueError("brute-force canonical form is for 7 or fewer vertices")
+    if n == 0:
+        return b"0|"
+    adj = label_matrix(g)
+    best = None
+    for parts in product(*(permutations(c) for c in oracle_wl_classes(n, adj))):
+        order = [v for part in parts for v in part]
+        flat = [adj[order[i]][order[j]] for i in range(n) for j in range(i)]
+        if best is None or flat < best:
+            best = flat
+    return f"{n}|{','.join(map(str, best))}".encode("ascii")

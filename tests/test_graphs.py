@@ -19,7 +19,7 @@ from artin import (
     separating_vertices,
     splits_over_cyclic,
 )
-from artin.graphs import BigChunk
+from artin.graphs import BigChunk, _wl_classes
 
 from corpus import (
     connected_atlas,
@@ -29,7 +29,15 @@ from corpus import (
     relabelled_copy,
     triangle,
 )
-from oracles import oracle_big_chunks, oracle_retraction, oracle_separating
+from oracles import (
+    label_matrix,
+    oracle_big_chunks,
+    oracle_brute_canonical_form,
+    oracle_canonical_form,
+    oracle_retraction,
+    oracle_separating,
+    oracle_wl_classes,
+)
 
 
 # parsing
@@ -446,3 +454,95 @@ def test_canonical_form_of_empty_and_tiny():
     assert canonical_form(LabelledGraph((), ())) == b"0|"
     assert canonical_form(parse_graph("v a\n")) == b"1|"
     assert canonical_form(parse_graph("e a b 7\n")) == b"2|7"
+
+
+def _one_label(nxg, m: int) -> LabelledGraph:
+    return LabelledGraph.from_edges([(f"v{u:02d}", f"v{v:02d}", m) for u, v in nxg.edges()])
+
+
+def _vertex_transitive(m: int) -> list[LabelledGraph]:
+    structures = [nx.cycle_graph(k) for k in range(3, 13)]
+    structures += [nx.complete_graph(k) for k in range(3, 13)]
+    structures += [nx.circular_ladder_graph(k) for k in range(3, 7)]  # prisms, 6-12 vertices
+    structures += [
+        nx.petersen_graph(),
+        nx.cubical_graph(),
+        nx.icosahedral_graph(),
+        nx.complete_bipartite_graph(3, 3),
+        nx.complete_bipartite_graph(6, 6),
+        nx.circulant_graph(12, [1, 3]),
+        nx.circulant_graph(12, [1, 5]),
+        nx.truncated_tetrahedron_graph(),
+    ]
+    return [_one_label(s, m) for s in structures]
+
+
+def test_canonical_form_matches_oracles_on_the_atlas():
+    rng = random.Random(41)
+    for g in connected_atlas(6):
+        form = oracle_canonical_form(g)
+        assert oracle_brute_canonical_form(g) == form
+        assert canonical_form(g) == form, g.edges
+        assert canonical_form(relabelled_copy(rng, g)) == form, g.edges
+
+
+def test_canonical_form_matches_oracles_on_random_graphs():
+    rng = random.Random(42)
+    for _ in range(2000):
+        n = rng.randint(3, 12)
+        labels = rng.sample(range(2, 7), rng.randint(1, 4))
+        g = random_connected_graph(rng, n, rng.choice((0.1, 0.3, 0.6, 0.9)), labels)
+        assert _wl_classes(_neighbour_lists(g)) == oracle_wl_classes(n, label_matrix(g))
+        form = oracle_canonical_form(g)
+        if n <= 7:
+            assert oracle_brute_canonical_form(g) == form
+        assert canonical_form(g) == form, g.edges
+        assert canonical_form(relabelled_copy(rng, g)) == form, g.edges
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_canonical_form_matches_oracle_on_vertex_transitive_graphs(m):
+    rng = random.Random(43 + m)
+    for g in _vertex_transitive(m):
+        form = oracle_canonical_form(g)
+        assert canonical_form(g) == form, g.edges
+        for _ in range(4):
+            assert canonical_form(relabelled_copy(rng, g)) == form, g.edges
+
+
+def test_canonical_forms_agree_with_networkx_isomorphism():
+    rng = random.Random(44)
+    same = differ = 0
+    for _ in range(400):
+        g = random_connected_graph(rng, rng.randint(3, 12), rng.choice((0.2, 0.5)), (2, 3))
+        h = relabelled_copy(rng, g)
+        if rng.random() < 0.5:  # change one label or drop one edge
+            edges = list(h.edges)
+            k = rng.randrange(len(edges))
+            u, v, lab = edges[k]
+            edges[k:k + 1] = [(u, v, 5 - lab)] if rng.random() < 0.5 else []
+            h = LabelledGraph.from_edges(edges, vertices=h.vertices)
+        iso = nx.is_isomorphic(
+            _to_networkx(g), _to_networkx(h),
+            edge_match=lambda a, b: a["label"] == b["label"],
+        )
+        assert (canonical_form(g) == canonical_form(h)) == iso, (g.edges, h.edges)
+        same += iso
+        differ += not iso
+    assert same > 100 and differ > 100
+
+
+def _neighbour_lists(g: LabelledGraph):
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [[] for _ in g.vertices]
+    for u, v, m in g.edges:
+        nbrs[idx[u]].append((m, idx[v]))
+        nbrs[idx[v]].append((m, idx[u]))
+    return nbrs
+
+
+def _to_networkx(g: LabelledGraph):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from((u, v, {"label": m}) for u, v, m in g.edges)
+    return nxg

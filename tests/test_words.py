@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from artin import Word, WordFormatError, alternating
@@ -59,3 +61,20 @@ def test_alternating():
     assert alternating("a", "b", 0) == Word()
     assert alternating("a", "b", 3).to_text() == "a b a"
     assert alternating("b", "a", 4).to_text() == "b a b a"
+
+
+def _per_letter_text(w: Word) -> str:
+    return " ".join(n if e == 1 else f"{n}^{e}" for n, e in w.letters)
+
+
+def test_to_text_matches_per_letter_join():
+    rng = random.Random(23)
+    words = [Word(), alternating("a", "b", 100_001), alternating("b", "a", 50_000),
+             alternating("x_1", "y", 7) ** -3]
+    for _ in range(300):
+        words.append(Word(tuple(
+            (rng.choice(("a", "b", "c_2")), rng.choice((1, 2, 3, -1, -2, -3)))
+            for _ in range(rng.randint(1, 40))
+        )))
+    for w in words:
+        assert w.to_text() == _per_letter_text(w)
