@@ -37,7 +37,7 @@ print("separating vertices:", ", ".join(decomp.separating))
 w = Word.from_text("b c d^2 e^-1")
 chunk = decomp.chunks[2]
 print(f"retract of {w.to_text()} onto {{{','.join(chunk.vertices)}}}:",
-      retract_word(g, chunk, w).to_text())
+      retract_word(decomp, 2, w).to_text())
 
 # The splitting verdict explains whether (and how) the group splits
 # over a cyclic subgroup.

@@ -18,7 +18,7 @@ from .dihedral import (
     root_bound_search,
     words_equal,
 )
-from .errors import ArtinError, PreconditionError
+from .errors import ArtinError
 from .gog import GraphOfGroups, betti_number, build_jsj, collapse_jsj, dihedral_jsj
 from .graphs import big_chunks, parse_graph, retract_word
 from .invariants import aut_acylindrically_hyperbolic, compare, profile
@@ -288,14 +288,8 @@ def _cmd_dihedral_eq(args) -> int:
 
 
 def _cmd_retract(args) -> int:
-    g = _load_graph(args.file)
-    decomp = big_chunks(g)
-    if not 0 <= args.chunk < len(decomp.chunks):
-        raise PreconditionError(
-            f"chunk index {args.chunk} out of range; the graph has"
-            f" {len(decomp.chunks)} chunks"
-        )
-    out = retract_word(g, decomp.chunks[args.chunk], Word.from_text(args.word))
+    decomp = big_chunks(_load_graph(args.file))
+    out = retract_word(decomp, args.chunk, Word.from_text(args.word))
     _emit(lambda: {"word": out.to_text()}, out.to_text, args.json)
     return 0
 

@@ -37,7 +37,6 @@ from .graphs import (
     LabelledGraph,
     _components,
     big_chunks,
-    classify_chunk,
 )
 from .words import Word, alternating
 
@@ -269,8 +268,7 @@ def build_jsj(g: LabelledGraph) -> GraphOfGroups:
     red: list[GoGVertex] = []
     red_edges: list[GoGEdge] = []
     loops: list[GoGEdge] = []
-    for chunk in decomp.chunks:
-        kind = classify_chunk(g, chunk)
+    for chunk, kind in zip(decomp.chunks, decomp.classes()):
         bid = _chunk_id(chunk)
         base = next(v for v in chunk.vertices if v != kind.tip)
         if kind.kind == CHUNK_TORAL_LEAF:

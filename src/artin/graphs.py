@@ -13,7 +13,8 @@ computed; a brute-force maximality oracle in the test suite enforces the
 equivalence. The blocks, with their edges, come from one iterative
 Hopcroft-Tarjan depth-first search in O(V + E) (Hopcroft & Tarjan,
 "Algorithm 447", CACM 16(6), 1973); the separating vertices, the
-block-cut tree, the retractions onto chunks and connectivity are read off it.
+block-cut tree and connectivity are read off it, and the retractions onto
+chunks and the sides of a splitting walk that tree.
 
 Input checks: ``LabelledGraph(...)``, ``LabelledGraph.from_edges`` and
 ``parse_graph`` (with line numbers) check what they are given. Graphs
@@ -261,8 +262,18 @@ class BlockDecomposition:
         """Each vertex of the chunks mapped to the sorted indexes of its chunks."""
         return _chunks_at(c.vertices for c in self.chunks)
 
-    def chunks_containing(self, v: str) -> tuple[int, ...]:
-        return self.chunks_at.get(v, ())
+    def reached(self, j: int, s: str) -> set[int]:
+        """Indexes of the chunks reached from chunk j over the block-cut tree without passing s."""
+        reached = {j}
+        todo = [j]
+        while todo:
+            for w in self.chunks[todo.pop()].vertices:
+                if w != s:
+                    for k in self.chunks_at[w]:
+                        if k not in reached:
+                            reached.add(k)
+                            todo.append(k)
+        return reached
 
     def classes(self) -> tuple[ChunkClass, ...]:
         return tuple(classify_chunk(self.graph, c) for c in self.chunks)
@@ -275,56 +286,52 @@ class BlockDecomposition:
         }
 
 
-def _blocks(g: LabelledGraph, roots) -> list[tuple[tuple[str, ...], tuple]]:
-    """Blocks (sorted vertices, sorted edges) of the components holding ``roots``, in no order.
+def _blocks(g: LabelledGraph) -> list[tuple[tuple[str, ...], tuple]]:
+    """Blocks (sorted vertices, sorted edges) of the component of the first vertex, in no order.
 
-    One iterative Hopcroft-Tarjan search from each unreached root: ``low[v]``
-    is the least discovery index reachable from v's subtree by one back
-    edge. Tree and back edges go on an edge stack; when a child w of u
-    finishes with low[w] >= disc[u], the edges down to (u, w) form a
-    block. Isolated vertices are singleton blocks.
+    One iterative Hopcroft-Tarjan search: ``low[v]`` is the least
+    discovery index reachable from v's subtree by one back edge. Tree and
+    back edges go on an edge stack; when a child w of u finishes with
+    low[w] >= disc[u], the edges down to (u, w) form a block. An isolated
+    vertex is a singleton block.
     """
     adj = g._adj
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
+    root = g.vertices[0]
+    if not adj[root]:
+        return [((root,), ())]
+    disc = {root: 0}
+    low = {root: 0}
     out = []
-    for root in roots:
-        if root in disc:
-            continue
-        disc[root] = low[root] = len(disc)
-        if not adj[root]:
-            out.append(((root,), ()))
-            continue
-        edge_stack: list[tuple[str, str]] = []
-        stack = [(root, None, iter(adj[root]))]
-        while stack:
-            v, parent, todo = stack[-1]
-            for w in todo:
-                if w not in disc:
-                    disc[w] = low[w] = len(disc)
-                    edge_stack.append((v, w))
-                    stack.append((w, v, iter(adj[w])))
+    edge_stack: list[tuple[str, str]] = []
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, parent, todo = stack[-1]
+        for w in todo:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                edge_stack.append((v, w))
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent and disc[w] < disc[v]:
+                edge_stack.append((v, w))
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if not stack:
+                continue
+            u = stack[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] < disc[u]:
+                continue
+            verts: set[str] = set()
+            edges = []
+            while True:
+                a, b = edge_stack.pop()
+                verts.update((a, b))
+                edges.append((a, b, adj[a][b]) if a < b else (b, a, adj[a][b]))
+                if (a, b) == (u, v):
                     break
-                if w != parent and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if not stack:
-                    continue
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] < disc[u]:
-                    continue
-                verts: set[str] = set()
-                edges = []
-                while True:
-                    a, b = edge_stack.pop()
-                    verts.update((a, b))
-                    edges.append((a, b, adj[a][b]) if a < b else (b, a, adj[a][b]))
-                    if (a, b) == (u, v):
-                        break
-                out.append((tuple(sorted(verts)), tuple(sorted(edges))))
+            out.append((tuple(sorted(verts)), tuple(sorted(edges))))
     return out
 
 
@@ -334,16 +341,6 @@ def _chunks_at(vertex_sets) -> dict[str, tuple[int, ...]]:
         for v in vertices:
             at.setdefault(v, []).append(i)
     return {v: tuple(idxs) for v, idxs in at.items()}
-
-
-def separating_vertices(g: LabelledGraph) -> tuple[str, ...]:
-    """Vertices whose removal disconnects the graph (or a component of it).
-
-    These are the vertices lying in two or more blocks of the linear
-    depth-first search, on any graph, connected or not.
-    """
-    at = _chunks_at(t for t, _ in _blocks(g, g.vertices))
-    return tuple(v for v in g.vertices if len(at[v]) > 1)
 
 
 def big_chunks(g: LabelledGraph) -> BlockDecomposition:
@@ -356,7 +353,7 @@ def big_chunks(g: LabelledGraph) -> BlockDecomposition:
     """
     if not g.vertices:
         raise PreconditionError("empty graph")
-    blocks = sorted(_blocks(g, g.vertices[:1]), key=lambda b: (b[0][0], len(b[0]), b[0]))
+    blocks = sorted(_blocks(g), key=lambda b: (b[0][0], len(b[0]), b[0]))
     at = _chunks_at(t for t, _ in blocks)
     if len(at) < len(g.vertices):
         raise DisconnectedGraphError(g.components())
@@ -422,54 +419,35 @@ def odd_components(g: LabelledGraph) -> tuple[tuple[str, ...], ...]:
     return _components(g.vertices, odd)
 
 
-def retract_word(g: LabelledGraph, chunk: BigChunk, w: Word) -> Word:
-    """Retract a word in the vertex generators onto a chunk.
+def retract_word(decomp: BlockDecomposition, i: int, w: Word) -> Word:
+    """Retract a word in the vertex generators onto chunk ``i`` of ``decomp``.
 
-    Every vertex maps to the nearest chunk vertex (unique: each component
-    hanging off the chunk attaches through one vertex); letters are
-    replaced accordingly. The map is checked to send edges to edges with
-    the same label or to collapse them, which makes it a group
-    retraction onto the chunk's Artin group. The graph is disconnected
-    only if the search misses a vertex.
+    Each vertex outside the chunk maps to the chunk vertex s its branch
+    of the block-cut tree hangs from; the branches at s are the chunks
+    reached from each other chunk at s without passing s. An edge
+    outside the chunk lies in one branch and collapses, and the chunk's
+    edges stay with their labels, so the map is a group retraction onto
+    the chunk's Artin group.
+
+    >>> fan = LabelledGraph.from_edges(
+    ...     [("a", "c", 3), ("c", "e", 2), ("a", "e", 4), ("a", "b", 2), ("a", "d", 6)]
+    ... )
+    >>> [c.vertices for c in big_chunks(fan).chunks]
+    [('a', 'b'), ('a', 'd'), ('a', 'c', 'e')]
+    >>> retract_word(big_chunks(fan), 2, Word.from_text("b c d^-1")).to_text()
+    'a c a^-1'
     """
-    chunk_set = set(chunk.vertices)
-    if not chunk_set <= set(g.vertices):
-        raise PreconditionError("chunk does not live in the graph")
-
-    # one breadth-first search from the whole chunk, carrying for each
-    # vertex its nearest chunk vertices (two are enough to see ambiguity)
-    nearest: dict[str, set[str]] = {c: {c} for c in chunk.vertices}
-    frontier = list(chunk.vertices)
-    while frontier:
-        layer: dict[str, set[str]] = {}
-        for x in frontier:
-            for y in g._adj[x]:
-                if y not in nearest:
-                    near = layer.setdefault(y, set())
-                    if len(near) < 2:
-                        near |= nearest[x]
-        nearest.update(layer)
-        frontier = list(layer)
-    if len(nearest) < len(g.vertices) and not g.is_connected():
-        raise DisconnectedGraphError(g.components())
-
-    rho: dict[str, str] = {}
-    for v in g.vertices:
-        if len(nearest.get(v, ())) != 1:
-            raise PreconditionError(
-                f"no unique nearest chunk vertex for {v}; not a big chunk"
-            )
-        (rho[v],) = nearest[v]
-
-    for u, v, m in g.edges:
-        ru, rv = rho[u], rho[v]
-        if ru == rv:
-            continue
-        if not chunk.graph.has_edge(ru, rv) or chunk.graph.label(ru, rv) != m:
-            raise PreconditionError(
-                f"edge {u}-{v} does not retract; not a big chunk"
-            )
-
+    if not 0 <= i < len(decomp.chunks):
+        raise PreconditionError(
+            f"chunk index {i} out of range; the graph has {len(decomp.chunks)} chunks"
+        )
+    chunk = decomp.chunks[i].vertices
+    rho = {v: v for v in chunk}
+    for s in chunk:
+        for j in decomp.chunks_at[s]:
+            if j != i:
+                for k in decomp.reached(j, s):
+                    rho.update(dict.fromkeys(decomp.chunks[k].vertices, s))
     for name, _ in w.letters:
         if name not in rho:
             raise WordFormatError(f"letter {name!r} is not a vertex of the graph")

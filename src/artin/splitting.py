@@ -90,20 +90,11 @@ def splits_over_cyclic(g: LabelledGraph) -> SplitVerdict:
 def _sides(decomp, v: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Split the chunks at v: the side of the first chunk versus the rest.
 
-    The first side is what a search over the block-cut tree reaches from
-    chunk 0 without passing through v's node; both sides contain v and
-    intersect only in it.
+    The first side holds the chunks that the block-cut tree reaches from
+    chunk 0 without passing v; both sides contain v and intersect only
+    in it.
     """
-    reached = {0}
-    todo = [0]
-    while todo:
-        for w in decomp.chunks[todo.pop()].vertices:
-            if w != v:
-                for j in decomp.chunks_at[w]:
-                    if j not in reached:
-                        reached.add(j)
-                        todo.append(j)
-
+    reached = decomp.reached(0, v)
     left_set: set[str] = set()
     right_set: set[str] = set()
     for i, chunk in enumerate(decomp.chunks):

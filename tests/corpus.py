@@ -42,18 +42,21 @@ def connected_atlas(max_n: int) -> list[LabelledGraph]:
 
 def random_connected_graph(rng: random.Random, n: int, extra_p: float = 0.3,
                            labels=LABELS) -> LabelledGraph:
-    """Random spanning tree plus random extra edges; labels drawn from ``labels``."""
+    """Random spanning tree plus random extra edges; labels drawn from ``labels``.
+
+    Vertex i > 0 hangs from ``parent[i] < i``; each other pair draws one
+    ``rng.random()`` against ``extra_p``. Names are built only for edges.
+    """
     names = [f"v{i}" for i in range(n)]
+    parent = [-1] * n
     edges: dict[tuple[str, str], int] = {}
     for i in range(1, n):
-        j = rng.randrange(i)
-        key = tuple(sorted((names[j], names[i])))
-        edges[key] = rng.choice(labels)
+        parent[i] = j = rng.randrange(i)
+        edges[tuple(sorted((names[j], names[i])))] = rng.choice(labels)
     for i in range(n):
         for j in range(i + 1, n):
-            key = tuple(sorted((names[i], names[j])))
-            if key not in edges and rng.random() < extra_p:
-                edges[key] = rng.choice(labels)
+            if parent[j] != i and rng.random() < extra_p:
+                edges[tuple(sorted((names[i], names[j])))] = rng.choice(labels)
     return LabelledGraph.from_edges([(u, v, m) for (u, v), m in sorted(edges.items())])
 
 

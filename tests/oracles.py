@@ -18,6 +18,9 @@ The canonical form has two: the earlier depth-first search with prefix
 pruning and interchangeable pairs only, over a refinement that scans the
 full label matrix, and for 7 or fewer vertices a brute force that tries
 every ordering fitting the refinement classes.
+
+The corpus's random connected graph keeps its earlier loop here, which
+builds the sorted name pair of every vertex pair before testing it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd
 
-from artin import Presentation, Word
+from artin import LabelledGraph, Presentation, Word
 from artin.dihedral import AbelianNormalForm, EvenNormalForm, OddNormalForm
 
 
@@ -558,3 +561,19 @@ def oracle_brute_canonical_form(g) -> bytes:
         if best is None or flat < best:
             best = flat
     return f"{n}|{','.join(map(str, best))}".encode("ascii")
+
+
+def oracle_random_connected_graph(rng, n: int, extra_p: float, labels) -> LabelledGraph:
+    """The earlier ``corpus.random_connected_graph``: a name pair for every vertex pair."""
+    names = [f"v{i}" for i in range(n)]
+    edges: dict[tuple[str, str], int] = {}
+    for i in range(1, n):
+        j = rng.randrange(i)
+        key = tuple(sorted((names[j], names[i])))
+        edges[key] = rng.choice(labels)
+    for i in range(n):
+        for j in range(i + 1, n):
+            key = tuple(sorted((names[i], names[j])))
+            if key not in edges and rng.random() < extra_p:
+                edges[key] = rng.choice(labels)
+    return LabelledGraph.from_edges([(u, v, m) for (u, v), m in sorted(edges.items())])

@@ -21,12 +21,10 @@ from artin import (
     parse_graph,
     parse_presentation,
     profile,
-    retract_word,
     splits_over_cyclic,
 )
 from artin import graphs, presentations, words
 from artin.cli import main
-from artin.graphs import BigChunk
 from artin.words import rename_word
 
 from corpus import FAN_TEXT
@@ -190,10 +188,8 @@ def test_components_searched_at_most_once(monkeypatch, capsys, tmp_path, command
 def test_disconnected_graphs_report_components(text):
     g = parse_graph(text)
     comps = g.components()
-    chunk = BigChunk(("a", "b"), g.induced({"a", "b"}))
     for call in (
         lambda: big_chunks(g),
-        lambda: retract_word(g, chunk, Word()),
         lambda: profile(g),
         lambda: aut_acylindrically_hyperbolic(g),
     ):

@@ -16,12 +16,12 @@ from artin import (
     odd_components,
     parse_graph,
     retract_word,
-    separating_vertices,
     splits_over_cyclic,
 )
-from artin.graphs import BigChunk, _wl_classes
+from artin.graphs import _wl_classes
 
 from corpus import (
+    LABELS,
     connected_atlas,
     fan_graph,
     path3,
@@ -34,6 +34,7 @@ from oracles import (
     oracle_big_chunks,
     oracle_brute_canonical_form,
     oracle_canonical_form,
+    oracle_random_connected_graph,
     oracle_retraction,
     oracle_separating,
     oracle_wl_classes,
@@ -151,10 +152,10 @@ def test_separating_matches_oracle_and_incidence():
     ]
     for g in graphs:
         d = big_chunks(g)
-        assert separating_vertices(g) == oracle_separating(g) == d.separating
+        assert oracle_separating(g) == d.separating
         for v, idxs in d.incidence:
             assert len(idxs) >= 2
-            assert d.chunks_containing(v) == idxs
+            assert d.chunks_at[v] == idxs
 
 
 def test_edge_partition_property():
@@ -214,6 +215,17 @@ def _to_networkx(g):
     return h
 
 
+@pytest.mark.parametrize("n", [1, 9, 60, 200])
+def test_random_connected_graph_matches_the_earlier_loop(n):
+    # the same graph from the same rng calls, so every seeded corpus stays as it was
+    for extra_p in (0.0, 0.04, 0.3, 1.0):
+        fast, slow = random.Random(n), random.Random(n)
+        assert random_connected_graph(fast, n, extra_p) == (
+            oracle_random_connected_graph(slow, n, extra_p, LABELS)
+        )
+        assert fast.getstate() == slow.getstate()
+
+
 @pytest.mark.parametrize("n", [200, 2000])
 def test_chunks_match_networkx_on_large_graphs(n):
     # the brute-force oracles stop near 8 vertices; networkx checks real sizes
@@ -228,7 +240,6 @@ def test_chunks_match_networkx_on_large_graphs(n):
         )
         assert [c.vertices for c in d.chunks] == blocks
         assert d.separating == tuple(sorted(nx.articulation_points(h)))
-        assert separating_vertices(g) == d.separating
         # each edge in exactly one chunk graph, so each is the induced subgraph
         assert sorted(e for c in d.chunks for e in c.graph.edges) == list(g.edges)
         assert all(c.graph.vertices == c.vertices for c in d.chunks)
@@ -254,7 +265,9 @@ def test_separating_vertices_match_networkx_on_disconnected_graphs():
         names += [f"z{i}" for i in range(rng.randint(1, 3))]
         g = LabelledGraph.from_edges(edges, vertices=names)
         assert len(g.components()) > 1
-        got = separating_vertices(g)
+        got = tuple(sorted(
+            v for c in g.components() for v in big_chunks(g.induced(c)).separating
+        ))
         assert got == tuple(sorted(nx.articulation_points(_to_networkx(g))))
         if len(g.vertices) <= 9:
             assert got == oracle_separating(g)
@@ -290,7 +303,7 @@ def test_long_graphs_need_no_recursion(build, chunk_count):
     assert set(verdict.left) & set(verdict.right) == {verdict.vertex}
     chunk = d.chunks[chunk_count // 2]
     ends = Word(((g.vertices[0], 1), (g.vertices[-1], -1)))
-    out = retract_word(g, chunk, ends)
+    out = retract_word(d, chunk_count // 2, ends)
     assert out.support() <= set(chunk.vertices)
     assert len(out.letters) == 2
 
@@ -339,16 +352,12 @@ def test_odd_components_path3():
 
 
 def test_retract_fan_example():
-    g = fan_graph()
-    chunk = big_chunks(g).chunks[2]
-    out = retract_word(g, chunk, Word.from_text("b c d^-1"))
+    out = retract_word(big_chunks(fan_graph()), 2, Word.from_text("b c d^-1"))
     assert out.to_text() == "a c a^-1"
 
 
 def test_retract_path3_example():
-    g = path3()
-    chunk = big_chunks(g).chunks[0]
-    assert retract_word(g, chunk, Word.from_text("c")).to_text() == "b"
+    assert retract_word(big_chunks(path3()), 0, Word.from_text("c")).to_text() == "b"
 
 
 def test_retract_fixes_chunk_letters_and_is_idempotent():
@@ -356,13 +365,14 @@ def test_retract_fixes_chunk_letters_and_is_idempotent():
     for _ in range(30):
         g = random_connected_graph(rng, rng.randint(3, 7))
         d = big_chunks(g)
-        chunk = d.chunks[rng.randrange(len(d.chunks))]
+        i = rng.randrange(len(d.chunks))
+        chunk = d.chunks[i]
         letters = tuple(
             (rng.choice(g.vertices), rng.choice((-2, -1, 1, 2))) for _ in range(8)
         )
         w = Word(letters)
-        once = retract_word(g, chunk, w)
-        assert retract_word(g, chunk, once) == once
+        once = retract_word(d, i, w)
+        assert retract_word(d, i, once) == once
         assert once.support() <= set(chunk.vertices)
         for (n1, e1), (n2, e2) in zip(w.letters, once.letters):
             assert e1 == e2
@@ -370,13 +380,14 @@ def test_retract_fixes_chunk_letters_and_is_idempotent():
                 assert n2 == n1
 
 
-def test_retract_rejects_non_chunk():
-    g = triangle()
-    fake = BigChunk(("a", "b"), g.induced({"a", "b"}))
-    with pytest.raises(
-        PreconditionError, match="^no unique nearest chunk vertex for c; not a big chunk$"
-    ):
-        retract_word(g, fake, Word.from_text("c"))
+def test_retract_rejects_chunk_index_out_of_range():
+    d = big_chunks(fan_graph())
+    for index in (len(d.chunks), -1):
+        with pytest.raises(
+            PreconditionError,
+            match=f"^chunk index {index} out of range; the graph has 3 chunks$",
+        ):
+            retract_word(d, index, Word.from_text("a"))
 
 
 def _retraction_corpus():
@@ -386,29 +397,32 @@ def _retraction_corpus():
     ]
 
 
+def _retraction_map(d, i):
+    every_vertex = Word(tuple((v, 1) for v in d.graph.vertices))
+    return {v: n for v, (n, _) in zip(d.graph.vertices, retract_word(d, i, every_vertex).letters)}
+
+
 def test_retract_matches_oracle_on_every_chunk():
     for g in _retraction_corpus():
-        every_vertex = Word(tuple((v, 1) for v in g.vertices))
-        for chunk in big_chunks(g).chunks:
+        d = big_chunks(g)
+        for i, chunk in enumerate(d.chunks):
             nearest = oracle_retraction(g, chunk.vertices)
             assert all(len(t) == 1 for t in nearest.values()), g.edges
-            got = retract_word(g, chunk, every_vertex)
-            assert got.letters == tuple((nearest[v][0], 1) for v in g.vertices), g.edges
+            assert _retraction_map(d, i) == {v: nearest[v][0] for v in g.vertices}, g.edges
 
 
-def test_retract_rejection_names_first_ambiguous_vertex():
-    rng = random.Random(18)
+def test_retraction_collapses_outside_edges_and_keeps_chunk_edges():
+    # the property that makes the vertex map a group retraction onto the chunk
     for g in _retraction_corpus():
-        subset = tuple(sorted(rng.sample(g.vertices, rng.randint(1, len(g.vertices)))))
-        fake = BigChunk(subset, g.induced(subset))
-        nearest = oracle_retraction(g, subset)
-        ambiguous = [v for v in g.vertices if len(nearest[v]) > 1]
-        if ambiguous:
-            with pytest.raises(
-                PreconditionError,
-                match=f"^no unique nearest chunk vertex for {ambiguous[0]}; not a big chunk$",
-            ):
-                retract_word(g, fake, Word())
+        d = big_chunks(g)
+        for i, chunk in enumerate(d.chunks):
+            rho = _retraction_map(d, i)
+            for u, v, m in g.edges:
+                if chunk.graph.has_edge(u, v):
+                    assert (rho[u], rho[v]) == (u, v) and chunk.graph.label(u, v) == m
+                else:
+                    assert rho[u] == rho[v], (g.edges, chunk, u, v)
+            assert all(rho[rho[v]] == rho[v] for v in g.vertices)
 
 
 # canonical form
