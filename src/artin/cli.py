@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .dihedral import (
     AbelianNormalForm,
@@ -51,6 +52,18 @@ def _load_graph(path: str):
         return parse_graph(fh.read())
 
 
+class _ItemText(dict):
+    """JSON text of each tuple of exact ``str`` and ``int``, rendered on first lookup."""
+
+    def __init__(self, newline: str):
+        super().__init__()
+        self.newline = newline
+
+    def __missing__(self, item: tuple) -> str:
+        text = self[item] = _json_text(item, self.newline)
+        return text
+
+
 def _json_text(value, newline: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)``, nested at the given newline.
 
@@ -58,9 +71,10 @@ def _json_text(value, newline: str = "\n") -> str:
     writer renders each distinct item of a list once, and strings and
     ints by the encoder's own functions. Only tuples of exact ``str``
     and ``int`` share a rendering, since equal values can render
-    differently (``True == 1 == 1.0``); anything else it does not build
-    itself is ``json.dumps``'d, its newlines indented to this depth
-    (strings escape their own newlines).
+    differently (``True == 1 == 1.0``); a list of nothing but such
+    tuples is rendered by dictionary lookups alone. Anything else it
+    does not build itself is ``json.dumps``'d, its newlines indented to
+    this depth (strings escape their own newlines).
     """
     kind = type(value)
     if kind is str:
@@ -76,16 +90,23 @@ def _json_text(value, newline: str = "\n") -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        shared: dict = {}
-        parts = []
-        for item in value:
-            if type(item) is tuple and _PLAIN.issuperset(map(type, item)):
-                text = shared.get(item)
-                if text is None:
-                    text = shared[item] = _json_text(item, inner)
-            else:
-                text = _json_text(item, inner)
-            parts.append(text)
+        if (
+            type(value[0]) is tuple
+            and set(map(type, value)) == {tuple}
+            and _PLAIN.issuperset(map(type, chain.from_iterable(value)))
+        ):  # checked in two passes at C speed, then rendered by lookups
+            parts = map(_ItemText(inner).__getitem__, value)
+        else:
+            shared: dict = {}
+            parts = []
+            for item in value:
+                if type(item) is tuple and _PLAIN.issuperset(map(type, item)):
+                    text = shared.get(item)
+                    if text is None:
+                        text = shared[item] = _json_text(item, inner)
+                else:
+                    text = _json_text(item, inner)
+                parts.append(text)
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
     return json.dumps(value, indent=2).replace("\n", newline)
 

@@ -24,7 +24,7 @@ the private ``LabelledGraph._trusted`` and are not checked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -256,10 +256,17 @@ class BlockDecomposition:
     chunks: tuple[BigChunk, ...]
     separating: tuple[str, ...]
     incidence: tuple[tuple[str, tuple[int, ...]], ...]
+    _at: dict[str, tuple[int, ...]] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def chunks_at(self) -> dict[str, tuple[int, ...]]:
-        """Each vertex of the chunks mapped to the sorted indexes of its chunks."""
+        """Each vertex of the chunks mapped to the sorted indexes of its chunks.
+
+        ``big_chunks`` hands over the map its search built; it is derived
+        from the chunks only for a decomposition built without it.
+        """
+        if self._at is not None:
+            return self._at
         return _chunks_at(c.vertices for c in self.chunks)
 
     def reached(self, j: int, s: str) -> set[int]:
@@ -359,7 +366,7 @@ def big_chunks(g: LabelledGraph) -> BlockDecomposition:
         raise DisconnectedGraphError(g.components())
     chunks = tuple(BigChunk(t, LabelledGraph._trusted(t, e)) for t, e in blocks)
     incidence = tuple((v, at[v]) for v in g.vertices if len(at[v]) > 1)
-    return BlockDecomposition(g, chunks, tuple(v for v, _ in incidence), incidence)
+    return BlockDecomposition(g, chunks, tuple(v for v, _ in incidence), incidence, at)
 
 
 def classify_chunk(g: LabelledGraph, chunk: BigChunk) -> ChunkClass:

@@ -8,6 +8,20 @@ contributes a stable letter t with relator t a t^-1 w^-1 for the two
 images a, w. Vertex-group copies are kept duplicated and identified, a
 separate simplification step eliminates the identification relators.
 
+The relator of an Artin edge u-v labelled m is held as (u, v, m) and
+answers every question in closed form: its text is built by string
+repetition, its exponent sums read only the parity of m, and renaming
+touches two names. No consumer walks its 2m letters:
+
+>>> from artin import LabelledGraph
+>>> (r,) = artin_presentation(LabelledGraph.from_edges([("a", "b", 5)])).relators
+>>> r.to_text()
+'a b a b a b^-1 a^-1 b^-1 a^-1 b^-1'
+>>> r.exponent_sums()
+{'a': 1, 'b': -1}
+>>> artin_presentation(LabelledGraph.from_edges([("a", "b", 10**9)])).relators[0].exponent_sums()
+{}
+
 All linear algebra is exact over the integers. The Smith normal form is
 one sparse Euclidean elimination to a diagonal, whose entries above 1
 are then made a divisor chain pairwise by gcd and lcm.
@@ -23,7 +37,9 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
+from operator import itemgetter
 
 from .errors import PreconditionError, WordFormatError
 from .gog import (
@@ -35,15 +51,89 @@ from .gog import (
     GraphOfGroups,
 )
 from .graphs import LabelledGraph, odd_components
-from .words import NAME_RE, Word, alternating, rename_word
+from .words import NAME_RE, Word, rename_word
+
+
+def _unit_text(name: str, exp: int) -> str:
+    return name if exp == 1 else f"{name}^{exp}"
+
+
+@dataclass(frozen=True)
+class _ArtinRelator:
+    """The relator of an edge u-v labelled m, held as (u, v, m).
+
+    Its word is Pi(u^a, v^b, m) Pi(v^b, u^a, m)^-1, with Pi(x, y, m) the
+    length-m alternating word x y x ... and the signs a, b = +-1; an Artin
+    presentation has a = b = 1, and only substituting a generator's
+    inverse flips a sign. It answers every question in closed form: u
+    and v alternate, so the word is freely reduced, and for odd m the
+    exponent sums are a and -b, while for even m they vanish. Its 2m
+    ``letters`` are expanded only when read; the library never reads them.
+    """
+
+    u: str
+    v: str
+    m: int
+    a: int = 1
+    b: int = 1
+
+    @cached_property
+    def letters(self) -> tuple[tuple[str, int], ...]:
+        first = ((self.u, self.a), (self.v, self.b))
+        if self.m % 2:
+            second = ((self.v, -self.b), (self.u, -self.a))
+        else:
+            second = ((self.u, -self.a), (self.v, -self.b))
+        k, odd = divmod(self.m, 2)
+        return first * k + first[:odd] + second * k + second[:odd]
+
+    def to_text(self) -> str:
+        """The 2m letters as text, built by string repetition."""
+        u, v = _unit_text(self.u, self.a), _unit_text(self.v, self.b)
+        ui, vi = _unit_text(self.u, -self.a), _unit_text(self.v, -self.b)
+        k, odd = divmod(self.m, 2)
+        if odd:
+            return f"{u} {v} " * k + f"{u} " + f"{vi} {ui} " * k + vi
+        return f"{u} {v} " * k + f"{ui} {vi} " * (k - 1) + f"{ui} {vi}"
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def exponent_sums(self) -> dict[str, int]:
+        return {self.u: self.a, self.v: -self.b} if self.m % 2 else {}
+
+    def support(self) -> frozenset[str]:
+        return frozenset((self.u, self.v))
+
+    def _renamed(self, rename: dict[str, str], sign: int = 1) -> _ArtinRelator | Word | None:
+        """Substitute rename[n]^sign for each generator n that ``rename`` maps.
+
+        When u and v land on one generator x, the word is a power of x
+        and reduces to x^e with e its exponent sum: (a - b) for odd m, 0
+        for even m. The trivial word is returned as None.
+        """
+        u, a, v, b = self.u, self.a, self.v, self.b
+        if u in rename:
+            u, a = rename[u], a * sign
+        if v in rename:
+            v, b = rename[v], b * sign
+        if u != v:
+            return _ArtinRelator(u, v, self.m, a, b)
+        e = (a - b) * (self.m % 2)
+        return Word.generator(u, e) if e else None
 
 
 @dataclass(frozen=True)
 class Presentation:
-    """Finite presentation: generator names and relator words."""
+    """Finite presentation: generator names and relators.
+
+    A relator is a ``Word``, or the closed-form relator of an Artin edge
+    that ``artin_presentation`` builds; both render with ``to_text`` and
+    answer ``support`` and ``exponent_sums``.
+    """
 
     generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    relators: tuple[Word | _ArtinRelator, ...]
 
     def __post_init__(self):
         seen = set()
@@ -59,7 +149,7 @@ class Presentation:
                 raise WordFormatError(f"relator uses unknown generators {sorted(stray)}")
 
     @classmethod
-    def _trusted(cls, generators: tuple[str, ...], relators: tuple[Word, ...]) -> "Presentation":
+    def _trusted(cls, generators: tuple[str, ...], relators: tuple) -> "Presentation":
         """A presentation derived from checked names and words; it is not checked again."""
         p = object.__new__(cls)
         object.__setattr__(p, "generators", generators)
@@ -106,16 +196,11 @@ def artin_presentation(g: LabelledGraph) -> Presentation:
     """One generator per vertex; per edge the two alternating words agree.
 
     The relator of an edge u-v labelled m is alternating(u, v, m) times
-    the inverse of alternating(v, u, m). That inverse is itself an
-    alternating word of length m in u^-1, v^-1, starting with u^-1 for
-    even m and v^-1 for odd m, so it is built by tuple repetition too.
+    the inverse of alternating(v, u, m), held as (u, v, m): its cost does
+    not grow with m.
     """
-    relators = []
-    for u, v, m in g.edges:
-        pair = ((u, -1), (v, -1)) if m % 2 == 0 else ((v, -1), (u, -1))
-        inverse = pair * (m // 2) + pair[: m % 2]
-        relators.append(Word._trusted(alternating(u, v, m).letters + inverse))
-    return Presentation._trusted(g.vertices, tuple(relators))
+    relators = tuple(_ArtinRelator(u, v, m) for u, v, m in g.edges)
+    return Presentation._trusted(g.vertices, relators)
 
 
 # Smith normal form
@@ -323,23 +408,17 @@ class _LocalGroup:
             )
         if isinstance(d, CyclicOnGenerator):
             raw_gens = [d.generator]
-            raw_rels: list[Word] = []
         elif isinstance(d, ChunkParabolic):
             inner = artin_presentation(d.chunk.graph)
             raw_gens = list(inner.generators)
-            raw_rels = list(inner.relators)
         elif isinstance(d, FreeAbelianPair):
             z_raw = _fresh("z_" + "_".join(sorted(d.central.support())), graph_vertices)
             self.z_raw = z_raw
-            base = Word.generator(d.base)
-            z = Word.generator(z_raw)
             raw_gens = [d.base, z_raw]
-            raw_rels = [base * z * base.inverse() * z.inverse()]
         elif isinstance(d, CyclicOnWord):
             r_raw = _fresh("r_" + "_".join(n for n, _ in d.word.letters), graph_vertices)
             self.r_raw = r_raw
             raw_gens = [r_raw]
-            raw_rels = []
         else:
             raise PreconditionError(f"unknown group descriptor {d!r}")
 
@@ -348,7 +427,14 @@ class _LocalGroup:
             taken.add(final)
             self.rename[raw] = final
         self.generators = [self.rename[raw] for raw in raw_gens]
-        self.relators = [rename_word(w, self.rename) for w in raw_rels]
+        if isinstance(d, ChunkParabolic):
+            self.relators = [r._renamed(self.rename) for r in inner.relators]
+        elif isinstance(d, FreeAbelianPair):
+            base = Word.generator(self.rename[d.base])
+            z = Word.generator(self.rename[z_raw])
+            self.relators = [base * z * base.inverse() * z.inverse()]
+        else:
+            self.relators = []
 
     def embed(self, w: Word) -> Word:
         """Image of a word in the defining generators inside this vertex group."""
@@ -391,20 +477,32 @@ def _single(name: str, exp: int) -> Word:
 
 
 def _power_of(w: Word, base: Word) -> int | None:
-    """Exponent k with w = base^k as unit sequences, or None."""
-    lw = w.syllable_length()
-    lb = base.syllable_length()
-    if lw == 0:
+    """Exponent k with w = base^k as unit sequences, or None.
+
+    Both words are compared as tuples of single steps, at C speed: a a
+    and a^2 are the same unit sequence.
+    """
+    units, step = _units(w), _units(base)
+    if not units:
         return 0
-    if lb == 0 or lw % lb:
+    if not step or len(units) % len(step):
         return None
-    k = lw // lb
-    units = list(w.units())
-    if units == list((base ** k).units()):
+    k = len(units) // len(step)
+    if units == step * k:
         return k
-    if units == list((base ** (-k)).units()):
+    if units == _units(base.inverse()) * k:
         return -k
     return None
+
+
+_UNIT_EXPONENTS = frozenset((1, -1))
+
+
+def _units(w: Word) -> tuple[tuple[str, int], ...]:
+    """The single steps of w: its own letters when every exponent is +-1."""
+    if _UNIT_EXPONENTS.issuperset(map(itemgetter(1), w.letters)):
+        return w.letters
+    return tuple(w.units())
 
 
 def gog_presentation(gog: GraphOfGroups) -> Presentation:
@@ -478,16 +576,18 @@ def simplify_identifications(p: Presentation) -> Presentation:
     Relators stay keyed by their position, with an index from each
     generator to the relators holding it and a min-heap of positions
     that hold identifications; an elimination rewrites only the relators
-    holding the generator it drops.
+    holding the generator it drops. An Artin relator is renamed in closed
+    form and is never an identification.
     """
-    rels: dict[int, Word] = {}
+    rels: dict[int, Word | _ArtinRelator] = {}
     holding: dict[str, set[int]] = {}
     pending: list[int] = []
     for i, r in enumerate(p.relators):
-        r = r.free_reduce()
-        if r.letters:
+        if not isinstance(r, _ArtinRelator):
+            r = r.free_reduce()
+        if isinstance(r, _ArtinRelator) or r.letters:
             rels[i] = r
-            for name, _ in r.letters:
+            for name in r.support():
                 holding.setdefault(name, set()).add(i)
             if _is_identification(r):
                 pending.append(i)
@@ -504,15 +604,13 @@ def simplify_identifications(p: Presentation) -> Presentation:
             if i == target:
                 continue
             old = rels.pop(i)
-            for name, _ in old.letters:
+            for name in old.support():
                 if name != drop:
                     holding[name].discard(i)
-            reduced = Word._trusted(
-                tuple((keep, e * sign) if n == drop else (n, e) for n, e in old.letters)
-            ).free_reduce()
-            if reduced.letters:
+            reduced = _substituted(old, drop, keep, sign)
+            if reduced is not None:
                 rels[i] = reduced
-                for name, _ in reduced.letters:
+                for name in reduced.support():
                     holding[name].add(i)
                 if _is_identification(reduced):
                     heapq.heappush(pending, i)
@@ -521,8 +619,20 @@ def simplify_identifications(p: Presentation) -> Presentation:
     return Presentation._trusted(gens, tuple(rels[i] for i in sorted(rels)))
 
 
-def _is_identification(r: Word) -> bool:
-    if len(r.letters) != 2:
+def _substituted(
+    r: Word | _ArtinRelator, drop: str, keep: str, sign: int
+) -> Word | _ArtinRelator | None:
+    """r with keep^sign for drop, freely reduced; None if it is trivial."""
+    if isinstance(r, _ArtinRelator):
+        return r._renamed({drop: keep}, sign)
+    reduced = Word._trusted(
+        tuple((keep, e * sign) if n == drop else (n, e) for n, e in r.letters)
+    ).free_reduce()
+    return reduced if reduced.letters else None
+
+
+def _is_identification(r: Word | _ArtinRelator) -> bool:
+    if isinstance(r, _ArtinRelator) or len(r.letters) != 2:
         return False
     (n1, e1), (n2, e2) = r.letters
     return n1 != n2 and abs(e1) == 1 and abs(e2) == 1

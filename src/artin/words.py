@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import WordFormatError
@@ -22,6 +24,8 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 Letter = tuple[str, int]
+_NAME = itemgetter(0)
+_EXP = itemgetter(1)
 
 
 class _LetterText(dict):
@@ -35,6 +39,15 @@ class _LetterText(dict):
         name, exp = letter
         text = self[letter] = name if exp == 1 else f"{name}^{exp}"
         return text
+
+
+class _LetterUnits(dict):
+    """The single steps of each letter, built when the letter is first looked up."""
+
+    def __missing__(self, letter: Letter) -> tuple[Letter, ...]:
+        name, exp = letter
+        units = self[letter] = ((name, 1 if exp > 0 else -1),) * abs(exp)
+        return units
 
 
 @dataclass(frozen=True)
@@ -86,10 +99,15 @@ class Word:
     def to_text(self) -> str:
         """Render as text, formatting each distinct letter once.
 
+        A word is immutable, so its text is kept after the first call.
+
         >>> Word((("a", 1), ("b", -2), ("a", 1))).to_text()
         'a b^-2 a'
         """
-        return " ".join(map(_LetterText().__getitem__, self.letters))
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = self.__dict__["_text"] = " ".join(map(_LetterText().__getitem__, self.letters))
+        return text
 
     def __str__(self) -> str:
         return self.to_text()
@@ -117,11 +135,11 @@ class Word:
         return Word._trusted(tuple((n, e) for n, e in out))
 
     def units(self) -> Iterator[tuple[str, int]]:
-        """Yield single steps (name, +1 or -1), expanding exponents."""
-        for name, exp in self.letters:
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield name, sign
+        """Single steps (name, +1 or -1), expanding exponents.
+
+        Each distinct letter is expanded once, and the steps are chained at C speed.
+        """
+        return chain.from_iterable(map(_LetterUnits().__getitem__, self.letters))
 
     def exponent_sums(self) -> dict[str, int]:
         sums: dict[str, int] = {}
@@ -130,10 +148,10 @@ class Word:
         return {n: e for n, e in sums.items() if e != 0}
 
     def support(self) -> frozenset[str]:
-        return frozenset(n for n, _ in self.letters)
+        return frozenset(map(_NAME, self.letters))
 
     def syllable_length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
+        return sum(map(abs, map(_EXP, self.letters)))
 
 
 def alternating(u: str, v: str, n: int) -> Word:

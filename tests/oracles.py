@@ -14,6 +14,10 @@ relator after each step, the recursive enumeration of freely reduced
 words, and the dihedral normal form with one engine per label parity,
 which settles an even label's powers of y only when an x follows.
 
+The Artin relator of an edge is expanded letter by letter from two
+alternating words, as the library once built it, and powers of a word
+are recognised by comparing unit by unit.
+
 The canonical form has two: the earlier depth-first search with prefix
 pruning and interchangeable pairs only, over a refinement that scans the
 full label matrix, and for 7 or fewer vertices a brute force that tries
@@ -29,8 +33,9 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd
 
-from artin import LabelledGraph, Presentation, Word
+from artin import LabelledGraph, Presentation, Word, alternating
 from artin.dihedral import AbelianNormalForm, EvenNormalForm, OddNormalForm
+from artin.presentations import _ArtinRelator
 
 
 def _adjacency_masks(g):
@@ -272,15 +277,64 @@ def oracle_dense_snf(matrix):
     return tuple(diag) + (0,) * (k - len(diag))
 
 
+def oracle_artin_relator(u: str, v: str, m: int, a: int = 1, b: int = 1) -> Word:
+    """The relator of an edge u-v labelled m, expanded letter by letter.
+
+    alternating(u, v, m) * alternating(v, u, m).inverse(), with every
+    letter of u raised to the sign a and every letter of v to b.
+    """
+    word = alternating(u, v, m) * alternating(v, u, m).inverse()
+    sign = {u: a, v: b}
+    return Word(tuple((n, e * sign[n]) for n, e in word.letters))
+
+
+def oracle_word(r) -> Word:
+    """A relator as a word: closed-form Artin relators are expanded, words kept."""
+    if isinstance(r, _ArtinRelator):
+        return oracle_artin_relator(r.u, r.v, r.m, r.a, r.b)
+    return r
+
+
+def oracle_expanded(p) -> Presentation:
+    """The presentation with every relator expanded to a word."""
+    return Presentation(p.generators, tuple(map(oracle_word, p.relators)))
+
+
+def oracle_power_of(w: Word, base: Word):
+    """Exponent k with w = base^k, comparing unit by unit, or None."""
+
+    def units(word):
+        out = []
+        for name, exp in word.letters:
+            sign = 1 if exp > 0 else -1
+            for _ in range(abs(exp)):
+                out.append((name, sign))
+        return out
+
+    lw = len(units(w))
+    lb = len(units(base))
+    if lw == 0:
+        return 0
+    if lb == 0 or lw % lb:
+        return None
+    k = lw // lb
+    if units(w) == units(base) * k:
+        return k
+    if units(w) == units(base.inverse()) * k:
+        return -k
+    return None
+
+
 def oracle_simplify_identifications(p):
     """Identification elimination by rescanning every relator after each step.
 
     Takes the first two-letter relator s^e t^f (|e| = |f| = 1, s != t),
     substitutes the shortlex-larger name away in every relator, and
-    free-reduces, until no such relator is left.
+    free-reduces, until no such relator is left. Artin relators are
+    expanded to words first.
     """
     gens = list(p.generators)
-    rels = [r.free_reduce() for r in p.relators]
+    rels = [oracle_word(r).free_reduce() for r in p.relators]
     rels = [r for r in rels if r.letters]
     while True:
         target = None

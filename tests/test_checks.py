@@ -215,6 +215,7 @@ PRIVATE_CONSTRUCTOR_SITES = {
     ("dihedral", "as_defining_generators"),
     ("presentations", "artin_presentation"),
     ("presentations", "simplify_identifications"),
+    ("presentations", "_substituted"),
 }
 
 

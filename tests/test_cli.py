@@ -267,7 +267,17 @@ def test_json_writer_matches_json_dumps():
         {"nested": {"deep": [("a", -1), ("a", -1), {"k": ("a", -1)}]}}, "\u2028", 3, None,
         {1: [("x", 1)], None: 2, 2.5: True},
     ]
+    # lists of tuples whose members are equal but not of one type, lists
+    # mixing tuples with other items, and one long list of syllables
+    explicit += [
+        [("x", 1), ("x", True), ("x", 1.0)], [("x", 1.0), ("x", 1), ("x", True), ("x", 1)],
+        {"s": [("x", 1), ("y", -2), ("x", 1)]}, [("x", 1), ("x", 1)], [(), ("x",), ()],
+        [("x", 1), "x", ("x", 1)], [1, ("x", 1)], [("x", 1), None], [("x", [1]), ("x", [1])],
+        [("x", ("y", 1)), ("x", ("y", 1))], [("x", 1), {"k": ("x", 1)}, ("x", 1)],
+    ]
     rng = random.Random(9)
+    syllables = [(rng.choice("xy"), rng.choice((1, -1, 2, 7, 10**20))) for _ in range(10**5)]
+    explicit.append({"label": 1001, "central": -3, "syllables": syllables})
     for payload in explicit + [_random_payload(rng, 0) for _ in range(500)]:
         assert _json_text(payload) == json.dumps(payload, indent=2), payload
 
@@ -384,7 +394,8 @@ def test_huge_odd_label_needs_no_alternating_words(capsys, tmp_path, monkeypatch
     def refuse(*args):
         raise AssertionError("alternating word built")
 
-    for module in (artin.words, artin.presentations, artin.gog):
+    # presentations holds each relator as (u, v, m) and no longer imports it
+    for module in (artin.words, artin.gog):
         monkeypatch.setattr(module, "alternating", refuse)
     p = tmp_path / "huge.graph"
     p.write_text(text)

@@ -158,6 +158,27 @@ def test_separating_matches_oracle_and_incidence():
             assert d.chunks_at[v] == idxs
 
 
+def test_chunks_at_is_the_map_of_the_search():
+    # big_chunks hands over its vertex -> chunk-indexes map; a decomposition
+    # built from the four fields alone derives the same map from its chunks
+    rng = random.Random(14)
+    graphs = connected_atlas(5) + [
+        random_connected_graph(rng, rng.randint(2, 12)) for _ in range(60)
+    ]
+    for g in graphs:
+        d = big_chunks(g)
+        want = {}
+        for i, c in enumerate(d.chunks):
+            for v in c.vertices:
+                want.setdefault(v, []).append(i)
+        want = {v: tuple(idxs) for v, idxs in want.items()}
+        assert d.chunks_at == want
+        rebuilt = type(d)(d.graph, d.chunks, d.separating, d.incidence)
+        assert rebuilt == d and rebuilt.chunks_at == want
+        fewer = type(d)(d.graph, d.chunks[:-1], d.separating, d.incidence)
+        assert len(d.chunks) - 1 not in {i for idxs in fewer.chunks_at.values() for i in idxs}
+
+
 def test_edge_partition_property():
     # every edge lies in exactly one chunk
     rng = random.Random(13)

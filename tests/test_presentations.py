@@ -28,10 +28,15 @@ from artin.gog import BLACK, CyclicOnGenerator, GoGEdge, GoGVertex, GraphOfGroup
 
 from corpus import connected_atlas, path3, random_connected_graph, triangle
 from oracles import (
+    oracle_artin_relator,
     oracle_dense_snf,
+    oracle_expanded,
     oracle_invariant_factors,
+    oracle_power_of,
     oracle_simplify_identifications,
+    oracle_word,
 )
+from artin.presentations import _ArtinRelator, _power_of
 
 
 def test_artin_presentation_path3():
@@ -45,17 +50,25 @@ def test_artin_presentation_path3():
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 1000, 1001])
 def test_artin_relator_is_alternating_word_times_inverse(m):
-    # the inverse half is built by tuple repetition, not letter by letter
+    # the relator is held as (u, v, m); its letters, text, exponent sums
+    # and support are those of the word it stands for
     g = LabelledGraph(("u", "v"), (("u", "v", m),))
     (relator,) = artin_presentation(g).relators
-    assert relator == alternating("u", "v", m) * alternating("v", "u", m).inverse()
+    want = alternating("u", "v", m) * alternating("v", "u", m).inverse()
+    assert relator.letters == want.letters
+    assert relator.to_text() == want.to_text() == str(relator)
+    assert relator.exponent_sums() == want.exponent_sums()
+    assert relator.support() == want.support()
 
 
 def test_render_parse_round_trip():
     pres = artin_presentation(triangle())
     text = render_presentation(pres)
     back = parse_presentation(text)
-    assert back == pres
+    assert back.generators == pres.generators
+    assert [r.letters for r in back.relators] == [r.letters for r in pres.relators]
+    assert [r.to_text() for r in back.relators] == [r.to_text() for r in pres.relators]
+    assert render_presentation(back) == text
     assert text.splitlines()[0].startswith("gen:")
 
 
@@ -321,3 +334,148 @@ def test_closed_form_abelianization_matches_snf():
         u, v, _ = g.edges[0]
         h = type(g).from_edges([(u, v, big)] + list(g.edges[1:]), vertices=g.vertices)
         assert artin_abelianization(h) == abelianize(artin_presentation(h)), h.to_text()
+
+
+# closed-form Artin relators against the expanded words
+
+
+def _relator_corpus():
+    """Gog presentations of the atlas and of seeded graphs with labels 2..9, 1000 and 1001."""
+    rng = random.Random(1212)
+    graphs = [g for g in connected_atlas(5) if len(g.vertices) >= 3]
+    for labels, count in (((2, 3, 4, 5, 6, 7, 8, 9), 30), ((2, 3, 1000, 1001), 8)):
+        graphs += [random_connected_graph(rng, rng.randint(3, 9), labels=labels)
+                   for _ in range(count)]
+    for g in graphs:
+        yield g, artin_presentation(g)
+        jsj = build_jsj(g)
+        yield g, gog_presentation(jsj)
+        yield g, gog_presentation(collapse_jsj(jsj))
+
+
+def test_relators_render_and_abelianize_as_their_expanded_words():
+    for g, pres in _relator_corpus():
+        expanded = oracle_expanded(pres)
+        assert render_presentation(pres) == render_presentation(expanded), g.to_text()
+        assert pres.to_json_dict() == expanded.to_json_dict(), g.to_text()
+        assert abelianize(pres) == abelianize(expanded), g.to_text()
+        for r, w in zip(pres.relators, expanded.relators):
+            assert r.exponent_sums() == w.exponent_sums() and r.support() == w.support()
+        m = _relation_matrix(expanded)
+        assert abelianize(pres) == _shape_from_factors(len(pres.generators), oracle_dense_snf(m))
+
+
+def test_simplify_matches_the_expanded_path_byte_for_byte():
+    for g, pres in _relator_corpus():
+        want = render_presentation(oracle_simplify_identifications(oracle_expanded(pres)))
+        got = simplify_identifications(pres)
+        assert render_presentation(got) == want, g.to_text()
+        assert render_presentation(simplify_identifications(oracle_expanded(pres))) == want
+        assert abelianize(got) == abelianize(pres), g.to_text()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 1000, 1001])
+def test_substituting_an_inverse_matches_the_expanded_path(m):
+    # the identification "b c" eliminates c as b^-1 (sign -1): the relator
+    # of b-c becomes b^2 for odd m and vanishes for even m, while that of
+    # a-c keeps c's place with b^-1
+    g = LabelledGraph.from_edges([("a", "b", m), ("b", "c", m), ("a", "c", 3), ("c", "d", m)])
+    artin = artin_presentation(g)
+    cases = [
+        Presentation(artin.generators, artin.relators + (Word.from_text("b c"),)),
+        Presentation(artin.generators, (Word.from_text("c^-1 b^-1"),) + artin.relators),
+        Presentation(artin.generators,
+                     artin.relators + (Word.from_text("d b"), Word.from_text("a c"))),
+        Presentation(artin.generators, artin.relators + (Word.from_text("d^-1 c"),)),
+    ]
+    for pres in cases:
+        want = oracle_simplify_identifications(oracle_expanded(pres))
+        got = simplify_identifications(pres)
+        assert render_presentation(got) == render_presentation(want), render_presentation(pres)
+        assert [oracle_word(r).letters for r in got.relators] == [r.letters for r in want.relators]
+        assert abelianize(got) == abelianize(want)
+    texts = render_presentation(simplify_identifications(cases[0])).splitlines()
+    assert ("rel: b^2" in texts) == (m % 2 == 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 1000, 1001])
+def test_renamed_relator_matches_the_renamed_word(m):
+    r = _ArtinRelator("u", "v", m)
+    for rename, sign in [({"u": "x"}, 1), ({"v": "x"}, -1), ({"u": "v"}, 1), ({"u": "v"}, -1),
+                         ({"v": "u"}, -1), ({"u": "y", "v": "x"}, 1)]:
+        got = r._renamed(rename, sign)
+        word = Word(tuple((rename[n], e * sign) if n in rename else (n, e)
+                          for n, e in oracle_artin_relator("u", "v", m).letters)).free_reduce()
+        if not word.letters:
+            assert got is None
+            continue
+        assert got.to_text() == word.to_text()
+        assert oracle_word(got).letters == word.letters
+        assert got.exponent_sums() == word.exponent_sums()
+        assert got.support() == word.support()
+
+
+def test_library_never_expands_an_artin_relator(monkeypatch, capsys, tmp_path):
+    def refuse(self):
+        raise AssertionError("Artin relator expanded")
+
+    monkeypatch.setattr(_ArtinRelator, "letters", property(refuse))
+    from artin.cli import main
+
+    texts = ["e a b 1000000001\ne b c 3\ne a c 3\n", "e p s 3\ne q s 300000\ne r s 2\n",
+             "e a b 1000000000\ne b c 3\ne c d 5\ne a c 2\ne d e 2\n"]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"g{i}.graph"
+        path.write_text(text)
+        for argv in (["abelianize", "--of-jsj"], ["abelianize", "--of-jsj", "--json"]):
+            assert main([argv[0], str(path), *argv[1:]]) == 0
+    small = tmp_path / "small.graph"
+    small.write_text("e a b 1001\ne b c 3\ne a c 4\ne c d 7\ne d e 2\n")
+    for argv in (["presentation"], ["presentation", "--of-jsj"],
+                 ["presentation", "--of-jsj", "--simplify"],
+                 ["presentation", "--of-jsj", "--simplify", "--json"], ["abelianize", "--of-jsj"]):
+        assert main([argv[0], str(small), *argv[1:]]) == 0
+    capsys.readouterr()
+
+
+def _random_unit_word(rng, names, units):
+    letters = []
+    while units > 0:
+        e = min(units, rng.choice((1, 1, 2, 3)))
+        letters.append((rng.choice(names), e if rng.random() < 0.5 else -e))
+        units -= e
+    return Word(tuple(letters))
+
+
+def _split_runs(rng, w):
+    """The same unit sequence with its runs cut or merged at random."""
+    units = list(w.units())
+    letters = []
+    for name, sign in units:
+        same_run = letters and letters[-1][0] == name and (letters[-1][1] > 0) == (sign > 0)
+        if same_run and rng.random() < 0.5:
+            letters[-1] = (name, letters[-1][1] + sign)
+        else:
+            letters.append((name, sign))
+    return Word(tuple(letters))
+
+
+def test_power_of_matches_unit_comparison_oracle():
+    rng = random.Random(31)
+    pairs = [("a a", "a^2"), ("a^2", "a"), ("", "a"), ("a", ""), ("", ""), ("a^-2 b^-1", "b a^2"),
+             ("a b a b", "a b"), ("b^-1 a^-1 b^-1 a^-1", "a b"), ("a^3 a^-3", "a a^-1")]
+    cases = [(Word.from_text(w), Word.from_text(base)) for w, base in pairs]
+    for _ in range(400):
+        base = _random_unit_word(rng, "ab", rng.randint(1, 6))
+        k = rng.choice((1, 2, 3, 5, -1, -2, -4))
+        w = _split_runs(rng, base ** k)
+        cases.append((w, _split_runs(rng, base)))
+        cases.append((Word(w.letters + (("a", 1),)), base))
+        cases.append((_split_runs(rng, base ** -k), base))
+        cases.append((_random_unit_word(rng, "abc", rng.randint(1, 12)), base))
+    hits = 0
+    for w, base in cases:
+        want = oracle_power_of(w, base)
+        assert _power_of(w, base) == want, (w, base)
+        hits += want not in (None, 0)
+    assert hits > 800

@@ -78,3 +78,22 @@ def test_to_text_matches_per_letter_join():
         )))
     for w in words:
         assert w.to_text() == _per_letter_text(w)
+
+
+def test_text_is_rendered_once_and_kept():
+    w = alternating("a", "b", 1001)
+    first = w.to_text()
+    assert w.to_text() is first and str(w) is first
+    assert w == alternating("a", "b", 1001) and hash(w) == hash(alternating("a", "b", 1001))
+    assert repr(w) == repr(Word(w.letters))
+
+
+def test_units_match_per_unit_expansion():
+    rng = random.Random(29)
+    for _ in range(200):
+        w = Word(tuple((rng.choice("abc"), rng.choice((1, -1, 2, -3, 5)))
+                       for _ in range(rng.randint(0, 30))))
+        want = [(n, 1 if e > 0 else -1) for n, e in w.letters for _ in range(abs(e))]
+        assert list(w.units()) == want
+        assert w.syllable_length() == len(want)
+        assert w.support() == {n for n, _ in w.letters}
