@@ -68,13 +68,13 @@ def _json_text(value, newline: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)``, nested at the given newline.
 
     ``json.dumps`` leaves its C encoder whenever ``indent`` is set. This
-    writer renders each distinct item of a list once, and strings and
-    ints by the encoder's own functions. Only tuples of exact ``str``
-    and ``int`` share a rendering, since equal values can render
-    differently (``True == 1 == 1.0``); a list of nothing but such
-    tuples is rendered by dictionary lookups alone. Anything else it
-    does not build itself is ``json.dumps``'d, its newlines indented to
-    this depth (strings escape their own newlines).
+    writer renders strings and ints by the encoder's own functions. A
+    list of nothing but tuples of exact ``str`` and ``int`` renders each
+    distinct tuple once, by dictionary lookups; no other list shares
+    renderings, since equal values can render differently
+    (``True == 1 == 1.0``). Anything else it does not build itself is
+    ``json.dumps``'d, its newlines indented to this depth (strings
+    escape their own newlines).
     """
     kind = type(value)
     if kind is str:
@@ -97,16 +97,7 @@ def _json_text(value, newline: str = "\n") -> str:
         ):  # checked in two passes at C speed, then rendered by lookups
             parts = map(_ItemText(inner).__getitem__, value)
         else:
-            shared: dict = {}
-            parts = []
-            for item in value:
-                if type(item) is tuple and _PLAIN.issuperset(map(type, item)):
-                    text = shared.get(item)
-                    if text is None:
-                        text = shared[item] = _json_text(item, inner)
-                else:
-                    text = _json_text(item, inner)
-                parts.append(text)
+            parts = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
     return json.dumps(value, indent=2).replace("\n", newline)
 

@@ -35,7 +35,6 @@ from .graphs import (
     BigChunk,
     ChunkClass,
     LabelledGraph,
-    _components,
     big_chunks,
 )
 from .words import Word, alternating
@@ -179,13 +178,6 @@ class GraphOfGroups:
     def loops(self) -> tuple[GoGEdge, ...]:
         return tuple(e for e in self.edges if e.is_loop)
 
-    def base_is_connected(self) -> bool:
-        adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.ends[0]].add(e.ends[1])
-            adj[e.ends[1]].add(e.ends[0])
-        return len(_components(adj, adj)) == 1
-
     def to_json_dict(self) -> dict:
         return {
             "vertices": [v.to_json_dict() for v in self.vertices],
@@ -233,13 +225,45 @@ class GraphOfGroups:
 
 def betti_number(gog: GraphOfGroups) -> int:
     """First Betti number of the underlying graph (loops count)."""
-    if not gog.base_is_connected():
-        raise PreconditionError("graph of groups has a disconnected base")
+    _spanning_tree(gog)
     return len(gog.edges) - len(gog.vertices) + 1
 
 
-def _chunk_id(chunk: BigChunk) -> str:
-    return "B_" + "_".join(chunk.vertices)
+def _spanning_tree(gog: GraphOfGroups) -> set[int]:
+    """Indexes of the edges of a breadth-first spanning tree of the base.
+
+    Raises ``PreconditionError`` when the base is empty or disconnected.
+    """
+    incident: dict[str, list[int]] = {v.id: [] for v in gog.vertices}
+    for idx, e in enumerate(gog.edges):
+        if not e.is_loop:
+            incident[e.ends[0]].append(idx)
+            incident[e.ends[1]].append(idx)
+    tree_edges: set[int] = set()
+    frontier = [v.id for v in gog.vertices[:1]]
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for vid in frontier:
+            for idx in incident[vid]:
+                ends = gog.edges[idx].ends
+                other = ends[1] if ends[0] == vid else ends[0]
+                if other in seen:
+                    continue
+                tree_edges.add(idx)
+                seen.add(other)
+                nxt.append(other)
+        frontier = nxt
+    if not seen or len(seen) < len(gog.vertices):
+        raise PreconditionError("graph of groups has a disconnected base")
+    return tree_edges
+
+
+def _fresh(candidate: str, used: set[str]) -> str:
+    """``candidate``, with underscores appended until it is not in ``used``."""
+    while candidate in used:
+        candidate += "_"
+    return candidate
 
 
 def build_skeleton(g: LabelledGraph) -> GraphOfGroups:
@@ -268,8 +292,10 @@ def build_jsj(g: LabelledGraph) -> GraphOfGroups:
     red: list[GoGVertex] = []
     red_edges: list[GoGEdge] = []
     loops: list[GoGEdge] = []
+    used: set[str] = set()  # vertex names may hold "_", so ids can collide
     for chunk, kind in zip(decomp.chunks, decomp.classes()):
-        bid = _chunk_id(chunk)
+        bid = _fresh("B_" + "_".join(chunk.vertices), used)
+        used.add(bid)
         base = next(v for v in chunk.vertices if v != kind.tip)
         if kind.kind == CHUNK_TORAL_LEAF:
             group: GroupDescriptor = CyclicOnGenerator(base)
@@ -278,7 +304,8 @@ def build_jsj(g: LabelledGraph) -> GraphOfGroups:
         elif kind.kind == CHUNK_BRAIDED_LEAF:
             z_word = alternating(base, kind.tip, kind.label)
             group = FreeAbelianPair(base, z_word)
-            rid = f"R_{base}_{kind.tip}"
+            rid = _fresh(f"R_{base}_{kind.tip}", used)
+            used.add(rid)
             red.append(GoGVertex(rid, RED, CyclicOnWord(Word(((base, 1), (kind.tip, 1))))))
             red_edges.append(GoGEdge((bid, rid), CyclicOnWord(z_word), (z_word, z_word)))
         else:

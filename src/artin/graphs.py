@@ -24,9 +24,9 @@ the private ``LabelledGraph._trusted`` and are not checked again.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 from .errors import (
     DisconnectedGraphError,
@@ -38,6 +38,7 @@ from .errors import (
 from .words import NAME_RE, Word
 
 CANONICAL_FORM_CAP = 12
+_LABEL_RE = re.compile(r"[+-]?[0-9]+")  # int() alone also takes '1_0' and non-ASCII digits
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,8 @@ def parse_graph(text: str) -> LabelledGraph:
 
     Lines: ``# comment``, blank, ``v NAME``, or ``e NAME NAME LABEL``.
     Edge lines declare their endpoints implicitly; ``v`` lines are only
-    needed for isolated vertices. Labels are integers >= 2.
+    needed for isolated vertices. Labels are ASCII decimal integers >= 2,
+    with an optional sign.
     """
     vertices: set[str] = set()
     edges: dict[tuple[str, str], int] = {}
@@ -179,6 +181,8 @@ def parse_graph(text: str) -> LabelledGraph:
             if u == v:
                 raise GraphFormatError(f"self loop at {u!r}", lineno)
             try:
+                if not _LABEL_RE.fullmatch(raw_label):
+                    raise ValueError
                 m = int(raw_label)
             except ValueError:
                 raise GraphFormatError(f"bad label {raw_label!r}", lineno) from None
@@ -515,17 +519,15 @@ def canonical_form(g: LabelledGraph) -> bytes:
 
     - prefix: a partial matrix larger than the best one's prefix only
       leads to larger matrices;
-    - interchangeable vertices (pairs whose transposition is an
-      automorphism) are tried once per level: their subtrees are images
-      of one another;
     - least row only: the candidates at a level add rows of one length,
       so one whose row is larger than the least row loses at that row;
       only the least-row candidates are searched;
-    - orbits: a leaf whose matrix ties the best gives an automorphism,
-      ``best_order[i] -> order[i]``. A candidate that the recorded
-      automorphisms fixing the placed vertices pointwise map from a
-      searched sibling is skipped: such an automorphism maps the
-      sibling's subtree onto the candidate's, matrix for matrix;
+    - orbits, the one pruning by automorphisms: a leaf whose matrix ties
+      the best gives an automorphism, ``best_order[i] -> order[i]``. A
+      candidate that the recorded automorphisms fixing the placed
+      vertices pointwise map from a searched sibling is skipped: such an
+      automorphism maps the sibling's subtree onto the candidate's,
+      matrix for matrix;
     - unwinding: the automorphism of a tie fixes the levels before the
       first one where ``order`` departs from ``best_order``, and maps the
       best's subtree there onto the subtree being searched, so the search
@@ -561,14 +563,6 @@ def canonical_form(g: LabelledGraph) -> bytes:
     for k, cls in enumerate(classes):
         class_for_pos += [k] * len(cls)
 
-    # interchangeable pairs: swapping them fixes the labelled graph
-    swap_class = list(range(n))
-    for cls in classes:
-        for a, b in combinations(cls, 2):
-            if all(adj[a][k] == adj[b][k] for k in range(n) if k not in (a, b)):
-                swap_class[_find(swap_class, a)] = _find(swap_class, b)
-    twin = [_find(swap_class, i) for i in range(n)]
-
     best: list[int] | None = None
     best_order: list[int] = []
     automorphisms: list[list[int]] = []
@@ -590,11 +584,9 @@ def canonical_form(g: LabelledGraph) -> bytes:
             return next(i for i in range(n) if order[i] != best_order[i])
         least: list[int] | None = None
         candidates: list[int] = []
-        seen_twins: set[int] = set()
         for u in classes[class_for_pos[pos]]:
-            if placed[u] or twin[u] in seen_twins:
+            if placed[u]:
                 continue
-            seen_twins.add(twin[u])
             row = [adj[u][w] for w in order]
             if least is None or row < least:
                 least, candidates = row, [u]

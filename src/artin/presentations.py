@@ -49,13 +49,11 @@ from .gog import (
     FreeAbelianPair,
     GoGVertex,
     GraphOfGroups,
+    _fresh,
+    _spanning_tree,
 )
 from .graphs import LabelledGraph, odd_components
-from .words import NAME_RE, Word, rename_word
-
-
-def _unit_text(name: str, exp: int) -> str:
-    return name if exp == 1 else f"{name}^{exp}"
+from .words import NAME_RE, Word, _letter_text, rename_word
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,8 @@ class _ArtinRelator:
 
     def to_text(self) -> str:
         """The 2m letters as text, built by string repetition."""
-        u, v = _unit_text(self.u, self.a), _unit_text(self.v, self.b)
-        ui, vi = _unit_text(self.u, -self.a), _unit_text(self.v, -self.b)
+        u, v = _letter_text(self.u, self.a), _letter_text(self.v, self.b)
+        ui, vi = _letter_text(self.u, -self.a), _letter_text(self.v, -self.b)
         k, odd = divmod(self.m, 2)
         if odd:
             return f"{u} {v} " * k + f"{u} " + f"{vi} {ui} " * k + vi
@@ -389,12 +387,6 @@ def artin_abelianization(g: LabelledGraph) -> AbelianShape:
 # fundamental group of a graph of groups
 
 
-def _fresh(candidate: str, used: set[str]) -> str:
-    while candidate in used:
-        candidate += "_"
-    return candidate
-
-
 class _LocalGroup:
     """Expansion of one vertex group: renamed generators, relators, embedding."""
 
@@ -512,28 +504,7 @@ def gog_presentation(gog: GraphOfGroups) -> Presentation:
     contribute identification relators, remaining edges stable letters.
     Generators are sorted; relator order follows vertices then edges.
     """
-    incident: dict[str, list[int]] = {v.id: [] for v in gog.vertices}
-    for idx, e in enumerate(gog.edges):
-        if not e.is_loop:
-            incident[e.ends[0]].append(idx)
-            incident[e.ends[1]].append(idx)
-    tree_edges: set[int] = set()
-    frontier = [v.id for v in gog.vertices[:1]]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for vid in frontier:
-            for idx in incident[vid]:
-                ends = gog.edges[idx].ends
-                other = ends[1] if ends[0] == vid else ends[0]
-                if other in seen:
-                    continue
-                tree_edges.add(idx)
-                seen.add(other)
-                nxt.append(other)
-        frontier = nxt
-    if not seen or len(seen) < len(gog.vertices):
-        raise PreconditionError("graph of groups has a disconnected base")
+    tree_edges = _spanning_tree(gog)
 
     graph_vertices = set(gog.graph.vertices) if gog.graph is not None else set()
     taken: set[str] = set()

@@ -3,7 +3,7 @@
 A word is a finite sequence of letters (generator name, nonzero exponent).
 Words are not freely reduced on construction; reduction is explicit.
 Text syntax: whitespace-separated tokens ``sym`` or ``sym^k`` with k a
-nonzero integer, e.g. ``a b^-1 a^3``.
+nonzero integer in ASCII digits, e.g. ``a b^-1 a^3``.
 
 Input checks: ``Word(...)``, ``Word.generator``, ``Word.from_text``,
 ``alternating`` and ``rename_word`` check what they are given; words
@@ -14,18 +14,22 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import WordFormatError
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?$")
 
 Letter = tuple[str, int]
 _NAME = itemgetter(0)
 _EXP = itemgetter(1)
+
+
+def _letter_text(name: str, exp: int) -> str:
+    """The token of one letter: ``a`` or ``a^-2``."""
+    return name if exp == 1 else f"{name}^{exp}"
 
 
 class _LetterText(dict):
@@ -36,18 +40,8 @@ class _LetterText(dict):
     """
 
     def __missing__(self, letter: Letter) -> str:
-        name, exp = letter
-        text = self[letter] = name if exp == 1 else f"{name}^{exp}"
+        text = self[letter] = _letter_text(*letter)
         return text
-
-
-class _LetterUnits(dict):
-    """The single steps of each letter, built when the letter is first looked up."""
-
-    def __missing__(self, letter: Letter) -> tuple[Letter, ...]:
-        name, exp = letter
-        units = self[letter] = ((name, 1 if exp > 0 else -1),) * abs(exp)
-        return units
 
 
 @dataclass(frozen=True)
@@ -135,11 +129,11 @@ class Word:
         return Word._trusted(tuple((n, e) for n, e in out))
 
     def units(self) -> Iterator[tuple[str, int]]:
-        """Single steps (name, +1 or -1), expanding exponents.
-
-        Each distinct letter is expanded once, and the steps are chained at C speed.
-        """
-        return chain.from_iterable(map(_LetterUnits().__getitem__, self.letters))
+        """Yield single steps (name, +1 or -1), expanding exponents."""
+        for name, exp in self.letters:
+            sign = 1 if exp > 0 else -1
+            for _ in range(abs(exp)):
+                yield name, sign
 
     def exponent_sums(self) -> dict[str, int]:
         sums: dict[str, int] = {}

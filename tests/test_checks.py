@@ -56,6 +56,29 @@ def test_graph_constructor_messages(vertices, edges, message):
         LabelledGraph(vertices, edges)
 
 
+PARSE_MESSAGES = [
+    ("e a b two\n", "line 1: bad label 'two'"),
+    ("e a b 1_0\n", "line 1: bad label '1_0'"),
+    ("e a b \uff13\n", "line 1: bad label '\uff13'"),
+    ("e a b 3\ne b c \u0663\n", "line 2: bad label '\u0663'"),
+    ("e a b -3\n", "line 1: label must be >= 2, got -3"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_MESSAGES)
+def test_parse_graph_messages(capsys, tmp_path, text, message):
+    with pytest.raises(GraphFormatError, match=_exact(message)):
+        parse_graph(text)
+    path = tmp_path / "bad.graph"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_parse_graph_reads_signed_ascii_labels():
+    assert parse_graph("e a b +3\ne b c 04\n").edges == (("a", "b", 3), ("b", "c", 4))
+
+
 def test_from_edges_rejects_duplicate_edge():
     with pytest.raises(GraphFormatError, match=_exact("duplicate edge a-b")):
         LabelledGraph.from_edges([("a", "b", 2), ("b", "a", 3)])

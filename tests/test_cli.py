@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from artin import errors
+from artin import artin_abelianization, errors, parse_graph
 from artin.cli import _json_text, main
 
-from corpus import FAN_TEXT
+from corpus import FAN_TEXT, random_connected_graph
 
 
 @pytest.fixture
@@ -408,3 +408,61 @@ def test_huge_odd_label_needs_no_alternating_words(capsys, tmp_path, monkeypatch
     assert data["abelianization"] == {"free_rank": rank, "torsion": []}
     assert data["betti"] == betti
     assert data["braided_leaf_labels"] == braided
+
+
+# graph of groups commands, each with and without --json where it has one
+GOG_COMMANDS = [
+    ["jsj"], ["jsj", "--json"], ["jsj", "--collapsed"], ["jsj", "--collapsed", "--json"],
+    ["jsj", "--dot", "-"], ["abelianize", "--of-jsj"], ["abelianize", "--of-jsj", "--json"],
+    ["presentation", "--of-jsj"], ["presentation", "--of-jsj", "--json"],
+    ["presentation", "--of-jsj", "--simplify"], ["presentation", "--of-jsj", "--simplify", "--json"],
+]
+# vertex names with underscores, whose chunk and red vertex ids would coincide
+# if joined naively: B_a_b_c names both the chunk {a, b_c} and the chunk {a_b, c}
+COLLIDING_GRAPHS = {
+    "e a b_c 3\ne a a_b 3\ne a_b c 3\n": "Z",
+    "e a b_c 4\ne a a_b 3\ne a_b c 4\n": "Z^3",
+}
+
+
+def _gog_commands_agree_with_artin_abelianization(capsys, path):
+    g = parse_graph(path.read_text())
+    for command in GOG_COMMANDS:
+        code, out, err = _run(capsys, [command[0], str(path), *command[1:]])
+        assert (code, err) == (0, ""), (g.edges, command, err)
+    code, out, _ = _run(capsys, ["abelianize", str(path), "--of-jsj", "--json"])
+    shape = artin_abelianization(g)
+    assert json.loads(out)["abelianization"] == shape.to_json_dict(), g.edges
+    return shape
+
+
+@pytest.mark.parametrize("text", list(COLLIDING_GRAPHS))
+def test_gog_vertex_ids_are_distinct(capsys, tmp_path, text):
+    path = tmp_path / "colliding.graph"
+    path.write_text(text)
+    assert _gog_commands_agree_with_artin_abelianization(capsys, path).describe() == (
+        COLLIDING_GRAPHS[text]
+    )
+    for collapsed in ([], ["--collapsed"]):
+        code, out, _ = _run(capsys, ["jsj", str(path), "--json", *collapsed])
+        ids = [v["id"] for v in json.loads(out)["vertices"]]
+        assert code == 0 and len(set(ids)) == len(ids) and "B_a_b_c" in ids, ids
+        code, out, _ = _run(capsys, ["jsj", str(path), *collapsed])
+        listed = [line.split()[2].rstrip(":") for line in out.splitlines() if " vertex " in line]
+        assert listed == ids
+
+
+def test_gog_commands_on_underscored_names(capsys, tmp_path):
+    # the first pool makes chunks such as {a, b_c} and {a_b, c} likely
+    pools = (
+        ["a", "b", "c", "a_b", "b_c"],
+        ["a", "b", "a_", "c_", "a_b", "b_c", "z_a_b", "R_a_b", "B_a", "W_a"],
+    )
+    rng = random.Random(61)
+    path = tmp_path / "names.graph"
+    for k in range(60):
+        names = pools[k % 2]
+        g = random_connected_graph(rng, rng.randint(4, min(6, len(names))), 0.1, (2, 3, 4, 6))
+        rename = dict(zip(g.vertices, rng.sample(names, len(g.vertices))))
+        path.write_text("".join(f"e {rename[u]} {rename[v]} {m}\n" for u, v, m in g.edges))
+        _gog_commands_agree_with_artin_abelianization(capsys, path)

@@ -114,6 +114,20 @@ def test_betti_equals_toral_leaf_count_on_corpus():
         assert profile(g).betti == betti_number(gog)
 
 
+def test_betti_number_requires_connected_base():
+    gog = build_jsj(path3())
+    broken = type(gog)(gog.vertices, (), graph=gog.graph, legend=gog.legend)
+    empty = type(gog)((), ())
+    for base in (broken, empty):
+        for call in (betti_number, gog_presentation):
+            with pytest.raises(PreconditionError, match="disconnected base"):
+                call(base)
+    # the base is searched before any vertex group is expanded
+    skeleton = build_skeleton(path3())
+    with pytest.raises(PreconditionError, match="disconnected base"):
+        gog_presentation(type(skeleton)(skeleton.vertices, (), graph=skeleton.graph))
+
+
 def test_preconditions():
     with pytest.raises(PreconditionError):
         build_jsj(parse_graph("e a b 4\n"))

@@ -75,6 +75,11 @@ def test_to_text_round_trip():
         ("e a b\n", 1),
         ("v 1bad\n", 1),
         ("e a b 3\ne b c 3\ne c 1x 3\ne 1x d 2\n", 3),
+        ("e a b 1_0\n", 1),
+        ("e a b 3\ne b c \uff13\n", 2),
+        ("e a b \u0663\n", 1),
+        ("e a b 0x3\n", 1),
+        ("e a b -3\n", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -512,6 +517,20 @@ def _vertex_transitive(m: int) -> list[LabelledGraph]:
     return [_one_label(s, m) for s in structures]
 
 
+def _twin_heavy(m: int) -> list[LabelledGraph]:
+    """Graphs with many vertices of equal neighbourhoods, whose symmetric
+    siblings the search skips through the orbits of tied leaves alone."""
+    structures = [
+        nx.star_graph(11),
+        nx.complete_multipartite_graph(4, 4, 4),
+        nx.complete_multipartite_graph(3, 3, 3, 3),
+        nx.complete_multipartite_graph(2, 2, 2, 2, 2, 2),
+        nx.complete_multipartite_graph(1, 1, 10),
+        nx.wheel_graph(12),
+    ]
+    return [_one_label(s, m) for s in structures]
+
+
 def test_canonical_form_matches_oracles_on_the_atlas():
     rng = random.Random(41)
     for g in connected_atlas(6):
@@ -538,7 +557,7 @@ def test_canonical_form_matches_oracles_on_random_graphs():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_canonical_form_matches_oracle_on_vertex_transitive_graphs(m):
     rng = random.Random(43 + m)
-    for g in _vertex_transitive(m):
+    for g in _vertex_transitive(m) + _twin_heavy(m):
         form = oracle_canonical_form(g)
         assert canonical_form(g) == form, g.edges
         for _ in range(4):

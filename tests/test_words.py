@@ -16,7 +16,9 @@ def test_empty_word():
     assert Word.from_text("   ").to_text() == ""
 
 
-@pytest.mark.parametrize("bad", ["a^0", "^2", "a^", "1a", "a b^x", "a^-"])
+@pytest.mark.parametrize(
+    "bad", ["a^0", "^2", "a^", "1a", "a b^x", "a^-", "a^\u0663", "a^-\uff13", "a^1_0", "a^+2"]
+)
 def test_bad_tokens_rejected(bad):
     with pytest.raises(WordFormatError):
         Word.from_text(bad)
