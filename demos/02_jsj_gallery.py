@@ -12,7 +12,7 @@ r^m = z into the free abelian pair <base, z>.
 
 import os
 
-from artin import build_jsj, build_skeleton, collapse_jsj, dihedral_jsj, parse_graph
+from artin import build_jsj, collapse_jsj, dihedral_jsj, parse_graph
 from artin.gog import betti_number
 
 FAN = "e a b 2\ne a c 3\ne a d 6\ne a e 4\ne c e 2\n"
@@ -29,10 +29,6 @@ for e in gog.edges:
     images = ", ".join(w.to_text() for w in e.injections)
     print(f"  {e.ends[0]} -- {e.ends[1]}: images {images}{stable}")
 print("betti number (loops in the base graph):", betti_number(gog))
-
-# The skeleton is the same shape without any group decorations.
-skeleton = build_skeleton(g)
-print("skeleton vertex count:", len(skeleton.vertices))
 
 # Collapsing forgets loops and red vertices; the black vertices then
 # carry the whole chunk parabolic. The result is a tree.

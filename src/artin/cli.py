@@ -32,7 +32,7 @@ from .presentations import (
     simplify_identifications,
 )
 from .splitting import splits_over_cyclic
-from .words import Word
+from .words import Word, _ascii_int
 
 _encode_str = json.encoder.encode_basestring_ascii
 _PLAIN = frozenset((str, int))  # member types of tuples that share a rendering
@@ -45,6 +45,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _int_arg(text: str) -> int:
+    """An integer argument, read by the same rule as graph labels and exponents."""
+    try:
+        return _ascii_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"invalid int value: {err}") from None
 
 
 def _load_graph(path: str):
@@ -114,17 +122,14 @@ def _emit(payload, text, as_json: bool):
 def _gog_text(gog: GraphOfGroups) -> str:
     lines = []
     for v in gog.vertices:
-        group = v.group.describe() if v.group is not None else "(structure only)"
-        lines.append(f"{v.color} vertex {v.id}: {group}")
+        lines.append(f"{v.color} vertex {v.id}: {v.group.describe()}")
     for e in gog.edges:
-        desc = e.edge_group.describe() if e.edge_group is not None else "(structure only)"
-        inj = (
-            " with images " + ", ".join(w.to_text() for w in e.injections)
-            if e.injections is not None
-            else ""
-        )
+        images = ", ".join(w.to_text() for w in e.injections)
         stable = f" (stable letter {e.stable_letter})" if e.stable_letter else ""
-        lines.append(f"edge {e.ends[0]} -- {e.ends[1]}: {desc}{inj}{stable}")
+        lines.append(
+            f"edge {e.ends[0]} -- {e.ends[1]}: {e.edge_group.describe()}"
+            f" with images {images}{stable}"
+        )
     lines.append(f"betti: {betti_number(gog)}")
     for sym, word in gog.legend:
         lines.append(f"where {sym} = {word.to_text()}")
@@ -360,7 +365,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dot", metavar="PATH", help="write Graphviz output to PATH ('-' for stdout)")
 
     p = add("dihedral-jsj", _cmd_dihedral_jsj, "JSJ of the dihedral group on a label")
-    p.add_argument("label", type=int)
+    p.add_argument("label", type=_int_arg)
     p.add_argument("--dot", metavar="PATH", help="write Graphviz output to PATH ('-' for stdout)")
 
     p = add("abelianize", _cmd_abelianize, "abelianization of the Artin group")
@@ -383,23 +388,23 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
 
     p = add("dihedral-nf", _cmd_dihedral_nf, "normal form in a dihedral Artin group")
-    p.add_argument("label", type=int)
+    p.add_argument("label", type=_int_arg)
     p.add_argument("word")
 
     p = add("dihedral-eq", _cmd_dihedral_eq, "equality of two dihedral words")
-    p.add_argument("label", type=int)
+    p.add_argument("label", type=_int_arg)
     p.add_argument("word1")
     p.add_argument("word2")
 
     p = add("retract", _cmd_retract, "retract a word onto a chunk")
     p.add_argument("file")
-    p.add_argument("chunk", type=int)
+    p.add_argument("chunk", type=_int_arg)
     p.add_argument("word")
 
     p = add("root-search", _cmd_root_search, "search for roots violating the root bound")
-    p.add_argument("label", type=int)
-    p.add_argument("max_len", type=int)
-    p.add_argument("max_degree", type=int)
+    p.add_argument("label", type=_int_arg)
+    p.add_argument("max_len", type=_int_arg)
+    p.add_argument("max_degree", type=_int_arg)
 
     return parser
 
@@ -423,6 +428,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except OverflowError as err:  # a size past sys.maxsize
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ label 2 group is Z^2 and has no JSJ over cyclic subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 from .dihedral import _check_label, _new_generators
@@ -33,7 +33,6 @@ from .graphs import (
     CHUNK_BRAIDED_LEAF,
     CHUNK_TORAL_LEAF,
     BigChunk,
-    ChunkClass,
     LabelledGraph,
     big_chunks,
 )
@@ -53,6 +52,9 @@ class CyclicOnGenerator:
     def describe(self) -> str:
         return f"<{self.generator}>"
 
+    def to_json_dict(self) -> dict:
+        return {"kind": "cyclic_on_generator", "generator": self.generator}
+
 
 @dataclass(frozen=True)
 class CyclicOnWord:
@@ -62,6 +64,9 @@ class CyclicOnWord:
 
     def describe(self) -> str:
         return f"<{self.word.to_text()}>"
+
+    def to_json_dict(self) -> dict:
+        return {"kind": "cyclic_on_word", "word": self.word.to_text()}
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,9 @@ class FreeAbelianPair:
     def describe(self) -> str:
         return f"<{self.base}, {self.central.to_text()}>"
 
+    def to_json_dict(self) -> dict:
+        return {"kind": "free_abelian_pair", "base": self.base, "central": self.central.to_text()}
+
 
 @dataclass(frozen=True)
 class ChunkParabolic:
@@ -84,6 +92,9 @@ class ChunkParabolic:
     def describe(self) -> str:
         return "<" + ", ".join(self.chunk.vertices) + ">"
 
+    def to_json_dict(self) -> dict:
+        return {"kind": "chunk_parabolic", "vertices": list(self.chunk.vertices)}
+
 
 GroupDescriptor = Union[CyclicOnGenerator, CyclicOnWord, FreeAbelianPair, ChunkParabolic]
 
@@ -92,15 +103,14 @@ GroupDescriptor = Union[CyclicOnGenerator, CyclicOnWord, FreeAbelianPair, ChunkP
 class GoGVertex:
     id: str
     color: str
-    group: GroupDescriptor | None
+    group: GroupDescriptor
     chunk: BigChunk | None = None
-    chunk_class: ChunkClass | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "id": self.id,
             "color": self.color,
-            "group": _descriptor_json(self.group),
+            "group": self.group.to_json_dict(),
         }
 
 
@@ -114,8 +124,8 @@ class GoGEdge:
     """
 
     ends: tuple[str, str]
-    edge_group: GroupDescriptor | None
-    injections: tuple[Word, Word] | None
+    edge_group: GroupDescriptor
+    injections: tuple[Word, Word]
     stable_letter: str | None = None
 
     @property
@@ -125,26 +135,10 @@ class GoGEdge:
     def to_json_dict(self) -> dict:
         return {
             "ends": list(self.ends),
-            "edge_group": _descriptor_json(self.edge_group),
-            "injections": None
-            if self.injections is None
-            else [w.to_text() for w in self.injections],
+            "edge_group": self.edge_group.to_json_dict(),
+            "injections": [w.to_text() for w in self.injections],
             "stable_letter": self.stable_letter,
         }
-
-
-def _descriptor_json(d: GroupDescriptor | None):
-    if d is None:
-        return None
-    if isinstance(d, CyclicOnGenerator):
-        return {"kind": "cyclic_on_generator", "generator": d.generator}
-    if isinstance(d, CyclicOnWord):
-        return {"kind": "cyclic_on_word", "word": d.word.to_text()}
-    if isinstance(d, FreeAbelianPair):
-        return {"kind": "free_abelian_pair", "base": d.base, "central": d.central.to_text()}
-    if isinstance(d, ChunkParabolic):
-        return {"kind": "chunk_parabolic", "vertices": list(d.chunk.vertices)}
-    raise TypeError(f"unknown descriptor {d!r}")
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,7 @@ class GraphOfGroups:
         """
         lines = ["graph gog {"]
         for v in self.vertices:
-            label = v.group.describe() if v.group is not None else v.id
+            label = v.group.describe()
             if v.color == BLACK:
                 attrs = f'label="{label}", style=filled, fillcolor=black, fontcolor=white'
             elif v.color == RED:
@@ -210,11 +204,7 @@ class GraphOfGroups:
                 red_end = next(k for k in (0, 1) if self.vertex(e.ends[k]).color == RED)
                 desc = self.vertex(e.ends[red_end]).group
                 other = self.vertex(e.ends[1 - red_end]).group
-                if (
-                    isinstance(desc, CyclicOnWord)
-                    and isinstance(other, FreeAbelianPair)
-                    and e.injections is not None
-                ):
+                if isinstance(desc, CyclicOnWord) and isinstance(other, FreeAbelianPair):
                     m = e.injections[red_end].syllable_length() // desc.word.syllable_length()
                     attrs.append(f'label="r^{m} = z"')
             suffix = f" [{', '.join(attrs)}]" if attrs else ""
@@ -266,16 +256,6 @@ def _fresh(candidate: str, used: set[str]) -> str:
     return candidate
 
 
-def build_skeleton(g: LabelledGraph) -> GraphOfGroups:
-    """The underlying coloured graph of the decomposition, without groups."""
-    gog = build_jsj(g)
-    return replace(
-        gog,
-        vertices=tuple(replace(v, group=None) for v in gog.vertices),
-        edges=tuple(replace(e, edge_group=None, injections=None) for e in gog.edges),
-    )
-
-
 def build_jsj(g: LabelledGraph) -> GraphOfGroups:
     """The JSJ graph of groups of the Artin group on a connected graph, |V| >= 3.
 
@@ -310,7 +290,7 @@ def build_jsj(g: LabelledGraph) -> GraphOfGroups:
             red_edges.append(GoGEdge((bid, rid), CyclicOnWord(z_word), (z_word, z_word)))
         else:
             group = ChunkParabolic(chunk)
-        black.append(GoGVertex(bid, BLACK, group, chunk, kind))
+        black.append(GoGVertex(bid, BLACK, group, chunk))
     white = [GoGVertex(f"W_{v}", WHITE, CyclicOnGenerator(v)) for v in decomp.separating]
     cyclic = []
     for v, idxs in decomp.incidence:
@@ -335,8 +315,7 @@ def collapse_jsj(gog: GraphOfGroups) -> GraphOfGroups:
                 raise PreconditionError(
                     "collapse needs chunk data on black vertices"
                 )
-            group = ChunkParabolic(v.chunk) if v.group is not None else None
-            vertices.append(GoGVertex(v.id, BLACK, group, v.chunk, v.chunk_class))
+            vertices.append(GoGVertex(v.id, BLACK, ChunkParabolic(v.chunk), v.chunk))
         else:
             vertices.append(v)
     red_ids = {v.id for v in gog.vertices if v.color == RED}

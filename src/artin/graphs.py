@@ -24,7 +24,6 @@ the private ``LabelledGraph._trusted`` and are not checked again.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,10 +34,9 @@ from .errors import (
     PreconditionError,
     WordFormatError,
 )
-from .words import NAME_RE, Word
+from .words import NAME_RE, Word, _ascii_int
 
 CANONICAL_FORM_CAP = 12
-_LABEL_RE = re.compile(r"[+-]?[0-9]+")  # int() alone also takes '1_0' and non-ASCII digits
 
 
 @dataclass(frozen=True)
@@ -181,11 +179,9 @@ def parse_graph(text: str) -> LabelledGraph:
             if u == v:
                 raise GraphFormatError(f"self loop at {u!r}", lineno)
             try:
-                if not _LABEL_RE.fullmatch(raw_label):
-                    raise ValueError
-                m = int(raw_label)
-            except ValueError:
-                raise GraphFormatError(f"bad label {raw_label!r}", lineno) from None
+                m = _ascii_int(raw_label)
+            except ValueError as err:
+                raise GraphFormatError(f"bad label {err}", lineno) from None
             if m < 2:
                 raise GraphFormatError(f"label must be >= 2, got {m}", lineno)
             key = (u, v) if u < v else (v, u)

@@ -394,10 +394,6 @@ class _LocalGroup:
         self.vertex = vertex
         self.rename: dict[str, str] = {}
         d = vertex.group
-        if d is None:
-            raise PreconditionError(
-                f"vertex {vertex.id} carries no group; build with groups first"
-            )
         if isinstance(d, CyclicOnGenerator):
             raw_gens = [d.generator]
         elif isinstance(d, ChunkParabolic):
@@ -524,7 +520,7 @@ def gog_presentation(gog: GraphOfGroups) -> Presentation:
         relators += locals_by_id[v.id].relators
     for idx, e in enumerate(gog.edges):
         if e.injections is None:
-            raise PreconditionError("edges carry no injections; build with groups first")
+            raise PreconditionError(f"edge {e.ends[0]} -- {e.ends[1]} carries no injections")
         left = locals_by_id[e.ends[0]].embed(e.injections[0])
         right = locals_by_id[e.ends[1]].embed(e.injections[1])
         if idx in tree_edges:

@@ -13,6 +13,7 @@ derived from checked ones come from the private ``Word._trusted`` unchecked.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -21,10 +22,26 @@ from .errors import WordFormatError
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")  # int() alone also takes '1_0' and non-ASCII digits
 
 Letter = tuple[str, int]
 _NAME = itemgetter(0)
 _EXP = itemgetter(1)
+
+
+def _ascii_int(text: str) -> int:
+    """``text`` read as ASCII decimal digits with an optional sign.
+
+    The ValueError raised otherwise names the text in its message, or
+    past Python's conversion limit only the count of its digits.
+    """
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(repr(text))
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        digits = len(text.lstrip("+-"))
+        raise ValueError(f"({digits} digits, more than {sys.get_int_max_str_digits()})") from None
 
 
 def _letter_text(name: str, exp: int) -> str:
@@ -80,7 +97,10 @@ class Word:
             m = TOKEN_RE.fullmatch(token)
             if not m:
                 raise WordFormatError(f"bad word token {token!r}")
-            exp = int(m.group(2)) if m.group(2) is not None else 1
+            try:
+                exp = _ascii_int(m.group(2)) if m.group(2) is not None else 1
+            except ValueError as err:
+                raise WordFormatError(f"bad exponent {err} of {m.group(1)}") from None
             if exp == 0:
                 raise WordFormatError(f"zero exponent in token {token!r}")
             parsed[token] = (m.group(1), exp)

@@ -62,6 +62,11 @@ PARSE_MESSAGES = [
     ("e a b \uff13\n", "line 1: bad label '\uff13'"),
     ("e a b 3\ne b c \u0663\n", "line 2: bad label '\u0663'"),
     ("e a b -3\n", "line 1: label must be >= 2, got -3"),
+    # past Python's 4300-digit conversion limit the digits are counted, not echoed
+    pytest.param(
+        f"e a b {'3' * 5000}\n", "line 1: bad label (5000 digits, more than 4300)",
+        id="5000-digit-label",
+    ),
 ]
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,99 @@ def test_dihedral_jsj_label_two_fails(capsys):
     code, _, err = _run(capsys, ["dihedral-jsj", "2"])
     assert code == 2
     assert "error" in err
+
+
+FAN_JSJ_TEXT = """\
+black vertex B_a_b: <a>
+black vertex B_a_d: <a, a d a d a d>
+black vertex B_a_c_e: <a, c, e>
+white vertex W_a: <a>
+red vertex R_a_d: <a d>
+edge W_a -- B_a_b: <a> with images a, a
+edge W_a -- B_a_d: <a> with images a, a
+edge W_a -- B_a_c_e: <a> with images a, a
+edge B_a_d -- R_a_d: <a d a d a d> with images a d a d a d, a d a d a d
+edge B_a_b -- B_a_b: <a> with images a, a (stable letter b)
+betti: 1
+"""
+DIHEDRAL_JSJ_6_TEXT = """\
+black vertex B_y: <y>
+edge B_y -- B_y: <y^3> with images y^3, y^3 (stable letter x)
+betti: 1
+where x = a
+where y = a b
+presentation: gen: x y
+rel: x y^3 x^-1 y^-3
+"""
+
+
+def _on_generator(name):
+    return {"kind": "cyclic_on_generator", "generator": name}
+
+
+def _vertex(vid, color, group):
+    return {"id": vid, "color": color, "group": group}
+
+
+def _edge(ends, group, images, stable=None):
+    return {"ends": list(ends), "edge_group": group, "injections": list(images),
+            "stable_letter": stable}
+
+
+def _parabolic(*names):
+    return {"kind": "chunk_parabolic", "vertices": list(names)}
+
+
+A_EDGES = [
+    _edge(("W_a", b), _on_generator("a"), ["a", "a"]) for b in ("B_a_b", "B_a_d", "B_a_c_e")
+]
+FAN_JSJ_JSON = {
+    "vertices": [
+        _vertex("B_a_b", "black", _on_generator("a")),
+        _vertex("B_a_d", "black",
+                {"kind": "free_abelian_pair", "base": "a", "central": "a d a d a d"}),
+        _vertex("B_a_c_e", "black", _parabolic("a", "c", "e")),
+        _vertex("W_a", "white", _on_generator("a")),
+        _vertex("R_a_d", "red", {"kind": "cyclic_on_word", "word": "a d"}),
+    ],
+    "edges": A_EDGES + [
+        _edge(("B_a_d", "R_a_d"), {"kind": "cyclic_on_word", "word": "a d a d a d"},
+              ["a d a d a d"] * 2),
+        _edge(("B_a_b", "B_a_b"), _on_generator("a"), ["a", "a"], "b"),
+    ],
+    "betti": 1,
+}
+FAN_COLLAPSED_JSON = {
+    "vertices": [
+        _vertex("B_a_b", "black", _parabolic("a", "b")),
+        _vertex("B_a_d", "black", _parabolic("a", "d")),
+        _vertex("B_a_c_e", "black", _parabolic("a", "c", "e")),
+        _vertex("W_a", "white", _on_generator("a")),
+    ],
+    "edges": A_EDGES,
+    "betti": 0,
+}
+DIHEDRAL_JSJ_5_JSON = {
+    "vertices": [_vertex("B_x", "black", _on_generator("x")),
+                 _vertex("B_y", "black", _on_generator("y"))],
+    "edges": [_edge(("B_x", "B_y"), {"kind": "cyclic_on_word", "word": "x^2"}, ["x^2", "y^5"])],
+    "betti": 0,
+    "presentation": {"generators": ["x", "y"], "relators": ["x^2 y^-5"]},
+}
+
+
+def test_gog_output_bytes_are_pinned(capsys, fan_file):
+    # every descriptor kind, as text and as JSON, byte for byte
+    cases = [
+        (["jsj", fan_file], FAN_JSJ_TEXT),
+        (["jsj", fan_file, "--json"], json.dumps(FAN_JSJ_JSON, indent=2) + "\n"),
+        (["jsj", fan_file, "--collapsed", "--json"],
+         json.dumps(FAN_COLLAPSED_JSON, indent=2) + "\n"),
+        (["dihedral-jsj", "5", "--json"], json.dumps(DIHEDRAL_JSJ_5_JSON, indent=2) + "\n"),
+        (["dihedral-jsj", "6"], DIHEDRAL_JSJ_6_TEXT),
+    ]
+    for argv, expected in cases:
+        assert _run(capsys, argv) == (0, expected, ""), argv
 
 
 def test_abelianize_both_sources_agree(capsys, fan_file):
@@ -290,6 +384,11 @@ GRAPH_COMMANDS = [
 ]
 
 
+def _assert_one_error_line(argv, out, err):
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert "Traceback" not in err + out
+
+
 @pytest.mark.parametrize("name", list(TINY_GRAPHS))
 def test_graph_commands_on_tiny_graphs(capsys, tmp_path, name):
     # every graph command answers or fails with one error line, never a traceback
@@ -301,10 +400,61 @@ def test_graph_commands_on_tiny_graphs(capsys, tmp_path, name):
             code, out, err = _run(capsys, argv + extra)
             assert code in (0, 1, 2), argv
             if code:
-                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-                assert "Traceback" not in err + out
+                _assert_one_error_line(argv, out, err)
             if name == "empty" and command[0] in ("profile", "compare", "acylindrical"):
                 assert (code, err) == (2, "error: empty graph\n"), argv
+
+
+# integer arguments: malformed, non-ASCII, past Python's 4300-digit conversion
+# limit, and past sys.maxsize (these fail before anything is allocated; sizes
+# between about 10^8 and sys.maxsize would really be allocated)
+PAST_MAXSIZE = (str(10**30), str(10**30 + 1))
+BAD_INTS = ("x", "1_0", "\u0663", "\uff13", "3" * 5000) + PAST_MAXSIZE
+INT_COMMANDS = [
+    ["dihedral-nf", "X", "a"], ["dihedral-nf", "3", "a^X"], ["dihedral-eq", "X", "a", "b"],
+    ["dihedral-eq", "3", "b", "a^X"], ["dihedral-jsj", "X"], ["retract", None, "X", "a"],
+    ["root-search", "X", "3", "X"], ["root-search", "4", "X", "5"],
+]
+
+
+def test_integer_arguments_fail_with_one_error_line(capsys, path_file):
+    assert all(int(v) > sys.maxsize for v in PAST_MAXSIZE)
+    for command in INT_COMMANDS:
+        for value in BAD_INTS:
+            argv = [path_file if a is None else a.replace("X", value) for a in command]
+            for extra in ([], ["--json"]):
+                code, out, err = _run(capsys, argv + extra)
+                if (code, err) == (0, "") and value in PAST_MAXSIZE and command[1] == "X":
+                    continue  # a huge label is valid: a short word or an even label answers
+                assert code in (1, 2), argv
+                _assert_one_error_line(argv, out, err)
+                assert len(err) < 200, argv  # never the 5000 digits
+    # the digits past the limit are counted, not echoed
+    code, _, err = _run(capsys, ["dihedral-jsj", "3" * 5000])
+    assert (code, err) == (
+        1, "error: argument label: invalid int value: (5000 digits, more than 4300)\n"
+    )
+    code, _, err = _run(capsys, ["dihedral-nf", "3", "a^" + "3" * 5000])
+    assert (code, err) == (1, "error: bad exponent (5000 digits, more than 4300) of a\n")
+    code, _, err = _run(capsys, ["retract", path_file, "1_0", "a"])
+    assert (code, err) == (1, "error: argument chunk: invalid int value: '1_0'\n")
+
+
+def test_sizes_past_maxsize_print_one_error_line(capsys, tmp_path):
+    huge = 10**30
+    edge = tmp_path / "edge.graph"
+    edge.write_text(f"e a b {huge + 1}\n")
+    star = tmp_path / "star.graph"
+    star.write_text(f"e p s 3\ne q s {huge}\ne r s 2\n")
+    message = "error: cannot fit 'int' into an index-sized integer\n"
+    for argv in (
+        ["presentation", str(edge)], ["jsj", str(star)], ["abelianize", str(star), "--of-jsj"],
+        ["dihedral-jsj", str(huge + 1)], ["dihedral-nf", "3", f"a^{huge + 1}"],
+        ["dihedral-eq", "3", f"a^{huge + 1}", "b"],
+        ["root-search", str(huge), "3", str(huge + 2)],
+    ):
+        for extra in ([], ["--json"]):
+            assert _run(capsys, argv + extra) == (2, "", message), argv
 
 
 def test_exit_codes(capsys, tmp_path, path_file):

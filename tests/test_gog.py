@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,6 @@ from artin import (
     PreconditionError,
     big_chunks,
     build_jsj,
-    build_skeleton,
     collapse_jsj,
     dihedral_jsj,
     gog_presentation,
@@ -15,7 +15,15 @@ from artin import (
     profile,
     simplify_identifications,
 )
-from artin.gog import BLACK, ChunkParabolic, FreeAbelianPair, RED, WHITE, betti_number
+from artin.gog import (
+    BLACK,
+    RED,
+    WHITE,
+    ChunkParabolic,
+    CyclicOnGenerator,
+    FreeAbelianPair,
+    betti_number,
+)
 from artin.graphs import CHUNK_BRAIDED_LEAF, CHUNK_TORAL_LEAF
 
 from corpus import connected_atlas, fan_graph, path3, random_connected_graph, triangle
@@ -37,13 +45,16 @@ def test_fan_jsj_structure():
     ]
 
     by_id = {v.id: v for v in gog.vertices}
+    # the toral leaf {a, b} is <a> with a loop, the braided leaf {a, d} is <a, z>
+    assert by_id["B_a_b"].group == CyclicOnGenerator("a")
     assert isinstance(by_id["B_a_d"].group, FreeAbelianPair)
     assert by_id["B_a_d"].group.base == "a"
-    assert by_id["B_a_b"].chunk_class.kind == CHUNK_TORAL_LEAF
-    assert by_id["B_a_d"].chunk_class.kind == CHUNK_BRAIDED_LEAF
+    assert by_id["B_a_d"].group.central.to_text() == "a d a d a d"
+    assert isinstance(by_id["B_a_c_e"].group, ChunkParabolic)
 
     loops = gog.loops()
     assert len(loops) == 1 and loops[0].stable_letter == "b"
+    assert loops[0].ends == ("B_a_b", "B_a_b")
     red_edges = [e for e in gog.edges if "R_a_d" in e.ends]
     assert len(red_edges) == 1
     inj = red_edges[0].injections
@@ -51,25 +62,6 @@ def test_fan_jsj_structure():
     assert inj[1].to_text() == "a d a d a d"
     assert red_edges[0].edge_group.word.to_text() == "a d a d a d"
     assert betti_number(gog) == 1
-
-
-def test_skeleton_has_no_groups():
-    rng = random.Random(48)
-    graphs = [g for g in connected_atlas(5) if len(g.vertices) >= 3]
-    graphs += [random_connected_graph(rng, rng.randint(3, 9)) for _ in range(30)]
-    graphs.append(fan_graph())
-    for g in graphs:
-        skeleton = build_skeleton(g)
-        gog = build_jsj(g)
-        assert all(v.group is None for v in skeleton.vertices)
-        assert all(e.edge_group is None and e.injections is None for e in skeleton.edges)
-        assert [(v.id, v.color, v.chunk, v.chunk_class) for v in skeleton.vertices] == [
-            (v.id, v.color, v.chunk, v.chunk_class) for v in gog.vertices
-        ]
-        assert [(e.ends, e.stable_letter) for e in skeleton.edges] == [
-            (e.ends, e.stable_letter) for e in gog.edges
-        ]
-        assert skeleton.graph == g and skeleton.legend == ()
 
 
 def test_jsj_without_leaves_is_bipartite():
@@ -123,9 +115,22 @@ def test_betti_number_requires_connected_base():
             with pytest.raises(PreconditionError, match="disconnected base"):
                 call(base)
     # the base is searched before any vertex group is expanded
-    skeleton = build_skeleton(path3())
+    groupless = tuple(replace(v, group=None) for v in gog.vertices)
     with pytest.raises(PreconditionError, match="disconnected base"):
-        gog_presentation(type(skeleton)(skeleton.vertices, (), graph=skeleton.graph))
+        gog_presentation(type(gog)(groupless, (), graph=gog.graph))
+
+
+def test_presentation_refuses_missing_groups_and_injections():
+    # a hand-built graph of groups may leave out what build_jsj always sets
+    gog = build_jsj(path3())
+    vertices = list(gog.vertices)
+    vertices[0] = replace(vertices[0], group=None)
+    with pytest.raises(PreconditionError, match="unknown group descriptor None"):
+        gog_presentation(type(gog)(tuple(vertices), gog.edges, graph=gog.graph))
+    edges = list(gog.edges)
+    edges[-1] = replace(edges[-1], injections=None)
+    with pytest.raises(PreconditionError, match="carries no injections"):
+        gog_presentation(type(gog)(gog.vertices, tuple(edges), graph=gog.graph))
 
 
 def test_preconditions():

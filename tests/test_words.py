@@ -17,7 +17,9 @@ def test_empty_word():
 
 
 @pytest.mark.parametrize(
-    "bad", ["a^0", "^2", "a^", "1a", "a b^x", "a^-", "a^\u0663", "a^-\uff13", "a^1_0", "a^+2"]
+    "bad",
+    ["a^0", "^2", "a^", "1a", "a b^x", "a^-", "a^\u0663", "a^-\uff13", "a^1_0", "a^+2"]
+    + [pytest.param(f"b a^-{'3' * 5000}", id="a^-5000-digits")],
 )
 def test_bad_tokens_rejected(bad):
     with pytest.raises(WordFormatError):
