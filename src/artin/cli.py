@@ -19,7 +19,7 @@ from .dihedral import (
     root_bound_search,
     words_equal,
 )
-from .errors import ArtinError
+from .errors import ArtinError, GraphFormatError
 from .gog import GraphOfGroups, betti_number, build_jsj, collapse_jsj, dihedral_jsj
 from .graphs import big_chunks, parse_graph, retract_word
 from .invariants import aut_acylindrically_hyperbolic, compare, profile
@@ -56,8 +56,15 @@ def _int_arg(text: str) -> int:
 
 
 def _load_graph(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    """The graph in a UTF-8 file; a leading byte-order mark is skipped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:  # err.object is data after any byte-order mark
+        offset = err.start + len(data) - len(err.object)
+        raise GraphFormatError(f"{path}: not UTF-8 text (byte {offset})") from None
+    return parse_graph(text)
 
 
 class _ItemText(dict):

@@ -20,11 +20,22 @@ Dihedral Artin groups (a single edge, label n >= 3) have their own JSJ:
 an amalgam <x> *_{x^2 = y^n} <y> for odd n, and for even n = 2m an HNN
 extension of <y> with stable letter x conjugating y^m to itself. The
 label 2 group is Z^2 and has no JSJ over cyclic subgroups.
+
+Each group descriptor presents itself. ``generators(avoid)`` gives its
+raw generator names: the generator of <w> is ``r_...`` and the centre of
+<a, z> is ``z_...``, each made distinct from ``avoid``. ``relators(names)``
+gives its relators, with ``names`` mapping each raw name to the generator
+it becomes: an Artin relator per chunk edge, the commutator of <a, z>,
+none for a cyclic group. ``embed(w, names)`` writes a word in the
+defining generators in those generators, or raises PreconditionError
+when w does not lie in the group. ``presentations.gog_presentation``
+puts the vertex groups together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Union
 
 from .dihedral import _check_label, _new_generators
@@ -36,7 +47,7 @@ from .graphs import (
     LabelledGraph,
     big_chunks,
 )
-from .words import Word, alternating
+from .words import Word, _ArtinRelator, alternating, rename_word
 
 BLACK = "black"
 WHITE = "white"
@@ -55,6 +66,19 @@ class CyclicOnGenerator:
     def to_json_dict(self) -> dict:
         return {"kind": "cyclic_on_generator", "generator": self.generator}
 
+    def generators(self, avoid: set[str]) -> tuple[str, ...]:
+        return (self.generator,)
+
+    def relators(self, names: dict[str, str]) -> tuple:
+        return ()
+
+    def embed(self, w: Word, names: dict[str, str]) -> Word:
+        if w.support() <= {self.generator}:
+            return _single(names[self.generator], w.exponent_sums().get(self.generator, 0))
+        raise PreconditionError(
+            f"{w.to_text()!r} does not lie in the cyclic group on {self.generator}"
+        )
+
 
 @dataclass(frozen=True)
 class CyclicOnWord:
@@ -67,6 +91,19 @@ class CyclicOnWord:
 
     def to_json_dict(self) -> dict:
         return {"kind": "cyclic_on_word", "word": self.word.to_text()}
+
+    def generators(self, avoid: set[str]) -> tuple[str, ...]:
+        return (_fresh("r_" + "_".join(n for n, _ in self.word.letters), avoid),)
+
+    def relators(self, names: dict[str, str]) -> tuple:
+        return ()
+
+    def embed(self, w: Word, names: dict[str, str]) -> Word:
+        k = _power_of(w, self.word)
+        if k is not None:
+            (r,) = names.values()
+            return _single(r, k)
+        raise PreconditionError(f"{w.to_text()!r} is not a power of {self.word.to_text()}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +119,22 @@ class FreeAbelianPair:
     def to_json_dict(self) -> dict:
         return {"kind": "free_abelian_pair", "base": self.base, "central": self.central.to_text()}
 
+    def generators(self, avoid: set[str]) -> tuple[str, ...]:
+        return (self.base, _fresh("z_" + "_".join(sorted(self.central.support())), avoid))
+
+    def relators(self, names: dict[str, str]) -> tuple:
+        base = Word.generator(names[self.base])
+        z = Word.generator(next(reversed(names.values())))  # the centre is named last
+        return (base * z * base.inverse() * z.inverse(),)
+
+    def embed(self, w: Word, names: dict[str, str]) -> Word:
+        if w.support() <= {self.base}:
+            return _single(names[self.base], w.exponent_sums().get(self.base, 0))
+        k = _power_of(w, self.central)
+        if k is not None:
+            return _single(next(reversed(names.values())), k)
+        raise PreconditionError(f"{w.to_text()!r} does not lie in {self.describe()}")
+
 
 @dataclass(frozen=True)
 class ChunkParabolic:
@@ -94,6 +147,17 @@ class ChunkParabolic:
 
     def to_json_dict(self) -> dict:
         return {"kind": "chunk_parabolic", "vertices": list(self.chunk.vertices)}
+
+    def generators(self, avoid: set[str]) -> tuple[str, ...]:
+        return self.chunk.graph.vertices
+
+    def relators(self, names: dict[str, str]) -> tuple:
+        return tuple(_ArtinRelator(names[u], names[v], m) for u, v, m in self.chunk.graph.edges)
+
+    def embed(self, w: Word, names: dict[str, str]) -> Word:
+        if w.support() <= set(self.chunk.vertices):
+            return rename_word(w, names)
+        raise PreconditionError(f"{w.to_text()!r} does not lie in the chunk {self.chunk}")
 
 
 GroupDescriptor = Union[CyclicOnGenerator, CyclicOnWord, FreeAbelianPair, ChunkParabolic]
@@ -254,6 +318,39 @@ def _fresh(candidate: str, used: set[str]) -> str:
     while candidate in used:
         candidate += "_"
     return candidate
+
+
+def _single(name: str, exp: int) -> Word:
+    return Word.generator(name, exp) if exp else Word()
+
+
+def _power_of(w: Word, base: Word) -> int | None:
+    """Exponent k with w = base^k as unit sequences, or None.
+
+    Both words are compared as tuples of single steps, at C speed: a a
+    and a^2 are the same unit sequence.
+    """
+    units, step = _units(w), _units(base)
+    if not units:
+        return 0
+    if not step or len(units) % len(step):
+        return None
+    k = len(units) // len(step)
+    if units == step * k:
+        return k
+    if units == _units(base.inverse()) * k:
+        return -k
+    return None
+
+
+_UNIT_EXPONENTS = frozenset((1, -1))
+
+
+def _units(w: Word) -> tuple[tuple[str, int], ...]:
+    """The single steps of w: its own letters when every exponent is +-1."""
+    if _UNIT_EXPONENTS.issuperset(map(itemgetter(1), w.letters)):
+        return w.letters
+    return tuple(w.units())
 
 
 def build_jsj(g: LabelledGraph) -> GraphOfGroups:

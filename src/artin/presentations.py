@@ -8,10 +8,9 @@ contributes a stable letter t with relator t a t^-1 w^-1 for the two
 images a, w. Vertex-group copies are kept duplicated and identified, a
 separate simplification step eliminates the identification relators.
 
-The relator of an Artin edge u-v labelled m is held as (u, v, m) and
-answers every question in closed form: its text is built by string
-repetition, its exponent sums read only the parity of m, and renaming
-touches two names. No consumer walks its 2m letters:
+Each vertex group presents itself (see ``artin.gog``). The relator of
+an Artin edge u-v labelled m is held as (u, v, m) and answered in closed
+form (see ``artin.words``), so no consumer walks its 2m letters:
 
 >>> from artin import LabelledGraph
 >>> (r,) = artin_presentation(LabelledGraph.from_edges([("a", "b", 5)])).relators
@@ -37,88 +36,12 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
-from operator import itemgetter
 
 from .errors import PreconditionError, WordFormatError
-from .gog import (
-    ChunkParabolic,
-    CyclicOnGenerator,
-    CyclicOnWord,
-    FreeAbelianPair,
-    GoGVertex,
-    GraphOfGroups,
-    _fresh,
-    _spanning_tree,
-)
+from .gog import GraphOfGroups, GroupDescriptor, _fresh, _spanning_tree
 from .graphs import LabelledGraph, odd_components
-from .words import NAME_RE, Word, _letter_text, rename_word
-
-
-@dataclass(frozen=True)
-class _ArtinRelator:
-    """The relator of an edge u-v labelled m, held as (u, v, m).
-
-    Its word is Pi(u^a, v^b, m) Pi(v^b, u^a, m)^-1, with Pi(x, y, m) the
-    length-m alternating word x y x ... and the signs a, b = +-1; an Artin
-    presentation has a = b = 1, and only substituting a generator's
-    inverse flips a sign. It answers every question in closed form: u
-    and v alternate, so the word is freely reduced, and for odd m the
-    exponent sums are a and -b, while for even m they vanish. Its 2m
-    ``letters`` are expanded only when read; the library never reads them.
-    """
-
-    u: str
-    v: str
-    m: int
-    a: int = 1
-    b: int = 1
-
-    @cached_property
-    def letters(self) -> tuple[tuple[str, int], ...]:
-        first = ((self.u, self.a), (self.v, self.b))
-        if self.m % 2:
-            second = ((self.v, -self.b), (self.u, -self.a))
-        else:
-            second = ((self.u, -self.a), (self.v, -self.b))
-        k, odd = divmod(self.m, 2)
-        return first * k + first[:odd] + second * k + second[:odd]
-
-    def to_text(self) -> str:
-        """The 2m letters as text, built by string repetition."""
-        u, v = _letter_text(self.u, self.a), _letter_text(self.v, self.b)
-        ui, vi = _letter_text(self.u, -self.a), _letter_text(self.v, -self.b)
-        k, odd = divmod(self.m, 2)
-        if odd:
-            return f"{u} {v} " * k + f"{u} " + f"{vi} {ui} " * k + vi
-        return f"{u} {v} " * k + f"{ui} {vi} " * (k - 1) + f"{ui} {vi}"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def exponent_sums(self) -> dict[str, int]:
-        return {self.u: self.a, self.v: -self.b} if self.m % 2 else {}
-
-    def support(self) -> frozenset[str]:
-        return frozenset((self.u, self.v))
-
-    def _renamed(self, rename: dict[str, str], sign: int = 1) -> _ArtinRelator | Word | None:
-        """Substitute rename[n]^sign for each generator n that ``rename`` maps.
-
-        When u and v land on one generator x, the word is a power of x
-        and reduces to x^e with e its exponent sum: (a - b) for odd m, 0
-        for even m. The trivial word is returned as None.
-        """
-        u, a, v, b = self.u, self.a, self.v, self.b
-        if u in rename:
-            u, a = rename[u], a * sign
-        if v in rename:
-            v, b = rename[v], b * sign
-        if u != v:
-            return _ArtinRelator(u, v, self.m, a, b)
-        e = (a - b) * (self.m % 2)
-        return Word.generator(u, e) if e else None
+from .words import NAME_RE, Word, _ArtinRelator
 
 
 @dataclass(frozen=True)
@@ -387,112 +310,6 @@ def artin_abelianization(g: LabelledGraph) -> AbelianShape:
 # fundamental group of a graph of groups
 
 
-class _LocalGroup:
-    """Expansion of one vertex group: renamed generators, relators, embedding."""
-
-    def __init__(self, vertex: GoGVertex, taken: set[str], graph_vertices: set[str]):
-        self.vertex = vertex
-        self.rename: dict[str, str] = {}
-        d = vertex.group
-        if isinstance(d, CyclicOnGenerator):
-            raw_gens = [d.generator]
-        elif isinstance(d, ChunkParabolic):
-            inner = artin_presentation(d.chunk.graph)
-            raw_gens = list(inner.generators)
-        elif isinstance(d, FreeAbelianPair):
-            z_raw = _fresh("z_" + "_".join(sorted(d.central.support())), graph_vertices)
-            self.z_raw = z_raw
-            raw_gens = [d.base, z_raw]
-        elif isinstance(d, CyclicOnWord):
-            r_raw = _fresh("r_" + "_".join(n for n, _ in d.word.letters), graph_vertices)
-            self.r_raw = r_raw
-            raw_gens = [r_raw]
-        else:
-            raise PreconditionError(f"unknown group descriptor {d!r}")
-
-        for raw in raw_gens:
-            final = raw if raw not in taken else _fresh(f"{raw}_{vertex.id}", taken)
-            taken.add(final)
-            self.rename[raw] = final
-        self.generators = [self.rename[raw] for raw in raw_gens]
-        if isinstance(d, ChunkParabolic):
-            self.relators = [r._renamed(self.rename) for r in inner.relators]
-        elif isinstance(d, FreeAbelianPair):
-            base = Word.generator(self.rename[d.base])
-            z = Word.generator(self.rename[z_raw])
-            self.relators = [base * z * base.inverse() * z.inverse()]
-        else:
-            self.relators = []
-
-    def embed(self, w: Word) -> Word:
-        """Image of a word in the defining generators inside this vertex group."""
-        d = self.vertex.group
-        if isinstance(d, CyclicOnGenerator):
-            if w.support() <= {d.generator}:
-                exp = w.exponent_sums().get(d.generator, 0)
-                return _single(self.rename[d.generator], exp)
-            raise PreconditionError(
-                f"{w.to_text()!r} does not lie in the cyclic group on {d.generator}"
-            )
-        if isinstance(d, ChunkParabolic):
-            if w.support() <= set(d.chunk.vertices):
-                return rename_word(w, self.rename)
-            raise PreconditionError(
-                f"{w.to_text()!r} does not lie in the chunk {d.chunk}"
-            )
-        if isinstance(d, FreeAbelianPair):
-            if w.support() <= {d.base}:
-                exp = w.exponent_sums().get(d.base, 0)
-                return _single(self.rename[d.base], exp)
-            k = _power_of(w, d.central)
-            if k is not None:
-                return _single(self.rename[self.z_raw], k)
-            raise PreconditionError(
-                f"{w.to_text()!r} does not lie in {d.describe()}"
-            )
-        if isinstance(d, CyclicOnWord):
-            k = _power_of(w, d.word)
-            if k is not None:
-                return _single(self.rename[self.r_raw], k)
-            raise PreconditionError(
-                f"{w.to_text()!r} is not a power of {d.word.to_text()}"
-            )
-        raise PreconditionError(f"unknown group descriptor {d!r}")
-
-
-def _single(name: str, exp: int) -> Word:
-    return Word.generator(name, exp) if exp else Word()
-
-
-def _power_of(w: Word, base: Word) -> int | None:
-    """Exponent k with w = base^k as unit sequences, or None.
-
-    Both words are compared as tuples of single steps, at C speed: a a
-    and a^2 are the same unit sequence.
-    """
-    units, step = _units(w), _units(base)
-    if not units:
-        return 0
-    if not step or len(units) % len(step):
-        return None
-    k = len(units) // len(step)
-    if units == step * k:
-        return k
-    if units == _units(base.inverse()) * k:
-        return -k
-    return None
-
-
-_UNIT_EXPONENTS = frozenset((1, -1))
-
-
-def _units(w: Word) -> tuple[tuple[str, int], ...]:
-    """The single steps of w: its own letters when every exponent is +-1."""
-    if _UNIT_EXPONENTS.issuperset(map(itemgetter(1), w.letters)):
-        return w.letters
-    return tuple(w.units())
-
-
 def gog_presentation(gog: GraphOfGroups) -> Presentation:
     """Presentation of the fundamental group of a graph of groups.
 
@@ -504,30 +321,32 @@ def gog_presentation(gog: GraphOfGroups) -> Presentation:
 
     graph_vertices = set(gog.graph.vertices) if gog.graph is not None else set()
     taken: set[str] = set()
-    locals_by_id = {v.id: _LocalGroup(v, taken, graph_vertices) for v in gog.vertices}
 
-    stable: dict[int, str] = {}
-    for idx, e in enumerate(gog.edges):
-        if idx in tree_edges:
-            continue
-        raw = e.stable_letter if e.stable_letter is not None else f"t{idx}"
-        final = raw if raw not in taken else _fresh(f"{raw}_loop{idx}", taken)
+    def claim(raw: str, suffix: str) -> str:
+        final = raw if raw not in taken else _fresh(f"{raw}_{suffix}", taken)
         taken.add(final)
-        stable[idx] = final
+        return final
 
-    relators: list[Word] = []
+    names: dict[str, dict[str, str]] = {}  # vertex id -> raw name -> generator
+    relators: list[Word | _ArtinRelator] = []
     for v in gog.vertices:
-        relators += locals_by_id[v.id].relators
+        if not isinstance(v.group, GroupDescriptor):
+            raise PreconditionError(f"unknown group descriptor {v.group!r}")
+        own = names[v.id] = {raw: claim(raw, v.id) for raw in v.group.generators(graph_vertices)}
+        relators += v.group.relators(own)
+
     for idx, e in enumerate(gog.edges):
         if e.injections is None:
             raise PreconditionError(f"edge {e.ends[0]} -- {e.ends[1]} carries no injections")
-        left = locals_by_id[e.ends[0]].embed(e.injections[0])
-        right = locals_by_id[e.ends[1]].embed(e.injections[1])
+        left, right = (
+            gog.vertex(end).group.embed(w, names[end]) for end, w in zip(e.ends, e.injections)
+        )
         if idx in tree_edges:
             relators.append(left * right.inverse())
-        else:
-            t = Word.generator(stable[idx])
-            relators.append(t * left * t.inverse() * right.inverse())
+            continue
+        raw = e.stable_letter if e.stable_letter is not None else f"t{idx}"
+        t = Word.generator(claim(raw, f"loop{idx}"))
+        relators.append(t * left * t.inverse() * right.inverse())
 
     return Presentation(tuple(sorted(taken)), tuple(relators))
 

@@ -5,6 +5,11 @@ Words are not freely reduced on construction; reduction is explicit.
 Text syntax: whitespace-separated tokens ``sym`` or ``sym^k`` with k a
 nonzero integer in ASCII digits, e.g. ``a b^-1 a^3``.
 
+The relator of an Artin edge u-v labelled m is held as (u, v, m) and
+answers every question in closed form: its text is built by string
+repetition, its exponent sums read only the parity of m, and renaming
+touches two names. No consumer walks its 2m letters.
+
 Input checks: ``Word(...)``, ``Word.generator``, ``Word.from_text``,
 ``alternating`` and ``rename_word`` check what they are given; words
 derived from checked ones come from the private ``Word._trusted`` unchecked.
@@ -15,8 +20,9 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import WordFormatError
 
@@ -185,3 +191,68 @@ def rename_word(w: Word, mapping: dict[str, str]) -> Word:
     renamed = {n: mapping[n] for n, _ in w.letters if n in mapping}
     Word(tuple((name, 1) for name in renamed.values()))  # checks the new names
     return Word._trusted(tuple((renamed.get(n, n), e) for n, e in w.letters))
+
+
+@dataclass(frozen=True)
+class _ArtinRelator:
+    """The relator of an edge u-v labelled m, held as (u, v, m).
+
+    Its word is Pi(u^a, v^b, m) Pi(v^b, u^a, m)^-1, with Pi(x, y, m) the
+    length-m alternating word x y x ... and the signs a, b = +-1; an Artin
+    presentation has a = b = 1, and only substituting a generator's
+    inverse flips a sign. It answers every question in closed form: u
+    and v alternate, so the word is freely reduced, and for odd m the
+    exponent sums are a and -b, while for even m they vanish. Its 2m
+    ``letters`` are expanded only when read; the library never reads them.
+    """
+
+    u: str
+    v: str
+    m: int
+    a: int = 1
+    b: int = 1
+
+    @cached_property
+    def letters(self) -> tuple[tuple[str, int], ...]:
+        first = ((self.u, self.a), (self.v, self.b))
+        if self.m % 2:
+            second = ((self.v, -self.b), (self.u, -self.a))
+        else:
+            second = ((self.u, -self.a), (self.v, -self.b))
+        k, odd = divmod(self.m, 2)
+        return first * k + first[:odd] + second * k + second[:odd]
+
+    def to_text(self) -> str:
+        """The 2m letters as text, built by string repetition."""
+        u, v = _letter_text(self.u, self.a), _letter_text(self.v, self.b)
+        ui, vi = _letter_text(self.u, -self.a), _letter_text(self.v, -self.b)
+        k, odd = divmod(self.m, 2)
+        if odd:
+            return f"{u} {v} " * k + f"{u} " + f"{vi} {ui} " * k + vi
+        return f"{u} {v} " * k + f"{ui} {vi} " * (k - 1) + f"{ui} {vi}"
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def exponent_sums(self) -> dict[str, int]:
+        return {self.u: self.a, self.v: -self.b} if self.m % 2 else {}
+
+    def support(self) -> frozenset[str]:
+        return frozenset((self.u, self.v))
+
+    def _renamed(self, rename: dict[str, str], sign: int = 1) -> _ArtinRelator | Word | None:
+        """Substitute rename[n]^sign for each generator n that ``rename`` maps.
+
+        When u and v land on one generator x, the word is a power of x
+        and reduces to x^e with e its exponent sum: (a - b) for odd m, 0
+        for even m. The trivial word is returned as None.
+        """
+        u, a, v, b = self.u, self.a, self.v, self.b
+        if u in rename:
+            u, a = rename[u], a * sign
+        if v in rename:
+            v, b = rename[v], b * sign
+        if u != v:
+            return _ArtinRelator(u, v, self.m, a, b)
+        e = (a - b) * (self.m % 2)
+        return Word.generator(u, e) if e else None

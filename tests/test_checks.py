@@ -274,3 +274,43 @@ def test_private_constructors_only_at_listed_sites():
         ("graphs", "LabelledGraph._trusted"),
         ("presentations", "Presentation._trusted"),
     }
+
+
+def _imported_and_used(tree):
+    """(names a module binds by import, names it reads) from its syntax tree."""
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return imported, used
+
+
+def test_modules_import_only_names_they_use():
+    # __init__ imports to re-export
+    unused = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__init__":
+            imported, used = _imported_and_used(ast.parse(path.read_text(encoding="utf-8")))
+            if imported - used:
+                unused[path.stem] = sorted(imported - used)
+    assert unused == {}
+
+
+DESCRIPTORS = ("CyclicOnGenerator", "CyclicOnWord", "FreeAbelianPair", "ChunkParabolic")
+
+
+def test_group_descriptor_kinds_are_named_only_in_gog():
+    # each descriptor presents itself; no other module tells the kinds apart
+    naming = {
+        path.stem
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id in DESCRIPTORS)
+        or (isinstance(node, ast.alias) and node.name in DESCRIPTORS)
+        or (isinstance(node, ast.Attribute) and node.attr in DESCRIPTORS)
+    }
+    assert naming == {"gog", "__init__"}

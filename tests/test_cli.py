@@ -616,3 +616,68 @@ def test_gog_commands_on_underscored_names(capsys, tmp_path):
         rename = dict(zip(g.vertices, rng.sample(names, len(g.vertices))))
         path.write_text("".join(f"e {rename[u]} {rename[v]} {m}\n" for u, v, m in g.edges))
         _gog_commands_agree_with_artin_abelianization(capsys, path)
+
+
+# vertices named like the generators gog_presentation makes for the braided leaf a-d
+COLLIDING_NAMES_TEXT = "e a b 3\ne a d 4\ne a r_a_d 3\ne b r_a_d 3\ne b z_a_d 2\n"
+
+
+def test_gog_presentation_names_avoid_graph_vertices(capsys, tmp_path):
+    path = tmp_path / "names.graph"
+    path.write_text(COLLIDING_NAMES_TEXT)
+    assert _run(capsys, ["presentation", str(path), "--of-jsj"]) == (0, (
+        "gen: a a_B_a_b_r_a_d a_W_a b b_B_b_z_a_d b_W_b r_a_d r_a_d_ z_a_d z_a_d_\n"
+        "rel: a z_a_d_ a^-1 z_a_d_^-1\n"
+        "rel: a_B_a_b_r_a_d b a_B_a_b_r_a_d b^-1 a_B_a_b_r_a_d^-1 b^-1\n"
+        "rel: a_B_a_b_r_a_d r_a_d a_B_a_b_r_a_d r_a_d^-1 a_B_a_b_r_a_d^-1 r_a_d^-1\n"
+        "rel: b r_a_d b r_a_d^-1 b^-1 r_a_d^-1\n"
+        "rel: a_W_a a^-1\n"
+        "rel: a_W_a a_B_a_b_r_a_d^-1\n"
+        "rel: b_W_b b^-1\n"
+        "rel: b_W_b b_B_b_z_a_d^-1\n"
+        "rel: z_a_d_ r_a_d_^-2\n"
+        "rel: z_a_d b_B_b_z_a_d z_a_d^-1 b_B_b_z_a_d^-1\n"
+    ), "")
+    assert _run(capsys, ["presentation", str(path), "--of-jsj", "--simplify"]) == (0, (
+        "gen: a b r_a_d r_a_d_ z_a_d z_a_d_\n"
+        "rel: a z_a_d_ a^-1 z_a_d_^-1\n"
+        "rel: a b a b^-1 a^-1 b^-1\n"
+        "rel: a r_a_d a r_a_d^-1 a^-1 r_a_d^-1\n"
+        "rel: b r_a_d b r_a_d^-1 b^-1 r_a_d^-1\n"
+        "rel: z_a_d_ r_a_d_^-2\n"
+        "rel: z_a_d b z_a_d^-1 b^-1\n"
+    ), "")
+
+
+# every command that reads a graph file, with the file's place in its arguments
+FILE_COMMANDS = [
+    ["validate", None], ["chunks", None], ["split", None], ["jsj", None],
+    ["abelianize", None], ["presentation", None], ["profile", None],
+    ["compare", None, "good"], ["compare", "good", None], ["acylindrical", None],
+    ["retract", None, "0", "a"],
+]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: " ".join(map(str, c)))
+def test_file_that_is_not_utf8_fails_with_one_error_line(capsys, tmp_path, command):
+    bad, good = tmp_path / "bad.graph", tmp_path / "good.graph"
+    bad.write_bytes(b"e a b 2\n\xff\n")
+    good.write_text("e a b 2\n")
+    argv = [command[0]] + [
+        str(bad) if a is None else str(good) if a == "good" else a for a in command[1:]
+    ]
+    for extra in ([], ["--json"]):
+        assert _run(capsys, argv + extra) == (
+            1, "", f"error: {bad}: not UTF-8 text (byte 8)\n"
+        ), argv
+
+
+def test_file_with_byte_order_mark_is_read(capsys, tmp_path):
+    path = tmp_path / "bom.graph"
+    path.write_bytes(b"\xef\xbb\xbfe a b 2\n")
+    assert _run(capsys, ["validate", str(path)]) == (0, "ok: 2 vertices, 1 edges, connected\n", "")
+    # the offset of a bad byte counts the mark
+    path.write_bytes(b"\xef\xbb\xbfe a b 2\n\xff\n")
+    assert _run(capsys, ["validate", str(path)]) == (
+        1, "", f"error: {path}: not UTF-8 text (byte 11)\n"
+    )

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -24,7 +25,19 @@ from artin import (
     simplify_identifications,
     smith_normal_form,
 )
-from artin.gog import BLACK, CyclicOnGenerator, GoGEdge, GoGVertex, GraphOfGroups
+from artin.gog import (
+    BLACK,
+    RED,
+    WHITE,
+    ChunkParabolic,
+    CyclicOnGenerator,
+    CyclicOnWord,
+    FreeAbelianPair,
+    GoGEdge,
+    GoGVertex,
+    GraphOfGroups,
+)
+from artin.graphs import big_chunks
 
 from corpus import connected_atlas, path3, random_connected_graph, triangle
 from oracles import (
@@ -36,7 +49,8 @@ from oracles import (
     oracle_simplify_identifications,
     oracle_word,
 )
-from artin.presentations import _ArtinRelator, _power_of
+from artin.gog import _power_of
+from artin.presentations import _ArtinRelator
 
 
 def test_artin_presentation_path3():
@@ -179,6 +193,69 @@ def test_gog_presentation_spanning_tree_takes_edges_in_index_order():
         "rel: t3 b^5 t3^-1 a^-1\n"
         "rel: t4 c t4^-1 c\n"
     )
+
+
+def _four_kinds_gog():
+    """A hand-built graph of groups with one vertex of each group kind.
+
+    The defining graph has a vertex z_a_d, so the centre of <a, a d a d>
+    is named z_a_d_; the generator a is taken by three vertices, and two
+    loops share the stable letter t.
+    """
+    g = LabelledGraph.from_edges(
+        [("a", "b", 3), ("b", "c", 3), ("a", "c", 3), ("a", "d", 4), ("c", "z_a_d", 2)]
+    )
+    chunk = next(c for c in big_chunks(g).chunks if c.vertices == ("a", "b", "c"))
+    w = Word.from_text
+    vertices = (
+        GoGVertex("P", BLACK, ChunkParabolic(chunk), chunk),
+        GoGVertex("F", BLACK, FreeAbelianPair("a", alternating("a", "d", 4))),
+        GoGVertex("R", RED, CyclicOnWord(w("a d"))),
+        GoGVertex("A", WHITE, CyclicOnGenerator("a")),
+    )
+    central_inverse = w("d^-1 a^-1 d^-1 a^-1")
+    edges = (
+        GoGEdge(("A", "P"), CyclicOnGenerator("a"), (w("a"), w("a"))),
+        GoGEdge(("A", "F"), CyclicOnGenerator("a"), (w("a^3"), w("a a^2"))),
+        GoGEdge(("F", "R"), CyclicOnWord(w("a d a d")), (central_inverse, central_inverse)),
+        GoGEdge(("A", "A"), CyclicOnGenerator("a"), (w("a"), w("a^-1")), stable_letter="t"),
+        GoGEdge(("P", "P"), CyclicOnGenerator("b"), (w("b"), w("c b c^-1")), stable_letter="t"),
+    )
+    return GraphOfGroups(vertices, edges, graph=g)
+
+
+def test_gog_presentation_bytes_per_group_kind():
+    # chunk relators, the commutator of <a, z>, a^3 -> a_F^3, the central
+    # word's inverse -> z^-1, (a d)^-2 -> r^-2, and loop letters t, t_loop4
+    assert render_presentation(gog_presentation(_four_kinds_gog())) == (
+        "gen: a a_A a_F b c r_a_d t t_loop4 z_a_d_\n"
+        "rel: a b a b^-1 a^-1 b^-1\n"
+        "rel: a c a c^-1 a^-1 c^-1\n"
+        "rel: b c b c^-1 b^-1 c^-1\n"
+        "rel: a_F z_a_d_ a_F^-1 z_a_d_^-1\n"
+        "rel: a_A a^-1\n"
+        "rel: a_A^3 a_F^-3\n"
+        "rel: z_a_d_^-1 r_a_d^2\n"
+        "rel: t a_A t^-1 a_A\n"
+        "rel: t_loop4 b t_loop4^-1 c b^-1 c^-1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "vid, word, message",
+    [
+        ("A", "b", "'b' does not lie in the cyclic group on a"),
+        ("P", "a d", "'a d' does not lie in the chunk {a,b,c}"),
+        ("F", "d", "'d' does not lie in <a, a d a d>"),
+        ("R", "a", "'a' is not a power of a d"),
+    ],
+)
+def test_gog_presentation_embed_messages(vid, word, message):
+    gog = _four_kinds_gog()
+    vertex = gog.vertex(vid)
+    loop = GoGEdge((vid, vid), CyclicOnGenerator("a"), (Word.from_text(word),) * 2)
+    with pytest.raises(PreconditionError, match="^" + re.escape(message) + "$"):
+        gog_presentation(GraphOfGroups((vertex,), (loop,), graph=gog.graph))
 
 
 def test_gog_presentation_requires_connected_base():
