@@ -46,7 +46,3 @@ class PreconditionError(ArtinError):
 
 class NoJsjExistsError(PreconditionError):
     """The group is Z^2 and admits no JSJ decomposition over cyclic subgroups."""
-
-
-class GraphTooLargeError(PreconditionError):
-    """Canonical form is capped to keep exhaustive search honest."""

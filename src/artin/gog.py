@@ -120,7 +120,8 @@ class FreeAbelianPair:
         return {"kind": "free_abelian_pair", "base": self.base, "central": self.central.to_text()}
 
     def generators(self, avoid: set[str]) -> tuple[str, ...]:
-        return (self.base, _fresh("z_" + "_".join(sorted(self.central.support())), avoid))
+        z = "z_" + "_".join(sorted(self.central.support()))
+        return (self.base, _fresh(z, avoid | {self.base}))
 
     def relators(self, names: dict[str, str]) -> tuple:
         base = Word.generator(names[self.base])

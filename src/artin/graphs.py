@@ -30,13 +30,10 @@ from functools import cached_property
 from .errors import (
     DisconnectedGraphError,
     GraphFormatError,
-    GraphTooLargeError,
     PreconditionError,
     WordFormatError,
 )
 from .words import NAME_RE, Word, _ascii_int
-
-CANONICAL_FORM_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -158,11 +155,11 @@ def parse_graph(text: str) -> LabelledGraph:
     """
     vertices: set[str] = set()
     edges: dict[tuple[str, str], int] = {}
+    labels: dict[str, int] = {}  # each distinct label text, read once
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if parts[0] == "v":
             if len(parts) != 2:
                 raise GraphFormatError("vertex line must be 'v NAME'", lineno)
@@ -178,12 +175,15 @@ def parse_graph(text: str) -> LabelledGraph:
                     raise GraphFormatError(f"bad vertex name {name!r}", lineno)
             if u == v:
                 raise GraphFormatError(f"self loop at {u!r}", lineno)
-            try:
-                m = _ascii_int(raw_label)
-            except ValueError as err:
-                raise GraphFormatError(f"bad label {err}", lineno) from None
-            if m < 2:
-                raise GraphFormatError(f"label must be >= 2, got {m}", lineno)
+            m = labels.get(raw_label)
+            if m is None:
+                try:
+                    m = _ascii_int(raw_label)
+                except ValueError as err:
+                    raise GraphFormatError(f"bad label {err}", lineno) from None
+                if m < 2:
+                    raise GraphFormatError(f"label must be >= 2, got {m}", lineno)
+                labels[raw_label] = m
             key = (u, v) if u < v else (v, u)
             if key in edges:
                 raise GraphFormatError(f"duplicate edge {key[0]}-{key[1]}", lineno)
@@ -193,8 +193,7 @@ def parse_graph(text: str) -> LabelledGraph:
         else:
             raise GraphFormatError(f"unknown line type {parts[0]!r}", lineno)
     return LabelledGraph._trusted(
-        tuple(sorted(vertices)),
-        tuple((u, v, edges[(u, v)]) for u, v in sorted(edges)),
+        tuple(sorted(vertices)), tuple(sorted((u, v, m) for (u, v), m in edges.items()))
     )
 
 
@@ -463,26 +462,33 @@ def retract_word(decomp: BlockDecomposition, i: int, w: Word) -> Word:
 
 # canonical form
 
+# Graphs of at most this many vertices keep the label-matrix form.
+MATRIX_FORM_MAX_VERTICES = 12
+
 
 def _wl_classes(nbrs) -> list[list[int]]:
     """Partition vertex indexes by iterated neighbourhood refinement.
 
     ``nbrs[i]`` lists the (edge label, neighbour index) pairs of vertex i.
     Colours start from the sorted multiset of incident labels and refine
-    by (own colour, sorted multiset of (edge label, neighbour colour)).
+    by (own colour, sorted multiset of (edge label, neighbour colour)),
+    until a round splits no class or every vertex has a class of its own.
+    A round writes the pair (m, c) as the one integer m * count + c, where
+    count exceeds every colour c, which orders the pairs the same way.
     The refinement is isomorphism-invariant, as is the order of the
     resulting classes.
     """
-    colors = _rank([tuple(sorted(m for m, _ in nb)) for nb in nbrs])
-    while True:
-        new = _rank([
-            (colors[i], tuple(sorted((m, colors[j]) for m, j in nb)))
-            for i, nb in enumerate(nbrs)
+    n = len(nbrs)
+    colors = _rank([tuple(sorted([m for m, _ in nb])) for nb in nbrs])
+    count = max(colors, default=-1) + 1
+    while count < n:
+        colors = _rank([
+            (c, tuple(sorted([m * count + colors[j] for m, j in nb])))
+            for c, nb in zip(colors, nbrs)
         ])
-        if len(set(new)) == len(set(colors)):
-            colors = new
+        if max(colors) + 1 == count:
             break
-        colors = new
+        count = max(colors) + 1
     classes: dict[int, list[int]] = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(i)
@@ -491,7 +497,7 @@ def _wl_classes(nbrs) -> list[list[int]]:
 
 def _rank(sigs):
     order = {s: k for k, s in enumerate(sorted(set(sigs)))}
-    return [order[s] for s in sigs]
+    return list(map(order.__getitem__, sigs))
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -505,13 +511,56 @@ def _find(parent: list[int], i: int) -> int:
 def canonical_form(g: LabelledGraph) -> bytes:
     """Canonical byte string: equal for exactly the isomorphic labelled graphs.
 
-    The form is ``n|`` and the least flattened lower-triangle label matrix
-    (row i lists the labels from the i-th vertex to the earlier ones, 0
-    for no edge) over the vertex orderings that list the classes of
-    ``_wl_classes`` one after another. The search places one vertex per
-    level and reaches that least matrix with these exact prunings, after
-    McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
-    Comput. 60 (2014):
+    Both formats start with ``n|``, the vertex count, which is an
+    isomorphism invariant, so forms of the two formats never collide.
+
+    - At most ``MATRIX_FORM_MAX_VERTICES`` vertices: ``n|`` and the least
+      flattened lower-triangle label matrix (row i lists the labels from
+      the i-th vertex to the earlier ones, 0 for no edge) over the
+      vertex orderings that list the classes of ``_wl_classes`` one after
+      another; see ``_least_matrix``.
+    - More vertices: ``n|`` and the sorted ``i,j,label`` triples (i < j,
+      separated by ``;``) of the edges under a canonical order of the
+      vertices; see ``_least_certificate``. When the classes of
+      ``_wl_classes`` are singletons, their order is that canonical
+      order, read off without a search. The form is O(V + E) long.
+
+    >>> square = LabelledGraph.from_edges(
+    ...     [("a", "b", 2), ("b", "c", 2), ("c", "d", 2), ("a", "d", 2)]
+    ... )
+    >>> canonical_form(square)
+    b'4|0,2,2,2,2,0'
+    >>> ring = LabelledGraph.from_edges([(f"v{i}", f"v{(i + 1) % 13}", 3) for i in range(13)])
+    >>> canonical_form(ring)
+    b'13|0,11,3;0,12,3;1,2,3;1,4,3;2,3,3;3,5,3;4,6,3;5,7,3;6,8,3;7,9,3;8,10,3;9,11,3;10,12,3'
+    """
+    n = len(g.vertices)
+    if n == 0:
+        return b"0|"
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    edges = [(idx[u], idx[v], m) for u, v, m in g.edges]
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, j, m in edges:
+        nbrs[i].append((m, j))
+        nbrs[j].append((m, i))
+    classes = _wl_classes(nbrs)
+    if n <= MATRIX_FORM_MAX_VERTICES:
+        payload = ",".join(map(str, _least_matrix(n, edges, classes)))
+    else:
+        if len(classes) == n:
+            triples = _certificate(edges, [c[0] for c in classes])
+        else:
+            triples = _least_certificate(nbrs, edges, classes)
+        payload = ";".join(map("%d,%d,%d".__mod__, triples))
+    return f"{n}|{payload}".encode("ascii")
+
+
+def _least_matrix(n: int, edges, classes) -> list[int]:
+    """The least flattened lower-triangle label matrix over the class-respecting orders.
+
+    The search places one vertex per level and reaches that least matrix
+    with these exact prunings, after McKay & Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 60 (2014):
 
     - prefix: a partial matrix larger than the best one's prefix only
       leads to larger matrices;
@@ -529,32 +578,11 @@ def canonical_form(g: LabelledGraph) -> bytes:
       best's subtree there onto the subtree being searched, so the search
       returns to that level at once.
 
-    Graphs of more than ``CANONICAL_FORM_CAP`` vertices raise
-    ``GraphTooLargeError``.
-
-    >>> square = LabelledGraph.from_edges(
-    ...     [("a", "b", 2), ("b", "c", 2), ("c", "d", 2), ("a", "d", 2)]
-    ... )
-    >>> canonical_form(square)
-    b'4|0,2,2,2,2,0'
+    It recurses once per vertex, so it serves small graphs only.
     """
-    n = len(g.vertices)
-    if n > CANONICAL_FORM_CAP:
-        raise GraphTooLargeError(
-            f"canonical form capped at {CANONICAL_FORM_CAP} vertices, got {n}"
-        )
-    if n == 0:
-        return b"0|"
-    idx = {v: i for i, v in enumerate(g.vertices)}
     adj = [[0] * n for _ in range(n)]
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, m in g.edges:
-        i, j = idx[u], idx[v]
+    for i, j, m in edges:
         adj[i][j] = adj[j][i] = m
-        nbrs[i].append((m, j))
-        nbrs[j].append((m, i))
-
-    classes = _wl_classes(nbrs)
     class_for_pos: list[int] = []
     for k, cls in enumerate(classes):
         class_for_pos += [k] * len(cls)
@@ -618,5 +646,260 @@ def canonical_form(g: LabelledGraph) -> bytes:
 
     dfs(0)
     assert best is not None
-    payload = ",".join(str(x) for x in best)
-    return f"{n}|{payload}".encode("ascii")
+    return best
+
+
+def _certificate(edges, lab: list[int]) -> list[tuple[int, int, int]]:
+    """The sorted (i, j, label) triples, i < j, of the edges with ``lab[p]`` at position p."""
+    pos = [0] * len(lab)
+    for p, v in enumerate(lab):
+        pos[v] = p
+    out = []
+    for i, j, m in edges:
+        a, b = pos[i], pos[j]
+        out.append((a, b, m) if a < b else (b, a, m))
+    out.sort()
+    return out
+
+
+class _Partition:
+    """An ordered partition of the vertex indexes, refined in place.
+
+    The cells are laid out one after another in ``lab``, and ``pos`` is
+    its inverse; ``cell[v]`` is the position where v's cell starts and
+    ``size[p]`` the size of the cell starting at p (0 elsewhere).
+    """
+
+    __slots__ = ("lab", "pos", "cell", "size")
+
+    def __init__(self, lab, pos, cell, size):
+        self.lab, self.pos, self.cell, self.size = lab, pos, cell, size
+
+    @classmethod
+    def of(cls, classes) -> "_Partition":
+        lab = [v for c in classes for v in c]
+        pos = [0] * len(lab)
+        cell = [0] * len(lab)
+        size = [0] * len(lab)
+        for p, v in enumerate(lab):
+            pos[v] = p
+        p = 0
+        for c in classes:
+            size[p] = len(c)
+            for v in c:
+                cell[v] = p
+            p += len(c)
+        return cls(lab, pos, cell, size)
+
+    def individualized(self, u: int) -> "_Partition":
+        """A copy in which u is a cell of its own at the start of its old cell."""
+        lab, pos, cell, size = self.lab.copy(), self.pos.copy(), self.cell.copy(), self.size.copy()
+        c = cell[u]
+        w = lab[c]
+        lab[c], lab[pos[u]] = u, w
+        pos[w], pos[u] = pos[u], c
+        size[c + 1] = size[c] - 1
+        size[c] = 1
+        for v in lab[c + 1 : c + 1 + size[c + 1]]:
+            cell[v] = c + 1
+        return _Partition(lab, pos, cell, size)
+
+    def target(self) -> list[int] | None:
+        """The vertices of the first cell of two or more, None when every cell is a singleton."""
+        for p, k in enumerate(self.size):
+            if k > 1:
+                return self.lab[p : p + k]
+        return None
+
+    def refine(self, nbrs, todo: list[int], trace: list[tuple[int, ...]],
+               bound: list[tuple[int, ...]] | None) -> int:
+        """Refine until equitable, from the splitter cells starting at ``todo``.
+
+        Taking the splitters first in, first out, each cell is split by the
+        sorted labels of the edges from its vertices into the splitter;
+        the parts are laid out in the order of those label tuples, so the
+        vertices with no such edge keep the cell's start, and the others
+        are swapped to its end first. Every part joins the splitters,
+        except the largest when the split cell was not waiting itself:
+        the labels into that part are those into the cell less those into
+        the other parts (Hopcroft's "smaller half"). Nothing depends on
+        the order of the vertices inside a cell, so the result is
+        isomorphism-invariant, and so is ``trace``, which receives one
+        (start, part sizes...) tuple per split.
+
+        Returns -1, 0 or 1 as ``trace`` compares with ``bound``, -1 when
+        ``bound`` is None. At 1 it stops as soon as the trace is known to
+        be the larger, and the partition is left half refined.
+        """
+        lab, pos, cell, size = self.lab, self.pos, self.cell, self.size
+        order = -1 if bound is None else 0
+        waiting = set(todo)
+        k = 0
+        while k < len(todo):
+            s = todo[k]
+            k += 1
+            waiting.discard(s)
+            hits: dict[int, list[int]] = {}
+            for w in lab[s : s + size[s]]:
+                for m, u in nbrs[w]:
+                    hits.setdefault(u, []).append(m)
+            touched: dict[int, list[int]] = {}
+            for u in hits:
+                touched.setdefault(cell[u], []).append(u)
+            for c in sorted(touched):
+                if size[c] == 1:
+                    continue
+                parts: dict[tuple[int, ...], list[int]] = {}
+                for u in touched[c]:
+                    parts.setdefault(tuple(sorted(hits[u])), []).append(u)
+                rest = size[c] - len(touched[c])
+                if not rest and len(parts) == 1:
+                    continue
+                end = c + size[c]
+                for u in touched[c]:  # the touched vertices to the end of the cell
+                    end -= 1
+                    w = lab[end]
+                    lab[pos[u]], lab[end] = w, u
+                    pos[w], pos[u] = pos[u], end
+                starts = [c] if rest else []
+                size[c] = rest
+                p = end
+                for key in sorted(parts):
+                    part = parts[key]
+                    lab[p : p + len(part)] = part
+                    for q, v in enumerate(part, p):
+                        pos[v] = q
+                        cell[v] = p
+                    size[p] = len(part)
+                    starts.append(p)
+                    p += len(part)
+                event = (c, *map(size.__getitem__, starts))
+                if order == 0:
+                    if len(trace) == len(bound) or event > bound[len(trace)]:
+                        return 1
+                    if event < bound[len(trace)]:
+                        order = -1
+                trace.append(event)
+                if c not in waiting:
+                    starts.remove(max(starts, key=size.__getitem__))
+                for p in starts:
+                    if p not in waiting:
+                        waiting.add(p)
+                        todo.append(p)
+        return -1 if order == 0 and len(trace) < len(bound) else order
+
+
+class _Node:
+    """A node of the individualization-refinement search, kept on its stack.
+
+    ``target`` is the partition's first cell of two or more vertices,
+    whose vertices are the children; ``orbit`` is a union-find of the
+    orbits of the recorded automorphisms that fix the path to the node
+    pointwise, None while there is none, and ``merged`` counts the
+    recorded automorphisms looked at. ``tied`` says whether the traces
+    down to the node equal the best leaf's.
+    """
+
+    __slots__ = ("part", "target", "next", "searched", "orbit", "merged", "tied")
+
+    def __init__(self, part: _Partition, target: list[int], tied: bool):
+        self.part, self.target, self.tied = part, target, tied
+        self.next = 0
+        self.searched: list[int] = []
+        self.orbit: list[int] | None = None
+        self.merged = 0
+
+    def next_child(self, fixed: list[int], automorphisms: list[list[int]]) -> int | None:
+        """The next child not in the orbit of a searched one, None when there is none left."""
+        while self.next < len(self.target):
+            v = self.target[self.next]
+            self.next += 1
+            if self.searched:
+                for gamma in automorphisms[self.merged:]:
+                    if all(gamma[w] == w for w in fixed):
+                        if self.orbit is None:
+                            self.orbit = list(range(len(gamma)))
+                        for i, j in enumerate(gamma):
+                            self.orbit[_find(self.orbit, i)] = _find(self.orbit, j)
+                self.merged = len(automorphisms)
+                if self.orbit is not None:
+                    root = _find(self.orbit, v)
+                    if any(_find(self.orbit, s) == root for s in self.searched):
+                        continue
+            self.searched.append(v)
+            return v
+        return None
+
+
+def _least_certificate(nbrs, edges, classes) -> list[tuple[int, int, int]]:
+    """A canonical ``_certificate``: the least over the leaves of the
+    individualization-refinement tree with the least refinement traces.
+
+    A node of the tree is an equitable ordered partition; the root is
+    ``classes``. A node's children individualize each vertex of its
+    first cell of two or more vertices, and refine from that vertex,
+    leaving a trace (``_Partition.refine``). A node whose cells are all
+    singletons is a leaf and orders the vertices. Leaves compare by the
+    traces along their paths, then by certificate; all of it is
+    isomorphism-invariant, so the least leaf's certificate is canonical.
+    The tree is searched depth first on an explicit stack, and three
+    exact prunings keep it small (McKay & Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 60, 2014):
+
+    - traces: a child whose trace exceeds the best leaf's at that depth,
+      its path's earlier traces being equal, only leads to larger leaves;
+      its refinement stops there;
+    - orbits: a leaf that ties the best gives an automorphism,
+      ``best_lab[p] -> lab[p]``. A child that the recorded automorphisms
+      fixing the node's individualized vertices map from a searched
+      sibling is skipped, as its subtree is the image of the sibling's
+      (``_Node.next_child``);
+    - unwinding: the automorphism of a tie fixes the individualized
+      vertices before the first level where the two paths part, and
+      maps the best's fully searched subtree there onto the current one,
+      so the search returns to that level at once.
+    """
+    best: list[tuple[int, int, int]] | None = None
+    best_lab: list[int] = []
+    best_path: list[int] = []
+    best_traces: list[list[tuple[int, ...]]] = []
+    automorphisms: list[list[int]] = []
+    path: list[int] = []  # path[d] is the vertex individualized by stack[d]'s current child
+    traces: list[list[tuple[int, ...]]] = []  # traces[d] is the trace of that child
+    root = _Partition.of(classes)
+    stack = [_Node(root, root.target(), False)]
+    while stack:
+        node = stack[-1]
+        depth = len(stack) - 1
+        u = node.next_child(path[:depth], automorphisms)
+        if u is None:
+            stack.pop()
+            continue
+        del path[depth:], traces[depth:]
+        path.append(u)
+        child = node.part.individualized(u)
+        trace: list[tuple[int, ...]] = []
+        bound = best_traces[depth] if node.tied else None
+        order = child.refine(nbrs, [child.cell[u]], trace, bound)
+        if order > 0:
+            continue
+        traces.append(trace)
+        tied = node.tied and order == 0
+        target = child.target()
+        if target is not None:
+            stack.append(_Node(child, target, tied))
+            continue
+        cert = _certificate(edges, child.lab)
+        if not tied or cert < best:
+            best, best_lab, best_path, best_traces = cert, child.lab, path.copy(), traces.copy()
+            for ancestor in stack:
+                ancestor.tied = True
+        elif cert == best:
+            gamma = [0] * len(best_lab)
+            for b, o in zip(best_lab, child.lab):
+                gamma[b] = o
+            automorphisms.append(gamma)
+            level = next(d for d, (a, b) in enumerate(zip(path, best_path)) if a != b)
+            del stack[level + 1 :]
+    assert best is not None
+    return best

@@ -490,8 +490,9 @@ def test_exit_codes(capsys, tmp_path, path_file):
 
     cycle = tmp_path / "c13.graph"
     cycle.write_text("".join(f"e v{i} v{(i + 1) % 13} 3\n" for i in range(13)))
-    code, _, err = _run(capsys, ["profile", str(cycle)])
-    assert code == 2 and "capped at 12 vertices" in err
+    code, out, err = _run(capsys, ["profile", str(cycle), "--json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["bigbig_canonical_forms"][0].startswith("13|0,")
 
     code, _, _ = _run(capsys, [])
     assert code == 1

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from artin import (
     DisconnectedGraphError,
     GraphFormatError,
-    GraphTooLargeError,
     LabelledGraph,
     PreconditionError,
     Word,
@@ -477,17 +477,29 @@ def test_canonical_form_sees_labels():
     assert canonical_form(g1) != canonical_form(g3)
 
 
-def test_canonical_form_cap():
-    big = LabelledGraph.from_edges(
+def test_canonical_form_past_twelve_vertices():
+    rng = random.Random(13)
+    path13 = LabelledGraph.from_edges(
         [(f"v{i:02d}", f"v{i + 1:02d}", 2) for i in range(12)]
     )
-    assert len(big.vertices) == 13
-    with pytest.raises(GraphTooLargeError):
-        canonical_form(big)
+    ring13 = LabelledGraph.from_edges(
+        [(f"v{i:02d}", f"v{(i + 1) % 13:02d}", 2) for i in range(13)]
+    )
+    assert len(path13.vertices) == len(ring13.vertices) == 13
+    forms = set()
+    for g in (path13, ring13):
+        form = canonical_form(g)
+        assert form.startswith(b"13|")
+        assert form.count(b";") == len(g.edges) - 1
+        for _ in range(4):
+            assert canonical_form(relabelled_copy(rng, g)) == form
+        forms.add(form)
+    assert len(forms) == 2
     ring12 = LabelledGraph.from_edges(
         [(f"v{i:02d}", f"v{(i + 1) % 12:02d}", 2) for i in range(12)]
     )
-    assert canonical_form(ring12).startswith(b"12|")
+    form12 = canonical_form(ring12)
+    assert form12.startswith(b"12|") and b";" not in form12  # the label-matrix format
 
 
 def test_canonical_form_of_empty_and_tiny():
@@ -576,14 +588,117 @@ def test_canonical_forms_agree_with_networkx_isomorphism():
             u, v, lab = edges[k]
             edges[k:k + 1] = [(u, v, 5 - lab)] if rng.random() < 0.5 else []
             h = LabelledGraph.from_edges(edges, vertices=h.vertices)
-        iso = nx.is_isomorphic(
-            _to_networkx(g), _to_networkx(h),
-            edge_match=lambda a, b: a["label"] == b["label"],
-        )
+        iso = _networkx_iso(g, h)
         assert (canonical_form(g) == canonical_form(h)) == iso, (g.edges, h.edges)
         same += iso
         differ += not iso
     assert same > 100 and differ > 100
+
+
+def _perturbed(rng: random.Random, g: LabelledGraph, relabel: bool) -> LabelledGraph:
+    """g with one edge relabelled from 2 to 3 or back, or else moved to a
+    non-adjacent pair (dropped when there is none)."""
+    edges = list(g.edges)
+    k = rng.randrange(len(edges))
+    u, v, m = edges[k]
+    if relabel:
+        edges[k] = (u, v, 5 - m)
+        return LabelledGraph.from_edges(edges, vertices=g.vertices)
+    missing = [
+        (a, b) for i, a in enumerate(g.vertices) for b in g.vertices[i + 1:] if not g.has_edge(a, b)
+    ]
+    edges[k:k + 1] = [(*rng.choice(missing), m)] if missing else []
+    return LabelledGraph.from_edges(edges, vertices=g.vertices)
+
+
+def _symmetric_13_to_60(rng: random.Random) -> list[LabelledGraph]:
+    """One-label graphs of 13 to 60 vertices whose refinement is not discrete."""
+    structures = [nx.cycle_graph(n) for n in (13, 17, 31, 60)]
+    structures += [nx.complete_graph(n) for n in (13, 16, 24)]
+    structures += [nx.circulant_graph(n, jumps) for n, jumps in
+                   ((13, [1, 5]), (20, [1, 4]), (24, [2, 3, 7]), (40, [1, 9]), (60, [1, 11]))]
+    structures += [
+        nx.circular_ladder_graph(15),
+        nx.complete_bipartite_graph(8, 8),
+        nx.hypercube_graph(5),
+        nx.grid_2d_graph(5, 6),
+        nx.dodecahedral_graph(),
+        nx.random_regular_graph(3, 40, seed=rng.randrange(1000)),
+    ]
+    return [_one_label(nx.convert_node_labels_to_integers(s), rng.choice((2, 3))) for s in structures]
+
+
+def _networkx_iso(g: LabelledGraph, h: LabelledGraph) -> bool:
+    return nx.is_isomorphic(
+        _to_networkx(g), _to_networkx(h), edge_match=lambda a, b: a["label"] == b["label"]
+    )
+
+
+def test_canonical_forms_past_twelve_vertices_agree_with_networkx_on_symmetric_graphs():
+    # no relabelled edges here: networkx's VF2 search can take factorial time
+    # to refuse a complete graph with one edge of another label
+    rng = random.Random(45)
+    for g in _symmetric_13_to_60(rng):
+        assert len(_wl_classes(_neighbour_lists(g))) < len(g.vertices)
+        form = canonical_form(g)
+        assert form.startswith(b"%d|" % len(g.vertices))
+        for _ in range(2):
+            h = relabelled_copy(rng, g)
+            assert canonical_form(h) == form and _networkx_iso(g, h), g.edges
+            h = _perturbed(rng, h, relabel=False)
+            assert (canonical_form(h) == form) == _networkx_iso(g, h), g.edges
+
+
+def test_canonical_forms_past_twelve_vertices_agree_with_networkx_on_random_graphs():
+    rng = random.Random(46)
+    same = differ = 0
+    for _ in range(150):
+        n = rng.randint(13, 60)
+        g = random_connected_graph(rng, n, rng.choice((1.5 / n, 3 / n, 0.3)), (2, 3))
+        h = relabelled_copy(rng, g)
+        if rng.random() < 0.5:
+            h = _perturbed(rng, h, relabel=rng.random() < 0.5)
+        iso = _networkx_iso(g, h)
+        assert (canonical_form(g) == canonical_form(h)) == iso, (g.edges, h.edges)
+        same += iso
+        differ += not iso
+    assert same > 50 and differ > 50
+
+
+def test_canonical_forms_of_cubic_graphs_agree_with_networkx():
+    # one label and one degree: the refinement cannot start, so every form
+    # comes from the search, whose children differ only in their traces
+    rng = random.Random(48)
+    same = differ = 0
+    for _ in range(30):
+        n = rng.randrange(14, 31, 2)
+        g, h = (_one_label(nx.random_regular_graph(3, n, seed=rng.randrange(10**6)), 3)
+                for _ in range(2))
+        if rng.random() < 0.5:
+            h = relabelled_copy(rng, g)
+        iso = _networkx_iso(g, h)
+        assert (canonical_form(g) == canonical_form(h)) == iso, (g.edges, h.edges)
+        same += iso
+        differ += not iso
+    assert same > 5 and differ > 5
+
+
+def test_canonical_form_of_a_large_sparse_graph_needs_no_recursion():
+    # about 1200 vertices and 2400 edges, with trees hanging off one giant
+    # block; the twin leaves there leave the refinement short of discrete, so
+    # the search runs, and the giant block alone is read off its refinement
+    rng = random.Random(47)
+    g = random_connected_graph(rng, 1200, 2 / 1200, (2, 3))
+    giant = max(big_chunks(g).chunks, key=lambda c: len(c.vertices)).graph
+    assert len(giant.vertices) > max(1000, sys.getrecursionlimit())
+    assert len(_wl_classes(_neighbour_lists(g))) < len(g.vertices)
+    assert len(_wl_classes(_neighbour_lists(giant))) == len(giant.vertices)
+    for graph in (g, giant):
+        form = canonical_form(graph)
+        assert form.startswith(b"%d|" % len(graph.vertices))
+        assert form.count(b";") == len(graph.edges) - 1
+        for _ in range(2):
+            assert canonical_form(relabelled_copy(rng, graph)) == form
 
 
 def _neighbour_lists(g: LabelledGraph):

@@ -241,6 +241,20 @@ def test_gog_presentation_bytes_per_group_kind():
     )
 
 
+def test_free_abelian_pair_centre_avoids_its_own_base():
+    # the base is named like the centre, z_a_d, and is no defining-graph
+    # vertex: the centre is z_a_d_, and the one relator is their commutator,
+    # so the vertex group is Z^2 and not free
+    pair = FreeAbelianPair("z_a_d", alternating("a", "d", 4))
+    gog = GraphOfGroups((GoGVertex("F", BLACK, pair),), ())
+    pres = gog_presentation(gog)
+    assert render_presentation(pres) == (
+        "gen: z_a_d z_a_d_\n"
+        "rel: z_a_d z_a_d_ z_a_d^-1 z_a_d_^-1\n"
+    )
+    assert all(r.free_reduce().letters for r in pres.relators)
+
+
 @pytest.mark.parametrize(
     "vid, word, message",
     [
