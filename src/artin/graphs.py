@@ -478,10 +478,9 @@ def _wl_classes(nbrs) -> list[list[int]]:
     The refinement is isomorphism-invariant, as is the order of the
     resulting classes.
     """
-    n = len(nbrs)
     colors = _rank([tuple(sorted([m for m, _ in nb])) for nb in nbrs])
     count = max(colors, default=-1) + 1
-    while count < n:
+    while count < len(nbrs):
         colors = _rank([
             (c, tuple(sorted([m * count + colors[j] for m, j in nb])))
             for c, nb in zip(colors, nbrs)
@@ -497,7 +496,7 @@ def _wl_classes(nbrs) -> list[list[int]]:
 
 def _rank(sigs):
     order = {s: k for k, s in enumerate(sorted(set(sigs)))}
-    return list(map(order.__getitem__, sigs))
+    return [order[s] for s in sigs]
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -506,6 +505,22 @@ def _find(parent: list[int], i: int) -> int:
         parent[i] = parent[parent[i]]
         i = parent[i]
     return i
+
+
+def _orbit_meets(orbit: list[int], automorphisms, fixed, u: int, searched: list[int]) -> bool:
+    """Whether u shares an orbit with a vertex of ``searched``.
+
+    ``orbit`` is a union-find of orbits, to which this first joins each
+    point with its image under every automorphism in ``automorphisms``
+    that fixes each vertex of ``fixed``. An automorphism is given as the
+    list of (point, image) pairs of the points it moves.
+    """
+    for moved in automorphisms:
+        if not any(i in fixed for i, _ in moved):
+            for i, j in moved:
+                orbit[_find(orbit, i)] = _find(orbit, j)
+    root = _find(orbit, u)
+    return any(_find(orbit, s) == root for s in searched)
 
 
 def canonical_form(g: LabelledGraph) -> bytes:
@@ -601,10 +616,7 @@ def _least_matrix(n: int, edges, classes) -> list[int]:
             if best is None or flat < best:
                 best, best_order = flat.copy(), order.copy()
                 return n
-            gamma = [0] * n
-            for b, o in zip(best_order, order):
-                gamma[b] = o
-            automorphisms.append(gamma)
+            automorphisms.append([(b, o) for b, o in zip(best_order, order) if b != o])
             return next(i for i in range(n) if order[i] != best_order[i])
         least: list[int] | None = None
         candidates: list[int] = []
@@ -625,13 +637,8 @@ def _least_matrix(n: int, edges, classes) -> list[int]:
             merged = 0
             for u in candidates:
                 if searched:
-                    for gamma in automorphisms[merged:]:
-                        if all(gamma[v] == v for v in order):
-                            for i, j in enumerate(gamma):
-                                orbit[_find(orbit, i)] = _find(orbit, j)
-                    merged = len(automorphisms)
-                    root = _find(orbit, u)
-                    if any(_find(orbit, s) == root for s in searched):
+                    fresh, merged = automorphisms[merged:], len(automorphisms)
+                    if _orbit_meets(orbit, fresh, order, u, searched):
                         continue
                 placed[u] = True
                 order.append(u)
@@ -704,11 +711,15 @@ class _Partition:
             cell[v] = c + 1
         return _Partition(lab, pos, cell, size)
 
-    def target(self) -> list[int] | None:
-        """The vertices of the first cell of two or more, None when every cell is a singleton."""
-        for p, k in enumerate(self.size):
-            if k > 1:
-                return self.lab[p : p + k]
+    def target(self, start: int = 0) -> list[int] | None:
+        """The vertices of the first cell of two or more, None when every cell is a singleton.
+
+        The cells before position ``start`` must be singletons.
+        """
+        size = self.size
+        for p in range(start, len(size)):
+            if size[p] > 1:
+                return self.lab[p : p + size[p]]
         return None
 
     def refine(self, nbrs, todo: list[int], trace: list[tuple[int, ...]],
@@ -722,10 +733,12 @@ class _Partition:
         are swapped to its end first. Every part joins the splitters,
         except the largest when the split cell was not waiting itself:
         the labels into that part are those into the cell less those into
-        the other parts (Hopcroft's "smaller half"). Nothing depends on
-        the order of the vertices inside a cell, so the result is
-        isomorphism-invariant, and so is ``trace``, which receives one
-        (start, part sizes...) tuple per split.
+        the other parts (Hopcroft's "smaller half"), and without the
+        omission a large cell that sheds a few vertices at a time is
+        requeued whole each time. Nothing depends on the order of the
+        vertices inside a cell, so the result is isomorphism-invariant,
+        and so is ``trace``, which receives one (start, part sizes...)
+        tuple per split.
 
         Returns -1, 0 or 1 as ``trace`` compares with ``bound``, -1 when
         ``bound`` is None. At 1 it stops as soon as the trace is known to
@@ -795,9 +808,9 @@ class _Node:
     ``target`` is the partition's first cell of two or more vertices,
     whose vertices are the children; ``orbit`` is a union-find of the
     orbits of the recorded automorphisms that fix the path to the node
-    pointwise, None while there is none, and ``merged`` counts the
-    recorded automorphisms looked at. ``tied`` says whether the traces
-    down to the node equal the best leaf's.
+    pointwise, None until a second child is looked for, and ``merged``
+    counts the recorded automorphisms looked at. ``tied`` says whether
+    the traces down to the node equal the best leaf's.
     """
 
     __slots__ = ("part", "target", "next", "searched", "orbit", "merged", "tied")
@@ -809,23 +822,17 @@ class _Node:
         self.orbit: list[int] | None = None
         self.merged = 0
 
-    def next_child(self, fixed: list[int], automorphisms: list[list[int]]) -> int | None:
+    def next_child(self, fixed: set[int], automorphisms) -> int | None:
         """The next child not in the orbit of a searched one, None when there is none left."""
         while self.next < len(self.target):
             v = self.target[self.next]
             self.next += 1
             if self.searched:
-                for gamma in automorphisms[self.merged:]:
-                    if all(gamma[w] == w for w in fixed):
-                        if self.orbit is None:
-                            self.orbit = list(range(len(gamma)))
-                        for i, j in enumerate(gamma):
-                            self.orbit[_find(self.orbit, i)] = _find(self.orbit, j)
-                self.merged = len(automorphisms)
-                if self.orbit is not None:
-                    root = _find(self.orbit, v)
-                    if any(_find(self.orbit, s) == root for s in self.searched):
-                        continue
+                if self.orbit is None:
+                    self.orbit = list(range(len(self.part.lab)))
+                fresh, self.merged = automorphisms[self.merged:], len(automorphisms)
+                if _orbit_meets(self.orbit, fresh, fixed, v, self.searched):
+                    continue
             self.searched.append(v)
             return v
         return None
@@ -871,7 +878,7 @@ def _least_certificate(nbrs, edges, classes) -> list[tuple[int, int, int]]:
     while stack:
         node = stack[-1]
         depth = len(stack) - 1
-        u = node.next_child(path[:depth], automorphisms)
+        u = node.next_child(set(path[:depth]), automorphisms)
         if u is None:
             stack.pop()
             continue
@@ -885,7 +892,7 @@ def _least_certificate(nbrs, edges, classes) -> list[tuple[int, int, int]]:
             continue
         traces.append(trace)
         tied = node.tied and order == 0
-        target = child.target()
+        target = child.target(node.part.cell[u])
         if target is not None:
             stack.append(_Node(child, target, tied))
             continue
@@ -895,10 +902,7 @@ def _least_certificate(nbrs, edges, classes) -> list[tuple[int, int, int]]:
             for ancestor in stack:
                 ancestor.tied = True
         elif cert == best:
-            gamma = [0] * len(best_lab)
-            for b, o in zip(best_lab, child.lab):
-                gamma[b] = o
-            automorphisms.append(gamma)
+            automorphisms.append([(b, o) for b, o in zip(best_lab, child.lab) if b != o])
             level = next(d for d, (a, b) in enumerate(zip(path, best_path)) if a != b)
             del stack[level + 1 :]
     assert best is not None

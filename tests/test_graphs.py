@@ -683,6 +683,32 @@ def test_canonical_forms_of_cubic_graphs_agree_with_networkx():
     assert same > 5 and differ > 5
 
 
+def _hubs_and_twins(n: int, threes) -> LabelledGraph:
+    """K_{2,n} on hubs a, b and twins x000..., with the (hub, twin index)
+    edges of ``threes`` labelled 3 and the others 2."""
+    return LabelledGraph.from_edges(
+        [(h, f"x{i:03d}", 3 if (h, i) in threes else 2) for h in "ab" for i in range(n)]
+    )
+
+
+@pytest.mark.parametrize("n", [20, 60, 150])
+def test_canonical_forms_past_twelve_vertices_on_large_twin_classes(n):
+    # the twins form one cell that individualization empties one vertex at a
+    # time: the search runs about n levels deep and finds n automorphisms
+    rng = random.Random(49 + n)
+    form = canonical_form(_hubs_and_twins(n, {("a", 0)}))
+    assert form.startswith(b"%d|" % (n + 2))
+    assert canonical_form(_hubs_and_twins(n, {("b", 5)})) == form
+    assert canonical_form(_hubs_and_twins(n, ())) != form
+    pair = canonical_form(_hubs_and_twins(n, {("a", 0), ("a", 1)}))
+    split = canonical_form(_hubs_and_twins(n, {("a", 0), ("b", 1)}))
+    assert len({form, pair, split}) == 3
+    assert canonical_form(_hubs_and_twins(n, {("b", 3), ("a", 7)})) == split
+    for g, f in ((_hubs_and_twins(n, {("a", 0)}), form),
+                 (_hubs_and_twins(n, {("b", 0), ("b", 9)}), pair)):
+        assert canonical_form(relabelled_copy(rng, g)) == f
+
+
 def test_canonical_form_of_a_large_sparse_graph_needs_no_recursion():
     # about 1200 vertices and 2400 edges, with trees hanging off one giant
     # block; the twin leaves there leave the refinement short of discrete, so
