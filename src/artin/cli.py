@@ -283,7 +283,7 @@ def _cmd_acylindrical(args) -> int:
     verdict = aut_acylindrically_hyperbolic(_load_graph(args.file))
 
     def text():
-        lines = [f"acylindrically hyperbolic: {'yes' if verdict.value else 'no'}"]
+        lines = [f"acylindrically hyperbolic: {'yes' if verdict.value else 'not established'}"]
         if verdict.witness:
             lines.append(f"witness: ({verdict.witness[0]}, {verdict.witness[1]})")
         lines.append(f"reason: {verdict.reason}")

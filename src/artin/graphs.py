@@ -462,10 +462,6 @@ def retract_word(decomp: BlockDecomposition, i: int, w: Word) -> Word:
 
 # canonical form
 
-# Graphs of at most this many vertices keep the label-matrix form.
-MATRIX_FORM_MAX_VERTICES = 12
-
-
 def _wl_classes(nbrs) -> list[list[int]]:
     """Partition vertex indexes by iterated neighbourhood refinement.
 
@@ -507,153 +503,32 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
-def _orbit_meets(orbit: list[int], automorphisms, fixed, u: int, searched: list[int]) -> bool:
-    """Whether u shares an orbit with a vertex of ``searched``.
-
-    ``orbit`` is a union-find of orbits, to which this first joins each
-    point with its image under every automorphism in ``automorphisms``
-    that fixes each vertex of ``fixed``. An automorphism is given as the
-    list of (point, image) pairs of the points it moves.
-    """
-    for moved in automorphisms:
-        if not any(i in fixed for i, _ in moved):
-            for i, j in moved:
-                orbit[_find(orbit, i)] = _find(orbit, j)
-    root = _find(orbit, u)
-    return any(_find(orbit, s) == root for s in searched)
-
-
 def canonical_form(g: LabelledGraph) -> bytes:
     """Canonical byte string: equal for exactly the isomorphic labelled graphs.
 
-    Both formats start with ``n|``, the vertex count, which is an
-    isomorphism invariant, so forms of the two formats never collide.
-
-    - At most ``MATRIX_FORM_MAX_VERTICES`` vertices: ``n|`` and the least
-      flattened lower-triangle label matrix (row i lists the labels from
-      the i-th vertex to the earlier ones, 0 for no edge) over the
-      vertex orderings that list the classes of ``_wl_classes`` one after
-      another; see ``_least_matrix``.
-    - More vertices: ``n|`` and the sorted ``i,j,label`` triples (i < j,
-      separated by ``;``) of the edges under a canonical order of the
-      vertices; see ``_least_certificate``. When the classes of
-      ``_wl_classes`` are singletons, their order is that canonical
-      order, read off without a search. The form is O(V + E) long.
+    The form is ``n|``, the vertex count, followed by the sorted
+    ``i,j,label`` triples (i < j, separated by ``;``) of the edges under
+    a canonical order of the vertices (``_least_certificate``). It is
+    O(V + E) long.
 
     >>> square = LabelledGraph.from_edges(
     ...     [("a", "b", 2), ("b", "c", 2), ("c", "d", 2), ("a", "d", 2)]
     ... )
     >>> canonical_form(square)
-    b'4|0,2,2,2,2,0'
+    b'4|0,2,2;0,3,2;1,2,2;1,3,2'
     >>> ring = LabelledGraph.from_edges([(f"v{i}", f"v{(i + 1) % 13}", 3) for i in range(13)])
     >>> canonical_form(ring)
     b'13|0,11,3;0,12,3;1,2,3;1,4,3;2,3,3;3,5,3;4,6,3;5,7,3;6,8,3;7,9,3;8,10,3;9,11,3;10,12,3'
     """
     n = len(g.vertices)
-    if n == 0:
-        return b"0|"
     idx = {v: i for i, v in enumerate(g.vertices)}
     edges = [(idx[u], idx[v], m) for u, v, m in g.edges]
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, j, m in edges:
         nbrs[i].append((m, j))
         nbrs[j].append((m, i))
-    classes = _wl_classes(nbrs)
-    if n <= MATRIX_FORM_MAX_VERTICES:
-        payload = ",".join(map(str, _least_matrix(n, edges, classes)))
-    else:
-        if len(classes) == n:
-            triples = _certificate(edges, [c[0] for c in classes])
-        else:
-            triples = _least_certificate(nbrs, edges, classes)
-        payload = ";".join(map("%d,%d,%d".__mod__, triples))
+    payload = ";".join(map("%d,%d,%d".__mod__, _least_certificate(nbrs, edges)))
     return f"{n}|{payload}".encode("ascii")
-
-
-def _least_matrix(n: int, edges, classes) -> list[int]:
-    """The least flattened lower-triangle label matrix over the class-respecting orders.
-
-    The search places one vertex per level and reaches that least matrix
-    with these exact prunings, after McKay & Piperno, "Practical graph
-    isomorphism, II", J. Symbolic Comput. 60 (2014):
-
-    - prefix: a partial matrix larger than the best one's prefix only
-      leads to larger matrices;
-    - least row only: the candidates at a level add rows of one length,
-      so one whose row is larger than the least row loses at that row;
-      only the least-row candidates are searched;
-    - orbits, the one pruning by automorphisms: a leaf whose matrix ties
-      the best gives an automorphism, ``best_order[i] -> order[i]``. A
-      candidate that the recorded automorphisms fixing the placed
-      vertices pointwise map from a searched sibling is skipped: such an
-      automorphism maps the sibling's subtree onto the candidate's,
-      matrix for matrix;
-    - unwinding: the automorphism of a tie fixes the levels before the
-      first one where ``order`` departs from ``best_order``, and maps the
-      best's subtree there onto the subtree being searched, so the search
-      returns to that level at once.
-
-    It recurses once per vertex, so it serves small graphs only.
-    """
-    adj = [[0] * n for _ in range(n)]
-    for i, j, m in edges:
-        adj[i][j] = adj[j][i] = m
-    class_for_pos: list[int] = []
-    for k, cls in enumerate(classes):
-        class_for_pos += [k] * len(cls)
-
-    best: list[int] | None = None
-    best_order: list[int] = []
-    automorphisms: list[list[int]] = []
-    order: list[int] = []
-    flat: list[int] = []
-    placed = [False] * n
-
-    def dfs(pos: int) -> int:
-        """Search below ``order``; return the level to unwind to, n for none."""
-        nonlocal best, best_order
-        if pos == n:
-            if best is None or flat < best:
-                best, best_order = flat.copy(), order.copy()
-                return n
-            automorphisms.append([(b, o) for b, o in zip(best_order, order) if b != o])
-            return next(i for i in range(n) if order[i] != best_order[i])
-        least: list[int] | None = None
-        candidates: list[int] = []
-        for u in classes[class_for_pos[pos]]:
-            if placed[u]:
-                continue
-            row = [adj[u][w] for w in order]
-            if least is None or row < least:
-                least, candidates = row, [u]
-            elif row == least:
-                candidates.append(u)
-        assert least is not None
-        flat.extend(least)
-        back = n
-        if best is None or flat <= best[: len(flat)]:
-            searched: list[int] = []
-            orbit = list(range(n))  # orbits of the automorphisms fixing ``order``
-            merged = 0
-            for u in candidates:
-                if searched:
-                    fresh, merged = automorphisms[merged:], len(automorphisms)
-                    if _orbit_meets(orbit, fresh, order, u, searched):
-                        continue
-                placed[u] = True
-                order.append(u)
-                back = dfs(pos + 1)
-                order.pop()
-                placed[u] = False
-                if back < pos:
-                    break
-                searched.append(u)
-        del flat[len(flat) - len(least):]
-        return back if back < pos else n
-
-    dfs(0)
-    assert best is not None
-    return best
 
 
 def _certificate(edges, lab: list[int]) -> list[tuple[int, int, int]]:
@@ -823,27 +698,41 @@ class _Node:
         self.merged = 0
 
     def next_child(self, fixed: set[int], automorphisms) -> int | None:
-        """The next child not in the orbit of a searched one, None when there is none left."""
+        """The next child not in the orbit of a searched one, None when there is none left.
+
+        Each automorphism recorded since the last call that fixes each
+        vertex of ``fixed`` first joins, in ``orbit``, every point it
+        moves with its image; an automorphism is given as the list of
+        (point, image) pairs of the points it moves.
+        """
         while self.next < len(self.target):
             v = self.target[self.next]
             self.next += 1
             if self.searched:
                 if self.orbit is None:
                     self.orbit = list(range(len(self.part.lab)))
-                fresh, self.merged = automorphisms[self.merged:], len(automorphisms)
-                if _orbit_meets(self.orbit, fresh, fixed, v, self.searched):
+                orbit = self.orbit
+                for moved in automorphisms[self.merged:]:
+                    if not any(i in fixed for i, _ in moved):
+                        for i, j in moved:
+                            orbit[_find(orbit, i)] = _find(orbit, j)
+                self.merged = len(automorphisms)
+                root = _find(orbit, v)
+                if any(_find(orbit, s) == root for s in self.searched):
                     continue
             self.searched.append(v)
             return v
         return None
 
 
-def _least_certificate(nbrs, edges, classes) -> list[tuple[int, int, int]]:
+def _least_certificate(nbrs, edges) -> list[tuple[int, int, int]]:
     """A canonical ``_certificate``: the least over the leaves of the
     individualization-refinement tree with the least refinement traces.
 
     A node of the tree is an equitable ordered partition; the root is
-    ``classes``. A node's children individualize each vertex of its
+    the classes of ``_wl_classes``. When they are singletons, the root
+    is the only leaf, and its order is read off without a search.
+    Otherwise a node's children individualize each vertex of its
     first cell of two or more vertices, and refine from that vertex,
     leaving a trace (``_Partition.refine``). A node whose cells are all
     singletons is a leaf and orders the vertices. Leaves compare by the
@@ -870,11 +759,14 @@ def _least_certificate(nbrs, edges, classes) -> list[tuple[int, int, int]]:
     best_lab: list[int] = []
     best_path: list[int] = []
     best_traces: list[list[tuple[int, ...]]] = []
-    automorphisms: list[list[int]] = []
+    automorphisms: list[list[tuple[int, int]]] = []
     path: list[int] = []  # path[d] is the vertex individualized by stack[d]'s current child
     traces: list[list[tuple[int, ...]]] = []  # traces[d] is the trace of that child
-    root = _Partition.of(classes)
-    stack = [_Node(root, root.target(), False)]
+    root = _Partition.of(_wl_classes(nbrs))
+    target = root.target()
+    if target is None:
+        return _certificate(edges, root.lab)
+    stack = [_Node(root, target, False)]
     while stack:
         node = stack[-1]
         depth = len(stack) - 1

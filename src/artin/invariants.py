@@ -159,9 +159,10 @@ def compare(p: InvariantProfile, q: InvariantProfile) -> CompareVerdict:
 class AcylindricityVerdict:
     """Acylindrical hyperbolicity of Aut of the Artin group.
 
-    ``witness`` is a pair (s, t): s a separating vertex and t a vertex
-    generating with s a non-abelian dihedral or free subgroup (no edge,
-    or an edge labelled at least 3).
+    ``value`` says whether the criterion certifies it; False proves
+    nothing. ``witness`` is a pair (s, t): s a separating vertex and t a
+    vertex generating with s a non-abelian dihedral or free subgroup (no
+    edge, or an edge labelled at least 3).
     """
 
     value: bool
@@ -182,7 +183,9 @@ def aut_acylindrically_hyperbolic(g: LabelledGraph) -> AcylindricityVerdict:
     True when some separating vertex s fails to be central in the group:
     some vertex t has no edge to s, or an edge labelled at least 3. The
     verdict applies to the automorphism group of the Artin group,
-    assuming torsion-free throughout.
+    assuming torsion-free throughout. The criterion is sufficient, not
+    necessary: False means only that it does not apply, and the question
+    stays open (the CLI prints "not established").
     """
     decomp = big_chunks(g)
     if len(g.vertices) < 3:

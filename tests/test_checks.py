@@ -4,6 +4,7 @@ values through the private constructors."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -314,3 +315,35 @@ def test_group_descriptor_kinds_are_named_only_in_gog():
         or (isinstance(node, ast.Attribute) and node.attr in DESCRIPTORS)
     }
     assert naming == {"gog", "__init__"}
+
+
+def _names_read(node) -> Counter:
+    """How often each name is read under ``node``, as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store))
+    )
+
+
+def test_module_private_names_are_used():
+    # a private helper left behind when the path that called it is deleted
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    reads = sum((_names_read(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                # reads inside the definition itself, such as a recursive call, do not count
+                if name.startswith("_") and not name.startswith("__") \
+                        and reads[name] == _names_read(node)[name]:
+                    unused.append(f"{module}.{name}")
+    assert unused == []

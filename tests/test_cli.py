@@ -278,6 +278,21 @@ def test_acylindrical(capsys, path_file):
     assert data["reason"].startswith("separating vertex b and vertex a generate")
 
 
+def test_acylindrical_without_the_criterion_claims_nothing(capsys, tmp_path):
+    # the (3,3,3) triangle has no separating vertex, and the criterion is
+    # only sufficient: the answer is open, not "no"
+    p = tmp_path / "triangle.graph"
+    p.write_text("e a b 3\ne b c 3\ne a c 3\n")
+    code, out, _ = _run(capsys, ["acylindrical", str(p)])
+    assert code == 0
+    assert out == (
+        "acylindrically hyperbolic: not established\n"
+        "reason: no separating vertex (assuming torsion-free)\n"
+    )
+    code, out, _ = _run(capsys, ["acylindrical", str(p), "--json"])
+    assert code == 0 and json.loads(out)["acylindrically_hyperbolic"] is False
+
+
 def test_dihedral_nf_and_eq(capsys):
     code, out, _ = _run(capsys, ["dihedral-nf", "3", "a b a"])
     assert code == 0 and out.strip() == "x"
