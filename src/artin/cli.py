@@ -13,12 +13,7 @@ import json
 import sys
 from itertools import chain
 
-from .dihedral import (
-    AbelianNormalForm,
-    normal_form,
-    root_bound_search,
-    words_equal,
-)
+from .dihedral import normal_form, root_bound_search, words_equal
 from .errors import ArtinError, GraphFormatError
 from .gog import GraphOfGroups, betti_number, build_jsj, collapse_jsj, dihedral_jsj
 from .graphs import big_chunks, parse_graph, retract_word
@@ -249,12 +244,9 @@ def _cmd_abelianize(args) -> int:
 
 def _cmd_presentation(args) -> int:
     g = _load_graph(args.file)
-    if args.of_jsj:
-        pres = gog_presentation(build_jsj(g))
-        if args.simplify:
-            pres = simplify_identifications(pres)
-    else:
-        pres = artin_presentation(g)
+    pres = gog_presentation(build_jsj(g)) if args.of_jsj else artin_presentation(g)
+    if args.simplify:
+        pres = simplify_identifications(pres)
     _emit(pres.to_json_dict, lambda: render_presentation(pres), args.json)
     return 0
 
@@ -293,15 +285,9 @@ def _cmd_acylindrical(args) -> int:
     return 0
 
 
-def _nf_payload(n: int, nf) -> dict:
-    if isinstance(nf, AbelianNormalForm):
-        return {"label": n, "a_exp": nf.a_exp, "b_exp": nf.b_exp}
-    return {"label": n, "central": nf.central, "syllables": nf.syllables}
-
-
 def _cmd_dihedral_nf(args) -> int:
     nf = normal_form(args.label, Word.from_text(args.word))
-    _emit(lambda: _nf_payload(args.label, nf), lambda: str(nf), args.json)
+    _emit(lambda: vars(nf), lambda: str(nf), args.json)  # its fields, in declaration order
     return 0
 
 

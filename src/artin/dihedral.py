@@ -62,9 +62,10 @@ class OddNormalForm:
     syllables: tuple[tuple[str, int], ...]
 
     def __str__(self) -> str:
-        parts = [f"c^{self.central}"] if self.central else []
-        parts += ["x" if s == "x" else f"y^{e}" if e != 1 else "y" for s, e in self.syllables]
-        return " ".join(parts) if parts else "1"
+        parts = [f"c^{self.central}"] if self.central else []  # c^1 keeps its exponent
+        if self.syllables:
+            parts.append(Word._trusted(self.syllables).to_text())
+        return " ".join(parts) or "1"
 
 
 @dataclass(frozen=True)
@@ -81,18 +82,14 @@ class EvenNormalForm:
     syllables: tuple[tuple[str, int], ...]
 
     def __str__(self) -> str:
-        m = self.label // 2
-        parts = []
-        tail = self.central * m
+        tail = self.central * (self.label // 2)
         body = self.syllables
         if body and body[-1][0] == "y":
             tail += body[-1][1]
             body = body[:-1]
-        for s, e in body:
-            parts.append(s if e == 1 else f"{s}^{e}")
         if tail:
-            parts.append(f"y^{tail}" if tail != 1 else "y")
-        return " ".join(parts) if parts else "1"
+            body += (("y", tail),)
+        return Word._trusted(body).to_text() or "1"
 
 
 @dataclass(frozen=True)
@@ -104,12 +101,7 @@ class AbelianNormalForm:
     b_exp: int
 
     def __str__(self) -> str:
-        parts = []
-        if self.a_exp:
-            parts.append(f"a^{self.a_exp}" if self.a_exp != 1 else "a")
-        if self.b_exp:
-            parts.append(f"b^{self.b_exp}" if self.b_exp != 1 else "b")
-        return " ".join(parts) if parts else "1"
+        return as_defining_generators(self).to_text() or "1"
 
 
 NormalForm = Union[OddNormalForm, EvenNormalForm, AbelianNormalForm]

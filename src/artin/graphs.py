@@ -531,11 +531,8 @@ def canonical_form(g: LabelledGraph) -> bytes:
     return f"{n}|{payload}".encode("ascii")
 
 
-def _certificate(edges, lab: list[int]) -> list[tuple[int, int, int]]:
-    """The sorted (i, j, label) triples, i < j, of the edges with ``lab[p]`` at position p."""
-    pos = [0] * len(lab)
-    for p, v in enumerate(lab):
-        pos[v] = p
+def _certificate(edges, pos: list[int]) -> list[tuple[int, int, int]]:
+    """The sorted (i, j, label) triples, i < j, of the edges with vertex v at position ``pos[v]``."""
     out = []
     for i, j, m in edges:
         a, b = pos[i], pos[j]
@@ -765,7 +762,7 @@ def _least_certificate(nbrs, edges) -> list[tuple[int, int, int]]:
     root = _Partition.of(_wl_classes(nbrs))
     target = root.target()
     if target is None:
-        return _certificate(edges, root.lab)
+        return _certificate(edges, root.pos)
     stack = [_Node(root, target, False)]
     while stack:
         node = stack[-1]
@@ -788,7 +785,7 @@ def _least_certificate(nbrs, edges) -> list[tuple[int, int, int]]:
         if target is not None:
             stack.append(_Node(child, target, tied))
             continue
-        cert = _certificate(edges, child.lab)
+        cert = _certificate(edges, child.pos)
         if not tied or cert < best:
             best, best_lab, best_path, best_traces = cert, child.lab, path.copy(), traces.copy()
             for ancestor in stack:

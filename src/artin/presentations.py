@@ -49,8 +49,9 @@ class Presentation:
     """Finite presentation: generator names and relators.
 
     A relator is a ``Word``, or the closed-form relator of an Artin edge
-    that ``artin_presentation`` builds; both render with ``to_text`` and
-    answer ``support`` and ``exponent_sums``.
+    that ``artin_presentation`` builds; both render with ``to_text``,
+    answer ``support`` and ``exponent_sums``, and rename themselves with
+    ``_renamed``.
     """
 
     generators: tuple[str, ...]
@@ -362,8 +363,9 @@ def simplify_identifications(p: Presentation) -> Presentation:
     Relators stay keyed by their position, with an index from each
     generator to the relators holding it and a min-heap of positions
     that hold identifications; an elimination rewrites only the relators
-    holding the generator it drops. An Artin relator is renamed in closed
-    form and is never an identification.
+    holding the generator it drops. Each of them renames itself
+    (``_renamed``): an Artin relator in closed form, a word letter by
+    letter. An Artin relator is never an identification.
     """
     rels: dict[int, Word | _ArtinRelator] = {}
     holding: dict[str, set[int]] = {}
@@ -393,7 +395,7 @@ def simplify_identifications(p: Presentation) -> Presentation:
             for name in old.support():
                 if name != drop:
                     holding[name].discard(i)
-            reduced = _substituted(old, drop, keep, sign)
+            reduced = old._renamed({drop: keep}, sign)
             if reduced is not None:
                 rels[i] = reduced
                 for name in reduced.support():
@@ -403,18 +405,6 @@ def simplify_identifications(p: Presentation) -> Presentation:
         dropped.add(drop)
     gens = tuple(g for g in p.generators if g not in dropped)
     return Presentation._trusted(gens, tuple(rels[i] for i in sorted(rels)))
-
-
-def _substituted(
-    r: Word | _ArtinRelator, drop: str, keep: str, sign: int
-) -> Word | _ArtinRelator | None:
-    """r with keep^sign for drop, freely reduced; None if it is trivial."""
-    if isinstance(r, _ArtinRelator):
-        return r._renamed({drop: keep}, sign)
-    reduced = Word._trusted(
-        tuple((keep, e * sign) if n == drop else (n, e) for n, e in r.letters)
-    ).free_reduce()
-    return reduced if reduced.letters else None
 
 
 def _is_identification(r: Word | _ArtinRelator) -> bool:

@@ -8,7 +8,9 @@ nonzero integer in ASCII digits, e.g. ``a b^-1 a^3``.
 The relator of an Artin edge u-v labelled m is held as (u, v, m) and
 answers every question in closed form: its text is built by string
 repetition, its exponent sums read only the parity of m, and renaming
-touches two names. No consumer walks its 2m letters.
+touches two names. No consumer walks its 2m letters. Both kinds of
+relator rename themselves by ``_renamed``: substitute, free-reduce, and
+give None for the trivial word.
 
 Input checks: ``Word(...)``, ``Word.generator``, ``Word.from_text``,
 ``alternating`` and ``rename_word`` check what they are given; words
@@ -172,6 +174,15 @@ class Word:
 
     def syllable_length(self) -> int:
         return sum(map(abs, map(_EXP, self.letters)))
+
+    def _renamed(self, rename: dict[str, str], sign: int = 1) -> Word | None:
+        """Substitute rename[n]^sign for each generator n that ``rename``
+        maps, and free-reduce. The trivial word is returned as None.
+        """
+        reduced = Word._trusted(
+            tuple((rename[n], e * sign) if n in rename else (n, e) for n, e in self.letters)
+        ).free_reduce()
+        return reduced if reduced.letters else None
 
 
 def alternating(u: str, v: str, n: int) -> Word:

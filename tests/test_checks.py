@@ -241,10 +241,12 @@ PRIVATE_CONSTRUCTOR_SITES = {
     ("graphs", "parse_graph"),
     ("graphs", "big_chunks"),
     ("graphs", "retract_word"),
+    ("words", "Word._renamed"),
+    ("dihedral", "OddNormalForm.__str__"),
+    ("dihedral", "EvenNormalForm.__str__"),
     ("dihedral", "as_defining_generators"),
     ("presentations", "artin_presentation"),
     ("presentations", "simplify_identifications"),
-    ("presentations", "_substituted"),
 }
 
 
@@ -301,20 +303,28 @@ def test_modules_import_only_names_they_use():
     assert unused == {}
 
 
-DESCRIPTORS = ("CyclicOnGenerator", "CyclicOnWord", "FreeAbelianPair", "ChunkParabolic")
+def _modules_naming(names) -> set[str]:
+    """The modules of the package that name any of ``names``, imported or read."""
+    return {
+        path.stem
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+    }
 
 
 def test_group_descriptor_kinds_are_named_only_in_gog():
     # each descriptor presents itself; no other module tells the kinds apart
-    naming = {
-        path.stem
-        for path in SRC.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Name) and node.id in DESCRIPTORS)
-        or (isinstance(node, ast.alias) and node.name in DESCRIPTORS)
-        or (isinstance(node, ast.Attribute) and node.attr in DESCRIPTORS)
-    }
-    assert naming == {"gog", "__init__"}
+    descriptors = ("CyclicOnGenerator", "CyclicOnWord", "FreeAbelianPair", "ChunkParabolic")
+    assert _modules_naming(descriptors) == {"gog", "__init__"}
+
+
+def test_normal_form_kinds_are_named_only_in_dihedral():
+    # each normal form prints and serializes itself; no other module tells the kinds apart
+    normal_forms = ("AbelianNormalForm", "OddNormalForm", "EvenNormalForm")
+    assert _modules_naming(normal_forms) == {"dihedral", "__init__"}
 
 
 def _names_read(node) -> Counter:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from artin import artin_abelianization, errors, parse_graph
+from artin import Word, artin_abelianization, errors, normal_form, parse_graph
 from artin.cli import _json_text, main
 
 from corpus import FAN_TEXT, random_connected_graph
@@ -237,6 +237,17 @@ def test_presentation_simplify(capsys, path_file):
     assert "a b a b^-1 a^-1 b^-1" in data["relators"]
 
 
+def test_presentation_simplify_leaves_the_artin_presentation(capsys, tmp_path, fan_file):
+    # the vertex presentation has no identification relator to eliminate
+    edge = tmp_path / "edge.graph"
+    edge.write_text("e a b 1000001\n")
+    for path in (fan_file, str(edge)):
+        for flags in ([], ["--json"]):
+            plain = _run(capsys, ["presentation", path, *flags])
+            assert plain[0] == 0
+            assert _run(capsys, ["presentation", path, "--simplify", *flags]) == plain
+
+
 def test_profile_and_compare(capsys, tmp_path, fan_file):
     code, out, _ = _run(capsys, ["profile", fan_file, "--json"])
     assert code == 0
@@ -311,6 +322,26 @@ def test_dihedral_nf_and_eq(capsys):
     for u, v, equal in (("a b a", "b a b", True), ("a b", "b a", False)):
         code, out, _ = _run(capsys, ["dihedral-eq", "3", u, v, "--json"])
         assert code == 0 and json.loads(out) == {"equal": equal}
+
+
+NORMAL_FORM_BYTES = [
+    # odd, central exponent 1: the c^k prefix keeps its exponent
+    (3, "a b a b a b a b", "c^1 y", {"label": 3, "central": 1, "syllables": [["y", 1]]}),
+    # even: the centre z = y^2 folds into the trailing y, 2 * 2 + 1 = 5
+    (4, "a b a b a b a^-2 b a b a b", "y x^-3 y^5",
+     {"label": 4, "central": 2, "syllables": [["y", 1], ["x", -3], ["y", 1]]}),
+    (2, "a^2 b^-3 a", "a^3 b^-3", {"label": 2, "a_exp": 3, "b_exp": -3}),
+    (3, "a b a b^-1 a^-1 b^-1", "1", {"label": 3, "central": 0, "syllables": []}),
+]
+
+
+@pytest.mark.parametrize("label, word, text, payload", NORMAL_FORM_BYTES)
+def test_dihedral_nf_text_and_json_bytes(capsys, label, word, text, payload):
+    assert str(normal_form(label, Word.from_text(word))) == text
+    assert _run(capsys, ["dihedral-nf", str(label), word]) == (0, text + "\n", "")
+    assert _run(capsys, ["dihedral-nf", str(label), word, "--json"]) == (
+        0, json.dumps(payload, indent=2) + "\n", ""
+    )
 
 
 def test_retract(capsys, fan_file):
