@@ -1,5 +1,9 @@
 """Command line interface.
 
+A ``_cmd_*`` function returns its result's two renderings, (JSON
+payload, text), as zero-argument callables, or None once ``--dot`` has
+written the graph; ``main`` prints the one ``--json`` selects and exits 0.
+
 Exit codes: 0 success, 1 invalid input (unreadable files, parse errors,
 bad arguments), 2 precondition violations (wrong graph shape for an
 operation), 64 unknown subcommand. An error raised by the toolkit exits
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from itertools import chain
 
 from .dihedral import normal_form, root_bound_search, words_equal
@@ -31,6 +36,7 @@ from .words import Word, _ascii_int
 
 _encode_str = json.encoder.encode_basestring_ascii
 _PLAIN = frozenset((str, int))  # member types of tuples that share a rendering
+_Renderings = tuple[Callable[[], object], Callable[[], str]]  # (JSON payload, text)
 
 
 class _UsageError(Exception):
@@ -112,15 +118,6 @@ def _json_text(value, newline: str = "\n") -> str:
     return json.dumps(value, indent=2).replace("\n", newline)
 
 
-def _emit(payload, text, as_json: bool):
-    """Print ``payload()`` as JSON or else ``text()``; only that one is built."""
-    if as_json:
-        print(_json_text(payload()))
-    else:
-        out = text()
-        print(out, end="" if out.endswith("\n") else "\n")
-
-
 def _gog_text(gog: GraphOfGroups) -> str:
     lines = []
     for v in gog.vertices:
@@ -138,7 +135,7 @@ def _gog_text(gog: GraphOfGroups) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_dot(gog: GraphOfGroups, path: str) -> int:
+def _write_dot(gog: GraphOfGroups, path: str) -> None:
     dot = gog.to_dot()
     if path == "-":
         sys.stdout.write(dot)
@@ -146,13 +143,12 @@ def _write_dot(gog: GraphOfGroups, path: str) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dot)
         print(f"wrote {path}")
-    return 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> _Renderings:
     g = _load_graph(args.file)
     connected = g.is_connected()
-    _emit(
+    return (
         lambda: {
             "vertices": list(g.vertices),
             "edges": [[u, v, m] for u, v, m in g.edges],
@@ -160,12 +156,10 @@ def _cmd_validate(args) -> int:
         },
         lambda: f"ok: {len(g.vertices)} vertices, {len(g.edges)} edges, "
         + ("connected" if connected else "disconnected"),
-        args.json,
     )
-    return 0
 
 
-def _cmd_chunks(args) -> int:
+def _cmd_chunks(args) -> _Renderings:
     decomp = big_chunks(_load_graph(args.file))
 
     def text():
@@ -176,11 +170,10 @@ def _cmd_chunks(args) -> int:
         lines.append("separating: " + (" ".join(decomp.separating) or "(none)"))
         return "\n".join(lines)
 
-    _emit(decomp.to_json_dict, text, args.json)
-    return 0
+    return decomp.to_json_dict, text
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> _Renderings:
     verdict = splits_over_cyclic(_load_graph(args.file))
 
     def text():
@@ -199,34 +192,30 @@ def _cmd_split(args) -> int:
             )
         return "\n".join(lines)
 
-    _emit(verdict.to_json_dict, text, args.json)
-    return 0
+    return verdict.to_json_dict, text
 
 
-def _cmd_jsj(args) -> int:
+def _cmd_jsj(args) -> _Renderings | None:
     gog = build_jsj(_load_graph(args.file))
     if args.collapsed:
         gog = collapse_jsj(gog)
     if args.dot:
         return _write_dot(gog, args.dot)
-    _emit(gog.to_json_dict, lambda: _gog_text(gog), args.json)
-    return 0
+    return gog.to_json_dict, lambda: _gog_text(gog)
 
 
-def _cmd_dihedral_jsj(args) -> int:
+def _cmd_dihedral_jsj(args) -> _Renderings | None:
     gog = dihedral_jsj(args.label)
     if args.dot:
         return _write_dot(gog, args.dot)
     pres = gog_presentation(gog)
-    _emit(
+    return (
         lambda: {**gog.to_json_dict(), "presentation": pres.to_json_dict()},
         lambda: _gog_text(gog) + "presentation: " + render_presentation(pres),
-        args.json,
     )
-    return 0
 
 
-def _cmd_abelianize(args) -> int:
+def _cmd_abelianize(args) -> _Renderings:
     g = _load_graph(args.file)
     if args.of_jsj:
         shape = abelianize(gog_presentation(build_jsj(g)))
@@ -234,44 +223,37 @@ def _cmd_abelianize(args) -> int:
     else:
         shape = artin_abelianization(g)
         source = "vertex presentation"
-    _emit(
+    return (
         lambda: {"source": source, "abelianization": shape.to_json_dict()},
         lambda: f"{shape.describe()} (from the {source})",
-        args.json,
     )
-    return 0
 
 
-def _cmd_presentation(args) -> int:
+def _cmd_presentation(args) -> _Renderings:
     g = _load_graph(args.file)
     pres = gog_presentation(build_jsj(g)) if args.of_jsj else artin_presentation(g)
     if args.simplify:
         pres = simplify_identifications(pres)
-    _emit(pres.to_json_dict, lambda: render_presentation(pres), args.json)
-    return 0
+    return pres.to_json_dict, lambda: render_presentation(pres)
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> _Renderings:
     p = profile(_load_graph(args.file))
-    _emit(
-        p.to_json_dict,
-        lambda: "\n".join(f"{key}: {value}" for key, value in p.to_json_dict().items()),
-        args.json,
+    return p.to_json_dict, lambda: "\n".join(
+        f"{key}: {value}" for key, value in p.to_json_dict().items()
     )
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> _Renderings:
     verdict = compare(profile(_load_graph(args.file1)), profile(_load_graph(args.file2)))
-    _emit(verdict.to_json_dict, lambda: "\n".join(
+    return verdict.to_json_dict, lambda: "\n".join(
         [f"verdict: {verdict.verdict}"]
         + [f"reason: {r}" for r in verdict.reasons]
         + [f"note: {n}" for n in verdict.notes]
-    ), args.json)
-    return 0
+    )
 
 
-def _cmd_acylindrical(args) -> int:
+def _cmd_acylindrical(args) -> _Renderings:
     verdict = aut_acylindrically_hyperbolic(_load_graph(args.file))
 
     def text():
@@ -281,30 +263,26 @@ def _cmd_acylindrical(args) -> int:
         lines.append(f"reason: {verdict.reason}")
         return "\n".join(lines)
 
-    _emit(verdict.to_json_dict, text, args.json)
-    return 0
+    return verdict.to_json_dict, text
 
 
-def _cmd_dihedral_nf(args) -> int:
+def _cmd_dihedral_nf(args) -> _Renderings:
     nf = normal_form(args.label, Word.from_text(args.word))
-    _emit(lambda: vars(nf), lambda: str(nf), args.json)  # its fields, in declaration order
-    return 0
+    return lambda: vars(nf), lambda: str(nf)  # its fields, in declaration order
 
 
-def _cmd_dihedral_eq(args) -> int:
+def _cmd_dihedral_eq(args) -> _Renderings:
     equal = words_equal(args.label, Word.from_text(args.word1), Word.from_text(args.word2))
-    _emit(lambda: {"equal": equal}, lambda: "equal" if equal else "different", args.json)
-    return 0
+    return lambda: {"equal": equal}, lambda: "equal" if equal else "different"
 
 
-def _cmd_retract(args) -> int:
+def _cmd_retract(args) -> _Renderings:
     decomp = big_chunks(_load_graph(args.file))
     out = retract_word(decomp, args.chunk, Word.from_text(args.word))
-    _emit(lambda: {"word": out.to_text()}, out.to_text, args.json)
-    return 0
+    return lambda: {"word": out.to_text()}, out.to_text
 
 
-def _cmd_root_search(args) -> int:
+def _cmd_root_search(args) -> _Renderings:
     hits = root_bound_search(args.label, args.max_len, args.max_degree)
 
     def text():
@@ -317,7 +295,7 @@ def _cmd_root_search(args) -> int:
             f" {args.label // 2 + 1}..{args.max_degree} among words up to length {args.max_len}"
         )
 
-    _emit(
+    return (
         lambda: {
             "label": args.label,
             "max_length": args.max_len,
@@ -328,9 +306,7 @@ def _cmd_root_search(args) -> int:
             ],
         },
         text,
-        args.json,
     )
-    return 0
 
 
 def _build_parser() -> _Parser:
@@ -403,7 +379,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -414,7 +389,14 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        return args.fn(args)
+        renderings = args.fn(args)
+        if renderings is not None:  # None once --dot has written the graph
+            payload, text = renderings
+            if args.json:  # only the rendering that is printed is built
+                print(_json_text(payload()))
+            else:
+                out = text()
+                print(out, end="" if out.endswith("\n") else "\n")
     except ArtinError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
@@ -424,6 +406,7 @@ def main(argv=None) -> int:
     except OverflowError as err:  # a size past sys.maxsize
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -255,7 +255,7 @@ def delta_conjugates_generators(n: int) -> bool:
     _check_label(n)
     if n % 2 == 0:
         raise PreconditionError("generator swap under Delta is an odd-label property")
-    delta = alternating("a", "b", n)
+    delta = garside(n).delta
     a = Word.generator("a")
     b = Word.generator("b")
     return words_equal(n, delta * a * delta.inverse(), b) and words_equal(

@@ -47,7 +47,7 @@ from .graphs import (
     LabelledGraph,
     big_chunks,
 )
-from .words import Word, _ArtinRelator, alternating, rename_word
+from .words import Word, _ArtinRelator, alternating
 
 BLACK = "black"
 WHITE = "white"
@@ -157,7 +157,7 @@ class ChunkParabolic:
 
     def embed(self, w: Word, names: dict[str, str]) -> Word:
         if w.support() <= set(self.chunk.vertices):
-            return rename_word(w, names)
+            return w._renamed(names) or Word()
         raise PreconditionError(f"{w.to_text()!r} does not lie in the chunk {self.chunk}")
 
 
@@ -249,7 +249,8 @@ class GraphOfGroups:
 
         Black vertices are filled black with white text, white vertices
         are unfilled, red vertices are filled red. Loops are annotated
-        with their stable letter, red edges with the relation r^m = z.
+        with their stable letter, red edges with the relation r^m = z
+        when their injection is the m-th power of the red word r.
         """
         lines = ["graph gog {"]
         for v in self.vertices:
@@ -270,8 +271,9 @@ class GraphOfGroups:
                 desc = self.vertex(e.ends[red_end]).group
                 other = self.vertex(e.ends[1 - red_end]).group
                 if isinstance(desc, CyclicOnWord) and isinstance(other, FreeAbelianPair):
-                    m = e.injections[red_end].syllable_length() // desc.word.syllable_length()
-                    attrs.append(f'label="r^{m} = z"')
+                    m = _power_of(e.injections[red_end], desc.word)
+                    if m is not None:
+                        attrs.append(f'label="r^{m} = z"')
             suffix = f" [{', '.join(attrs)}]" if attrs else ""
             lines.append(f'  "{e.ends[0]}" -- "{e.ends[1]}"{suffix};')
         lines.append("}")

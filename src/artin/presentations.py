@@ -283,10 +283,6 @@ def abelianize(p: Presentation) -> AbelianShape:
     gives the same answer in closed form.
     """
     gens = p.generators
-    if not gens:
-        return AbelianShape(0, ())
-    if not p.relators:
-        return AbelianShape(len(gens), ())
     col = {g: i for i, g in enumerate(gens)}
     rows = [
         _SparseRow({col[name]: e for name, e in rel.exponent_sums().items()}, len(gens))

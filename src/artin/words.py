@@ -12,9 +12,9 @@ touches two names. No consumer walks its 2m letters. Both kinds of
 relator rename themselves by ``_renamed``: substitute, free-reduce, and
 give None for the trivial word.
 
-Input checks: ``Word(...)``, ``Word.generator``, ``Word.from_text``,
-``alternating`` and ``rename_word`` check what they are given; words
-derived from checked ones come from the private ``Word._trusted`` unchecked.
+Input checks: ``Word(...)``, ``Word.generator``, ``Word.from_text`` and
+``alternating`` check what they are given; words derived from checked
+ones come from the private ``Word._trusted`` unchecked.
 """
 
 from __future__ import annotations
@@ -195,13 +195,6 @@ def alternating(u: str, v: str, n: int) -> Word:
         raise ValueError("length must be nonnegative")
     pair = Word(((u, 1), (v, 1))[:n]).letters  # checks only the names used
     return Word._trusted(pair * (n // 2) + pair[: n % 2])
-
-
-def rename_word(w: Word, mapping: dict[str, str]) -> Word:
-    """Rename letters by ``mapping``; only the names mapped to are checked."""
-    renamed = {n: mapping[n] for n, _ in w.letters if n in mapping}
-    Word(tuple((name, 1) for name in renamed.values()))  # checks the new names
-    return Word._trusted(tuple((renamed.get(n, n), e) for n, e in w.letters))
 
 
 @dataclass(frozen=True)

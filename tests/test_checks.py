@@ -26,7 +26,6 @@ from artin import (
 )
 from artin import graphs, presentations, words
 from artin.cli import main
-from artin.words import rename_word
 
 from corpus import FAN_TEXT
 
@@ -120,13 +119,6 @@ def test_generator_and_alternating_messages():
     # only the names a word uses are checked
     assert alternating("1a", "1b", 0) == Word()
     assert alternating("a", "1b", 1) == Word.generator("a")
-
-
-def test_rename_word_checks_the_names_it_maps_to():
-    w = Word.from_text("a b^2 a^-1")
-    assert rename_word(w, {"a": "c", "z": "1z"}).to_text() == "c b^2 c^-1"
-    with pytest.raises(WordFormatError, match=_exact("bad generator name '1c'")):
-        rename_word(w, {"b": "2d", "a": "1c"})
 
 
 PRESENTATION_MESSAGES = [
@@ -236,7 +228,6 @@ PRIVATE_CONSTRUCTOR_SITES = {
     ("words", "Word.inverse"),
     ("words", "Word.free_reduce"),
     ("words", "alternating"),
-    ("words", "rename_word"),
     ("graphs", "LabelledGraph.induced"),
     ("graphs", "parse_graph"),
     ("graphs", "big_chunks"),
@@ -357,3 +348,19 @@ def test_module_private_names_are_used():
                         and reads[name] == _names_read(node)[name]:
                     unused.append(f"{module}.{name}")
     assert unused == []
+
+
+def test_cli_commands_only_return_their_renderings():
+    # main alone prints a command's result and sets the success exit code
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    offences = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_"):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id in ("print", "_emit"):
+                    offences.append(f"{fn.name} calls {node.func.id}")
+                if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) \
+                        and type(node.value.value) is int:
+                    offences.append(f"{fn.name} returns {node.value.value}")
+    assert offences == []

@@ -451,6 +451,17 @@ def test_graph_commands_on_tiny_graphs(capsys, tmp_path, name):
                 assert (code, err) == (2, "error: empty graph\n"), argv
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_error_raised_while_rendering_exits_with_one_line(capsys, tmp_path, extra):
+    # the text of a singleton chunk's class is built only while printing;
+    # its error still exits 2 and prints nothing to stdout
+    p = tmp_path / "one.graph"
+    p.write_text("v a\n")
+    assert _run(capsys, ["chunks", str(p)] + extra) == (
+        2, "", "error: singleton chunk has no classification\n"
+    )
+
+
 # integer arguments: malformed, non-ASCII, past Python's 4300-digit conversion
 # limit, and past sys.maxsize (these fail before anything is allocated; sizes
 # between about 10^8 and sys.maxsize would really be allocated)

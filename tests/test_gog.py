@@ -6,6 +6,7 @@ import pytest
 from artin import (
     NoJsjExistsError,
     PreconditionError,
+    Word,
     big_chunks,
     build_jsj,
     collapse_jsj,
@@ -21,7 +22,11 @@ from artin.gog import (
     WHITE,
     ChunkParabolic,
     CyclicOnGenerator,
+    CyclicOnWord,
     FreeAbelianPair,
+    GoGEdge,
+    GoGVertex,
+    GraphOfGroups,
     betti_number,
 )
 from artin.graphs import CHUNK_BRAIDED_LEAF, CHUNK_TORAL_LEAF
@@ -191,6 +196,28 @@ def test_dot_output_mentions_structure():
     assert "r^3 = z" in dot
     assert "stable letter b" in dot
     assert dot.startswith("graph gog {") and dot.rstrip().endswith("}")
+
+
+@pytest.mark.parametrize("injection, label", [
+    ("a b a b", 'label="r^2 = z"'),
+    ("b^-1 a^-1", 'label="r^-1 = z"'),
+    ("a b a", None),
+])
+def test_dot_red_label_reads_the_power_the_presentation_reads(injection, label):
+    # m in r^m = z is the exponent gog_presentation embeds, and no label
+    # is printed when the injection is no power of the red word
+    word = Word.from_text(injection)
+    red = GoGVertex("R", RED, CyclicOnWord(Word.from_text("a b")))
+    pair = GoGVertex("F", BLACK, FreeAbelianPair("a", word))
+    gog = GraphOfGroups((pair, red), (GoGEdge(("F", "R"), CyclicOnWord(word), (word, word)),))
+    edge = gog.to_dot().splitlines()[-2]
+    if label is None:
+        assert edge == '  "F" -- "R";'
+        with pytest.raises(PreconditionError, match="^'a b a' is not a power of a b$"):
+            gog_presentation(gog)
+    else:
+        assert edge == f'  "F" -- "R" [{label}];'
+        gog_presentation(gog)
 
 
 def test_json_shape():

@@ -138,6 +138,9 @@ def test_abelianize_edge_cases():
     assert AbelianShape(1, ()) != AbelianShape(0, ())
     trivial = Presentation(("a",), (Word.from_text("a"),))
     assert abelianize(trivial) == AbelianShape(0, ())
+    # no generators, or no relators as in free: the relation matrix has no entries
+    assert abelianize(Presentation((), ())) == AbelianShape(0, ())
+    assert abelianize(Presentation((), (Word(),))) == AbelianShape(0, ())
 
 
 def test_gog_presentation_path3_simplifies_to_artin():
@@ -270,6 +273,23 @@ def test_gog_presentation_embed_messages(vid, word, message):
     loop = GoGEdge((vid, vid), CyclicOnGenerator("a"), (Word.from_text(word),) * 2)
     with pytest.raises(PreconditionError, match="^" + re.escape(message) + "$"):
         gog_presentation(GraphOfGroups((vertex,), (loop,), graph=gog.graph))
+
+
+def test_chunk_injection_is_free_reduced_as_it_is_renamed():
+    gog = _four_kinds_gog()
+    w = Word.from_text
+    loop = GoGEdge(("P", "P"), CyclicOnGenerator("b"), (w("b c c^-1"), w("b")), stable_letter="t")
+    pres = gog_presentation(GraphOfGroups((gog.vertex("P"),), (loop,), graph=gog.graph))
+    assert pres.relators[-1].to_text() == "t b t^-1 b^-1"
+
+
+def test_vertex_id_that_makes_a_bad_generator_name_fails_as_a_bad_name():
+    gog = _four_kinds_gog()
+    p = gog.vertex("P")
+    twin = GoGVertex("Q-1", BLACK, p.group, p.chunk)
+    edge = GoGEdge(("P", "Q-1"), CyclicOnGenerator("a"), (Word.from_text("a"),) * 2)
+    with pytest.raises(WordFormatError, match="^bad generator name 'a_Q-1'$"):
+        gog_presentation(GraphOfGroups((p, twin), (edge,), graph=gog.graph))
 
 
 def test_gog_presentation_requires_connected_base():
