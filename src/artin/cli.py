@@ -1,8 +1,9 @@
 """Command line interface.
 
 A ``_cmd_*`` function returns its result's two renderings, (JSON
-payload, text), as zero-argument callables, or None once ``--dot`` has
-written the graph; ``main`` prints the one ``--json`` selects and exits 0.
+payload, text), as zero-argument callables; ``main`` alone prints the
+one ``--json`` selects and exits 0. With ``--dot``, which excludes
+``--json``, the text is the Graphviz graph or ``wrote PATH``.
 
 Exit codes: 0 success, 1 invalid input (unreadable files, parse errors,
 bad arguments), 2 precondition violations (wrong graph shape for an
@@ -20,7 +21,7 @@ from itertools import chain
 
 from .dihedral import normal_form, root_bound_search, words_equal
 from .errors import ArtinError, GraphFormatError
-from .gog import GraphOfGroups, betti_number, build_jsj, collapse_jsj, dihedral_jsj
+from .gog import GraphOfGroups, build_jsj, collapse_jsj, dihedral_jsj
 from .graphs import big_chunks, parse_graph, retract_word
 from .invariants import aut_acylindrically_hyperbolic, compare, profile
 from .presentations import (
@@ -118,31 +119,14 @@ def _json_text(value, newline: str = "\n") -> str:
     return json.dumps(value, indent=2).replace("\n", newline)
 
 
-def _gog_text(gog: GraphOfGroups) -> str:
-    lines = []
-    for v in gog.vertices:
-        lines.append(f"{v.color} vertex {v.id}: {v.group.describe()}")
-    for e in gog.edges:
-        images = ", ".join(w.to_text() for w in e.injections)
-        stable = f" (stable letter {e.stable_letter})" if e.stable_letter else ""
-        lines.append(
-            f"edge {e.ends[0]} -- {e.ends[1]}: {e.edge_group.describe()}"
-            f" with images {images}{stable}"
-        )
-    lines.append(f"betti: {betti_number(gog)}")
-    for sym, word in gog.legend:
-        lines.append(f"where {sym} = {word.to_text()}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_dot(gog: GraphOfGroups, path: str) -> None:
+def _write_dot(gog: GraphOfGroups, path: str) -> str:
+    """The Graphviz text for ``-``; otherwise write it to ``path`` and say so."""
     dot = gog.to_dot()
     if path == "-":
-        sys.stdout.write(dot)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-        print(f"wrote {path}")
+        return dot
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dot)
+    return f"wrote {path}"
 
 
 def _cmd_validate(args) -> _Renderings:
@@ -195,23 +179,22 @@ def _cmd_split(args) -> _Renderings:
     return verdict.to_json_dict, text
 
 
-def _cmd_jsj(args) -> _Renderings | None:
+def _cmd_jsj(args) -> _Renderings:
     gog = build_jsj(_load_graph(args.file))
     if args.collapsed:
         gog = collapse_jsj(gog)
-    if args.dot:
-        return _write_dot(gog, args.dot)
-    return gog.to_json_dict, lambda: _gog_text(gog)
+    text = (lambda: _write_dot(gog, args.dot)) if args.dot else gog.to_text
+    return gog.to_json_dict, text
 
 
-def _cmd_dihedral_jsj(args) -> _Renderings | None:
+def _cmd_dihedral_jsj(args) -> _Renderings:
     gog = dihedral_jsj(args.label)
     if args.dot:
-        return _write_dot(gog, args.dot)
+        return gog.to_json_dict, lambda: _write_dot(gog, args.dot)
     pres = gog_presentation(gog)
     return (
         lambda: {**gog.to_json_dict(), "presentation": pres.to_json_dict()},
-        lambda: _gog_text(gog) + "presentation: " + render_presentation(pres),
+        lambda: gog.to_text() + "presentation: " + render_presentation(pres),
     )
 
 
@@ -313,10 +296,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="artin", description="Artin group splittings toolkit")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, dot=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", help="emit JSON")
+        output = p.add_mutually_exclusive_group() if dot else p
+        output.add_argument("--json", action="store_true", help="emit JSON")
+        if dot:
+            output.add_argument(
+                "--dot", metavar="PATH", help="write Graphviz output to PATH ('-' for stdout)"
+            )
         return p
 
     p = add("validate", _cmd_validate, "parse a graph file and summarize it")
@@ -328,14 +316,12 @@ def _build_parser() -> _Parser:
     p = add("split", _cmd_split, "decide splittability over cyclic subgroups")
     p.add_argument("file")
 
-    p = add("jsj", _cmd_jsj, "JSJ graph of groups of the Artin group")
+    p = add("jsj", _cmd_jsj, "JSJ graph of groups of the Artin group", dot=True)
     p.add_argument("file")
     p.add_argument("--collapsed", action="store_true", help="collapse loops and red edges")
-    p.add_argument("--dot", metavar="PATH", help="write Graphviz output to PATH ('-' for stdout)")
 
-    p = add("dihedral-jsj", _cmd_dihedral_jsj, "JSJ of the dihedral group on a label")
+    p = add("dihedral-jsj", _cmd_dihedral_jsj, "JSJ of the dihedral group on a label", dot=True)
     p.add_argument("label", type=_int_arg)
-    p.add_argument("--dot", metavar="PATH", help="write Graphviz output to PATH ('-' for stdout)")
 
     p = add("abelianize", _cmd_abelianize, "abelianization of the Artin group")
     p.add_argument("file")
@@ -389,14 +375,12 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        renderings = args.fn(args)
-        if renderings is not None:  # None once --dot has written the graph
-            payload, text = renderings
-            if args.json:  # only the rendering that is printed is built
-                print(_json_text(payload()))
-            else:
-                out = text()
-                print(out, end="" if out.endswith("\n") else "\n")
+        payload, text = args.fn(args)
+        if args.json:  # only the rendering that is printed is built
+            print(_json_text(payload()))
+        else:
+            out = text()
+            print(out, end="" if out.endswith("\n") else "\n")
     except ArtinError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

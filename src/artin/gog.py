@@ -35,7 +35,6 @@ puts the vertex groups together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Union
 
 from .dihedral import _check_label, _new_generators
@@ -244,6 +243,20 @@ class GraphOfGroups:
             "betti": betti_number(self),
         }
 
+    def to_text(self) -> str:
+        """One line per vertex and edge, the Betti number, then the legend."""
+        lines = [f"{v.color} vertex {v.id}: {v.group.describe()}" for v in self.vertices]
+        for e in self.edges:
+            images = ", ".join(w.to_text() for w in e.injections)
+            stable = f" (stable letter {e.stable_letter})" if e.stable_letter else ""
+            lines.append(
+                f"edge {e.ends[0]} -- {e.ends[1]}: {e.edge_group.describe()}"
+                f" with images {images}{stable}"
+            )
+        lines.append(f"betti: {betti_number(self)}")
+        lines.extend(f"where {sym} = {word.to_text()}" for sym, word in self.legend)
+        return "\n".join(lines) + "\n"
+
     def to_dot(self) -> str:
         """Render in Graphviz format.
 
@@ -333,7 +346,7 @@ def _power_of(w: Word, base: Word) -> int | None:
     Both words are compared as tuples of single steps, at C speed: a a
     and a^2 are the same unit sequence.
     """
-    units, step = _units(w), _units(base)
+    units, step = w.units(), base.units()
     if not units:
         return 0
     if not step or len(units) % len(step):
@@ -341,19 +354,9 @@ def _power_of(w: Word, base: Word) -> int | None:
     k = len(units) // len(step)
     if units == step * k:
         return k
-    if units == _units(base.inverse()) * k:
+    if units == base.inverse().units() * k:
         return -k
     return None
-
-
-_UNIT_EXPONENTS = frozenset((1, -1))
-
-
-def _units(w: Word) -> tuple[tuple[str, int], ...]:
-    """The single steps of w: its own letters when every exponent is +-1."""
-    if _UNIT_EXPONENTS.issuperset(map(itemgetter(1), w.letters)):
-        return w.letters
-    return tuple(w.units())
 
 
 def build_jsj(g: LabelledGraph) -> GraphOfGroups:

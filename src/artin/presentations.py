@@ -179,8 +179,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 raise PreconditionError("matrix entries must be integers")
         rows.append({j: x for j, x in enumerate(r) if x})
     k = min(nrows, ncols)
-    if k == 0:
-        return ()
     diagonal = _diagonalize(rows)
     chain = [d for d in diagonal if d != 1]
     for s in range(len(chain)):
@@ -359,17 +357,15 @@ def simplify_identifications(p: Presentation) -> Presentation:
     Relators stay keyed by their position, with an index from each
     generator to the relators holding it and a min-heap of positions
     that hold identifications; an elimination rewrites only the relators
-    holding the generator it drops. Each of them renames itself
-    (``_renamed``): an Artin relator in closed form, a word letter by
-    letter. An Artin relator is never an identification.
+    holding the generator it drops. Relators rename themselves (``_renamed``,
+    which with ``{}`` only free-reduces): an Artin relator in closed form,
+    a word letter by letter. An Artin relator is never an identification.
     """
     rels: dict[int, Word | _ArtinRelator] = {}
     holding: dict[str, set[int]] = {}
     pending: list[int] = []
-    for i, r in enumerate(p.relators):
-        if not isinstance(r, _ArtinRelator):
-            r = r.free_reduce()
-        if isinstance(r, _ArtinRelator) or r.letters:
+    for i, r in enumerate(r._renamed({}) for r in p.relators):  # None when trivial
+        if r is not None:
             rels[i] = r
             for name in r.support():
                 holding.setdefault(name, set()).add(i)

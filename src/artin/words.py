@@ -24,7 +24,6 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator
 
 from .errors import WordFormatError
 
@@ -35,6 +34,7 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")  # int() alone also takes '1_0' and non-ASC
 Letter = tuple[str, int]
 _NAME = itemgetter(0)
 _EXP = itemgetter(1)
+_UNIT_EXPONENTS = frozenset((1, -1))
 
 
 def _ascii_int(text: str) -> int:
@@ -156,12 +156,13 @@ class Word:
                 out.append([name, exp])
         return Word._trusted(tuple((n, e) for n, e in out))
 
-    def units(self) -> Iterator[tuple[str, int]]:
-        """Yield single steps (name, +1 or -1), expanding exponents."""
-        for name, exp in self.letters:
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield name, sign
+    def units(self) -> tuple[Letter, ...]:
+        """The single steps (name, +1 or -1), exponents expanded: the
+        word's own ``letters`` when every exponent is +-1.
+        """
+        if _UNIT_EXPONENTS.issuperset(map(_EXP, self.letters)):
+            return self.letters
+        return tuple((n, 1 if e > 0 else -1) for n, e in self.letters for _ in range(abs(e)))
 
     def exponent_sums(self) -> dict[str, int]:
         sums: dict[str, int] = {}
@@ -179,9 +180,8 @@ class Word:
         """Substitute rename[n]^sign for each generator n that ``rename``
         maps, and free-reduce. The trivial word is returned as None.
         """
-        reduced = Word._trusted(
-            tuple((rename[n], e * sign) if n in rename else (n, e) for n, e in self.letters)
-        ).free_reduce()
+        renamed = ((rename[n], e * sign) if n in rename else (n, e) for n, e in self.letters)
+        reduced = (Word._trusted(tuple(renamed)) if rename else self).free_reduce()
         return reduced if reduced.letters else None
 
 
@@ -251,6 +251,8 @@ class _ArtinRelator:
         and reduces to x^e with e its exponent sum: (a - b) for odd m, 0
         for even m. The trivial word is returned as None.
         """
+        if not rename:
+            return self
         u, a, v, b = self.u, self.a, self.v, self.b
         if u in rename:
             u, a = rename[u], a * sign

@@ -350,17 +350,30 @@ def test_module_private_names_are_used():
     assert unused == []
 
 
+def _without_nested_functions(fn: ast.FunctionDef):
+    """The nodes of fn's own body, not those of functions or lambdas defined in it."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
 def test_cli_commands_only_return_their_renderings():
-    # main alone prints a command's result and sets the success exit code
+    # main alone writes a result to stdout and sets the success exit code;
+    # every command returns its (payload, text) pair and nothing else
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     offences = []
     for fn in tree.body:
+        name = getattr(fn, "name", "module level")
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and name != "main" \
+                    and ast.unparse(node.func) in ("print", "sys.stdout.write"):
+                offences.append(f"{name} calls {ast.unparse(node.func)}")
         if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_"):
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                        and node.func.id in ("print", "_emit"):
-                    offences.append(f"{fn.name} calls {node.func.id}")
-                if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) \
-                        and type(node.value.value) is int:
-                    offences.append(f"{fn.name} returns {node.value.value}")
+            for node in _without_nested_functions(fn):
+                if isinstance(node, ast.Return) and not (
+                        isinstance(node.value, ast.Tuple) and len(node.value.elts) == 2):
+                    offences.append(f"{fn.name} returns {ast.unparse(node.value)}")
     assert offences == []

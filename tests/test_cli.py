@@ -89,10 +89,10 @@ def test_jsj_text_json_and_dot(capsys, tmp_path, fan_file):
     assert len(data["vertices"]) == 5
 
     dot_path = tmp_path / "fan.dot"
-    code, out, _ = _run(capsys, ["jsj", fan_file, "--dot", str(dot_path)])
-    assert code == 0 and f"wrote {dot_path}" in out
+    assert _run(capsys, ["jsj", fan_file, "--dot", str(dot_path)]) == (0, f"wrote {dot_path}\n", "")
     dot = dot_path.read_text()
     assert dot.startswith("graph gog {") and "stable letter b" in dot
+    assert _run(capsys, ["jsj", fan_file, "--dot", "-"]) == (0, dot, "")
 
     code, out, _ = _run(capsys, ["jsj", fan_file, "--collapsed", "--json"])
     data = json.loads(out)
@@ -110,6 +110,22 @@ def test_dihedral_jsj_text(capsys):
     code, out, _ = _run(capsys, ["dihedral-jsj", "6", "--json"])
     data = json.loads(out)
     assert data["presentation"]["relators"] == ["x y^3 x^-1 y^-3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["jsj", "FAN", "--dot", "PATH", "--json"],
+    ["jsj", "FAN", "--json", "--collapsed", "--dot", "-"],
+    ["dihedral-jsj", "5", "--dot", "-", "--json"],
+    ["dihedral-jsj", "5", "--json", "--dot", "PATH"],
+])
+def test_json_and_dot_are_refused_together(capsys, tmp_path, fan_file, argv):
+    # one rendering per run: the pair is a usage error, and no file is written
+    dot_path = tmp_path / "out.dot"
+    argv = [{"FAN": fan_file, "PATH": str(dot_path)}.get(a, a) for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    _assert_one_error_line(argv, out, err)
+    assert "not allowed with argument" in err and not dot_path.exists()
 
 
 def test_dihedral_jsj_label_two_fails(capsys):

@@ -98,6 +98,7 @@ def test_snf_frozen_examples():
     assert smith_normal_form([[1]]) == (1,)
     assert smith_normal_form([[6, 4]]) == (2,)
     assert smith_normal_form([[6], [4]]) == (2,)
+    assert smith_normal_form([]) == () and smith_normal_form([[], []]) == ()
 
 
 def test_snf_matches_minor_gcd_oracle():

@@ -94,10 +94,15 @@ def test_text_is_rendered_once_and_kept():
 
 def test_units_match_per_unit_expansion():
     rng = random.Random(29)
+    unit_words = 0
     for _ in range(200):
         w = Word(tuple((rng.choice("abc"), rng.choice((1, -1, 2, -3, 5)))
                        for _ in range(rng.randint(0, 30))))
         want = [(n, 1 if e > 0 else -1) for n, e in w.letters for _ in range(abs(e))]
-        assert list(w.units()) == want
+        assert type(w.units()) is tuple and list(w.units()) == want
+        if all(abs(e) == 1 for _, e in w.letters):  # the word's own letters, not a copy
+            assert w.units() is w.letters
+            unit_words += 1
         assert w.syllable_length() == len(want)
         assert w.support() == {n for n, _ in w.letters}
+    assert unit_words > 0
