@@ -35,12 +35,21 @@ times its carry (a one-syllable image is a power of the free x).
 Applying it merges only at the stack top, and only while each merge
 cancels; the rest is appended as it is. Each distinct letter is reduced
 once per call.
+
+The reduction is a state that can be resumed (``_Reduction``): pushing
+more letters continues where the last push stopped. ``words_equal``
+cancels the longest common prefix of its two words and then the longest
+common suffix of what is left, since p u' s = p v' s exactly when
+u' = v', and reduces only the middles. ``root_bound_search`` pushes w
+once per degree onto one state, so its cost is linear in the degree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Iterator, Union
 
 from .errors import PreconditionError, WordFormatError
@@ -176,6 +185,71 @@ def _letter_image(table: dict, name: str, exp: int) -> tuple[tuple, int]:
     return syllables * abs(exp), carry * abs(exp)
 
 
+class _Reduction:
+    """The pair (central exponent, syllable stack) of the letters pushed so far, n >= 3.
+
+    Pushing more letters resumes the reduction where it stopped; each
+    distinct letter's image is reduced once per state.
+    """
+
+    def __init__(self, n: int, letters=()):
+        self.label = n
+        self.table, self.moduli = _reduction_table(n)
+        self.images: dict = {}  # letter -> (image, carry, first symbol)
+        self.central = 0
+        self.stack: list[tuple[str, int]] = []
+        self.push(letters)
+
+    def push(self, letters) -> None:
+        """Multiply on the right by the letters, in order."""
+        table, moduli, images = self.table, self.moduli, self.images
+        central = self.central
+        stack = self.stack
+        push, pop, extend = stack.append, stack.pop, stack.extend
+        for letter in letters:
+            found = images.get(letter)
+            if found is None:
+                image, carry = _letter_image(table, *letter)
+                found = images[letter] = (image, carry, image[0][0])
+            image, carry, first = found
+            central += carry
+            if not stack or stack[-1][0] != first:
+                extend(image)
+                continue
+            # Merge at the top while each merge cancels. Stack and image both
+            # alternate between the two symbols, so after a cancelling merge
+            # the new top has the symbol of the next image syllable.
+            i = 0
+            while True:
+                sym, e = image[i]
+                e += pop()[1]
+                if moduli[sym]:
+                    q, e = divmod(e, moduli[sym])
+                    central += q
+                i += 1
+                if e:
+                    push((sym, e))
+                    break
+                if i == len(image) or not stack:
+                    break
+            extend(image[i:])
+        self.central = central
+
+    def form(self) -> NormalForm:
+        n = self.label
+        return (OddNormalForm if n % 2 else EvenNormalForm)(n, self.central, tuple(self.stack))
+
+    def a_z_exponents(self) -> tuple[int, int] | None:
+        """(i, j) with the element equal to x^i z^j, when its syllables are
+        at most one power of x; else None. For even n, x = a."""
+        stack = self.stack
+        if not stack:
+            return (0, self.central)
+        if len(stack) == 1 and stack[0][0] == "x":
+            return (stack[0][1], self.central)
+        return None
+
+
 def normal_form(n: int, w: Word) -> NormalForm:
     """Normal form of a word over a, b in the dihedral group on label n.
 
@@ -189,48 +263,35 @@ def normal_form(n: int, w: Word) -> NormalForm:
     if n == 2:
         sums = w.exponent_sums()
         return AbelianNormalForm(2, sums.get("a", 0), sums.get("b", 0))
-    table, moduli = _reduction_table(n)
-    images: dict = {}  # letter -> (image, carry, first symbol)
-    central = 0
-    stack: list[tuple[str, int]] = []
-    push, pop, extend = stack.append, stack.pop, stack.extend
-    for letter in w.letters:
-        found = images.get(letter)
-        if found is None:
-            image, carry = _letter_image(table, *letter)
-            found = images[letter] = (image, carry, image[0][0])
-        image, carry, first = found
-        central += carry
-        if not stack or stack[-1][0] != first:
-            extend(image)
-            continue
-        # Merge at the top while each merge cancels. Stack and image both
-        # alternate between the two symbols, so after a cancelling merge
-        # the new top has the symbol of the next image syllable.
-        i = 0
-        while True:
-            sym, e = image[i]
-            e += pop()[1]
-            if moduli[sym]:
-                q, e = divmod(e, moduli[sym])
-                central += q
-            i += 1
-            if e:
-                push((sym, e))
-                break
-            if i == len(image) or not stack:
-                break
-        extend(image[i:])
-    return (OddNormalForm if n % 2 else EvenNormalForm)(n, central, tuple(stack))
+    return _Reduction(n, w.letters).form()
 
 
 def words_equal(n: int, u: Word, v: Word) -> bool:
     """Whether two words represent the same element.
 
+    Both words are checked before anything is reduced. A common prefix
+    p and then a common suffix s of the two letter sequences cancel,
+    since p u' s = p v' s exactly when u' = v', so only the middles are
+    reduced.
+
     >>> words_equal(4, Word.from_text("a b a b"), Word.from_text("b a b a"))
     True
+    >>> relator = "a b a b^-1 a^-1 b^-1"  # label 3
+    >>> words_equal(3, Word.from_text(f"b^5 {relator} a^-2"), Word.from_text("b^5 a^-2"))
+    True
     """
-    return normal_form(n, u) == normal_form(n, v)
+    _check_label(n)
+    _check_word(u)
+    _check_word(v)
+    if n == 2:
+        return normal_form(n, u) == normal_form(n, v)
+    a, b = u.letters, v.letters
+    shorter = min(len(a), len(b))
+    start = next(compress(count(), map(ne, a, b)), shorter)
+    left = shorter - start  # the suffix scan stops where the prefix ends
+    end = next(compress(range(left), map(ne, reversed(a), reversed(b))), left)
+    middle = _Reduction(n, a[start:len(a) - end]).form()
+    return middle == _Reduction(n, b[start:len(b) - end]).form()
 
 
 def is_central(n: int, w: Word) -> bool:
@@ -285,12 +346,8 @@ def membership_a_z(n: int, w: Word) -> tuple[int, int] | None:
     _check_label(n)
     if n % 2 or n < 4:
         raise PreconditionError("membership in <a, z> is an even-label operation")
-    nf = normal_form(n, w)
-    if not nf.syllables:
-        return (0, nf.central)
-    if len(nf.syllables) == 1 and nf.syllables[0][0] == "x":
-        return (nf.syllables[0][1], nf.central)
-    return None
+    _check_word(w)
+    return _Reduction(n, w.letters).a_z_exponents()
 
 
 def reduced_words(max_len: int) -> Iterator[Word]:
@@ -338,13 +395,15 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
     seen: set = set()
     hits = []
     for w in reduced_words(max_len):
-        nf = normal_form(n, w)
-        key = (nf.central, nf.syllables)
+        state = _Reduction(n, w.letters)  # the state of w^k, resumed for each degree k
+        key = state.form()
         if key in seen:
             continue
         seen.add(key)
+        state.push(w.letters * (m - 1))
         for k in range(m + 1, max_degree + 1):
-            res = membership_a_z(n, w ** k)
+            state.push(w.letters)
+            res = state.a_z_exponents()
             if res is not None and math.gcd(res[0], res[1]) == 1:
                 hits.append((w, k, res))
     return tuple(hits)

@@ -11,8 +11,9 @@ Three more are the library's earlier, simpler algorithms, kept as second
 methods for the fast ones: the dense Smith normal form that rescans the
 matrix for each pivot, identification elimination that rewrites every
 relator after each step, the recursive enumeration of freely reduced
-words, and the dihedral normal form with one engine per label parity,
-which settles an even label's powers of y only when an x follows.
+words, the dihedral normal form with one engine per label parity,
+which settles an even label's powers of y only when an x follows, and
+the root bound search that rebuilds and reduces w^k for each degree k.
 
 The Artin relator of an edge is expanded letter by letter from two
 alternating words, as the library once built it, and powers of a word
@@ -33,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd
 
-from artin import LabelledGraph, Presentation, Word, alternating
+from artin import LabelledGraph, Presentation, Word, alternating, membership_a_z, normal_form
 from artin.dihedral import AbelianNormalForm, EvenNormalForm, OddNormalForm
 from artin.presentations import _ArtinRelator
 
@@ -381,6 +382,31 @@ def oracle_reduced_words(max_len: int):
             prefix.pop()
 
     yield from extend([])
+
+
+def oracle_root_bound_search(n: int, max_len: int, max_degree: int):
+    """The root bound search on an even label n >= 4, with w^k rebuilt
+    and reduced from scratch for each degree k.
+
+    Returns the hits (w, k, (i, j)) for degrees n/2 < k <= max_degree
+    with gcd(i, j) = 1, and the membership of every w^k in <a, z> keyed
+    by (w, k) for 1 <= k <= max_degree, over the words up to max_len
+    deduplicated by normal form.
+    """
+    m = n // 2
+    seen: set = set()
+    hits, memberships = [], {}
+    for w in oracle_reduced_words(max_len):
+        nf = normal_form(n, w)
+        key = (nf.central, nf.syllables)
+        if key in seen:
+            continue
+        seen.add(key)
+        for k in range(1, max_degree + 1):
+            res = memberships[w, k] = membership_a_z(n, w ** k)
+            if k > m and res is not None and gcd(res[0], res[1]) == 1:
+                hits.append((w, k, res))
+    return tuple(hits), memberships
 
 
 class _OddEngine:

@@ -530,6 +530,22 @@ def test_sizes_past_maxsize_print_one_error_line(capsys, tmp_path):
             assert _run(capsys, argv + extra) == (2, "", message), argv
 
 
+def test_dihedral_eq_checks_both_words_and_reduces_only_where_they_differ(capsys):
+    # a shared a^H past sys.maxsize cancels before anything is built
+    power = f"a^{10**30}"
+    for extra in ([], ["--json"]):
+        equal = "{\n  \"equal\": true\n}\n" if extra else "equal\n"
+        different = "{\n  \"equal\": false\n}\n" if extra else "different\n"
+        assert _run(capsys, ["dihedral-eq", "3", power, power] + extra) == (0, equal, "")
+        assert _run(capsys, ["dihedral-eq", "3", f"b {power}", power] + extra) == (0, different, "")
+        # both words are checked before either is reduced
+        stray = "error: dihedral words use generators a, b only; got ['q']\n"
+        assert _run(capsys, ["dihedral-eq", "3", power, "a q"] + extra) == (1, "", stray)
+        # a stray generator in the shared part is still refused
+        assert _run(capsys, ["dihedral-eq", "3", "a q b", "a q b a"] + extra) == (1, "", stray)
+        assert _run(capsys, ["dihedral-eq", "3", "b q", "a q"] + extra) == (1, "", stray)
+
+
 def test_exit_codes(capsys, tmp_path, path_file):
     code, _, err = _run(capsys, ["no-such-command"])
     assert code == 64 and "invalid choice" in err

@@ -17,6 +17,7 @@ from artin import (
     root_bound_search,
     words_equal,
 )
+from artin import dihedral
 from artin.dihedral import (
     ROOT_SEARCH_MAX_LEN,
     AbelianNormalForm,
@@ -25,7 +26,7 @@ from artin.dihedral import (
     reduced_words,
 )
 
-from oracles import oracle_normal_form, oracle_reduced_words
+from oracles import oracle_normal_form, oracle_reduced_words, oracle_root_bound_search
 
 
 W = Word.from_text
@@ -138,6 +139,65 @@ def test_conjugated_relator_is_trivial(n):
     u = _long_word(random.Random(n + 7), 300)
     assert normal_form(n, u * relator * u.inverse()) == _identity(n)
     assert normal_form(n, u * relator) == normal_form(n, u) == oracle_normal_form(n, u)
+
+
+# words_equal cancels the longest common prefix of the two letter
+# sequences, then the longest common suffix of what is left, and reduces
+# only the middles
+
+EQUAL_LABELS = list(range(2, 13)) + [1000, 1001]
+
+
+def _relator(n):
+    return alternating("a", "b", n) * alternating("b", "a", n).inverse()
+
+
+def _shared_pairs(rng, n):
+    """(u, v, expected or None) pairs that share a prefix or a suffix."""
+    relator = _relator(n)
+    for _ in range(12):
+        p = _long_word(rng, rng.randint(0, 30))
+        s = _long_word(rng, rng.randint(0, 30))
+        t = _long_word(rng, rng.randint(1, 5))
+        letter = Word.generator(rng.choice("ab"), rng.choice((1, -1)))
+        square = rng.choice("ab")
+        yield p, p * t, None  # one word a prefix of the other
+        yield s, t * s, None  # one word a suffix of the other
+        yield p * s, p * s, True
+        yield p * W(f"{square}^2") * s, p * W(f"{square} {square}") * s, True
+        yield p * s, p * relator * s, True
+        yield p * relator.inverse() * s, p * s, True
+        yield p * s, p * s * letter, False
+        yield p * t * s, p * _long_word(rng, rng.randint(0, 5)) * s, None
+
+
+@pytest.mark.parametrize("n", EQUAL_LABELS)
+def test_words_equal_on_shared_parts_matches_oracle(n):
+    for u, v, expected in _shared_pairs(random.Random(n), n):
+        want = oracle_normal_form(n, u) == oracle_normal_form(n, v)
+        assert expected in (None, want), (n, u.to_text(), v.to_text())
+        assert words_equal(n, u, v) == want == words_equal(n, v, u), (n, u.to_text(), v.to_text())
+
+
+@pytest.mark.parametrize("n", [7, 1000])
+def test_words_equal_reduces_only_the_middles(n, monkeypatch):
+    # 10^5 shared letters on each side of an inserted relator: the
+    # reductions receive the relator's 2n letters and nothing else
+    rng = random.Random(n)
+    p, s = _long_word(rng, 10**5), _long_word(rng, 10**5)
+    received = []
+    push = dihedral._Reduction.push
+
+    def spy(state, letters):
+        received.append(len(letters))
+        push(state, letters)
+
+    monkeypatch.setattr(dihedral._Reduction, "push", spy)
+    assert words_equal(n, p * _relator(n) * s, p * s)
+    assert sum(received) <= 2 * n
+    received.clear()
+    assert not words_equal(n, p * W("a") * s, p * W("b") * s)
+    assert sum(received) == 2
 
 
 def test_round_trip_through_defining_generators():
@@ -280,6 +340,29 @@ def test_root_bound_search_length_cap():
         message = f"^word length {max_len} is above the root search cap ROOT_SEARCH_MAX_LEN = 10$"
         with pytest.raises(PreconditionError, match=message):
             root_bound_search(4, max_len, 5)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_root_bound_search_matches_oracle(n, monkeypatch):
+    # every membership of w^k in <a, z> agrees with w^k reduced from scratch
+    m = n // 2
+    hits, memberships = oracle_root_bound_search(n, 4, 40)
+    assert memberships[W("a b"), m] == (0, 1)  # r = a b with r^m = z
+    for w in dict.fromkeys(w for w, _ in memberships):
+        state = dihedral._Reduction(n)
+        for k in range(1, 41):  # the degrees k <= m too
+            state.push(w.letters)
+            assert state.a_z_exponents() == memberships[w, k], (w.to_text(), k)
+    seen = []
+    a_z_exponents = dihedral._Reduction.a_z_exponents
+
+    def spy(state):
+        seen.append(a_z_exponents(state))
+        return seen[-1]
+
+    monkeypatch.setattr(dihedral._Reduction, "a_z_exponents", spy)
+    assert root_bound_search(n, 4, 40) == hits
+    assert seen == [res for (w, k), res in memberships.items() if k > m]
 
 
 def test_tight_witness_root_of_degree_m():
