@@ -14,7 +14,7 @@ equivalence. The blocks, with their edges, come from one iterative
 Hopcroft-Tarjan depth-first search in O(V + E) (Hopcroft & Tarjan,
 "Algorithm 447", CACM 16(6), 1973); the separating vertices, the
 block-cut tree and connectivity are read off it, and the retractions onto
-chunks and the sides of a splitting walk that tree.
+chunks and the sides of a splitting walk that tree's edges.
 
 Input checks: ``LabelledGraph(...)``, ``LabelledGraph.from_edges`` and
 ``parse_graph`` (with line numbers) check what they are given. Graphs
@@ -24,7 +24,7 @@ the private ``LabelledGraph._trusted`` and are not checked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -249,33 +249,29 @@ class BlockDecomposition:
     containing it. Chunks and separating vertices are the two node kinds
     of the block-cut tree, and the incidence pairs are its edges; all of
     it comes from one linear depth-first search (:func:`big_chunks`).
+    The walks over the tree read those edges alone: a vertex that does
+    not separate lies in one chunk, so it leads nowhere else.
     """
 
     graph: LabelledGraph
     chunks: tuple[BigChunk, ...]
     separating: tuple[str, ...]
     incidence: tuple[tuple[str, tuple[int, ...]], ...]
-    _at: dict[str, tuple[int, ...]] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def chunks_at(self) -> dict[str, tuple[int, ...]]:
-        """Each vertex of the chunks mapped to the sorted indexes of its chunks.
-
-        ``big_chunks`` hands over the map its search built; it is derived
-        from the chunks only for a decomposition built without it.
-        """
-        if self._at is not None:
-            return self._at
-        return _chunks_at(c.vertices for c in self.chunks)
+    def _tree(self) -> dict[str, tuple[int, ...]]:
+        """Each separating vertex mapped to the sorted indexes of its chunks."""
+        return dict(self.incidence)
 
     def reached(self, j: int, s: str) -> set[int]:
         """Indexes of the chunks reached from chunk j over the block-cut tree without passing s."""
+        tree = self._tree
         reached = {j}
         todo = [j]
         while todo:
             for w in self.chunks[todo.pop()].vertices:
-                if w != s:
-                    for k in self.chunks_at[w]:
+                if w != s and w in tree:
+                    for k in tree[w]:
                         if k not in reached:
                             reached.add(k)
                             todo.append(k)
@@ -341,31 +337,28 @@ def _blocks(g: LabelledGraph) -> list[tuple[tuple[str, ...], tuple]]:
     return out
 
 
-def _chunks_at(vertex_sets) -> dict[str, tuple[int, ...]]:
-    at: dict[str, list[int]] = {}
-    for i, vertices in enumerate(vertex_sets):
-        for v in vertices:
-            at.setdefault(v, []).append(i)
-    return {v: tuple(idxs) for v, idxs in at.items()}
-
-
 def big_chunks(g: LabelledGraph) -> BlockDecomposition:
     """Decompose a connected graph into big chunks.
 
     Each chunk's graph is built from the edges its block popped off the
     search's edge stack (a block's vertex set induces exactly those).
     The search starts from one vertex; when its blocks miss a vertex,
-    :class:`DisconnectedGraphError` is raised with the components.
+    :class:`DisconnectedGraphError` is raised with the components. The
+    vertices in two or more blocks separate, and with their blocks they
+    are the tree's edges, ``incidence``.
     """
     if not g.vertices:
         raise PreconditionError("empty graph")
     blocks = sorted(_blocks(g), key=lambda b: (b[0][0], len(b[0]), b[0]))
-    at = _chunks_at(t for t, _ in blocks)
+    at: dict[str, list[int]] = {}
+    for i, (t, _) in enumerate(blocks):
+        for v in t:
+            at.setdefault(v, []).append(i)
     if len(at) < len(g.vertices):
         raise DisconnectedGraphError(g.components())
     chunks = tuple(BigChunk(t, LabelledGraph._trusted(t, e)) for t, e in blocks)
-    incidence = tuple((v, at[v]) for v in g.vertices if len(at[v]) > 1)
-    return BlockDecomposition(g, chunks, tuple(v for v, _ in incidence), incidence, at)
+    incidence = tuple((v, tuple(at[v])) for v in g.vertices if len(at[v]) > 1)
+    return BlockDecomposition(g, chunks, tuple(v for v, _ in incidence), incidence)
 
 
 def classify_chunk(g: LabelledGraph, chunk: BigChunk) -> ChunkClass:
@@ -450,7 +443,7 @@ def retract_word(decomp: BlockDecomposition, i: int, w: Word) -> Word:
     chunk = decomp.chunks[i].vertices
     rho = {v: v for v in chunk}
     for s in chunk:
-        for j in decomp.chunks_at[s]:
+        for j in decomp._tree.get(s, ()):
             if j != i:
                 for k in decomp.reached(j, s):
                     rho.update(dict.fromkeys(decomp.chunks[k].vertices, s))
@@ -700,7 +693,11 @@ class _Node:
         Each automorphism recorded since the last call that fixes each
         vertex of ``fixed`` first joins, in ``orbit``, every point it
         moves with its image; an automorphism is given as the list of
-        (point, image) pairs of the points it moves.
+        (point, image) pairs of the points it moves. The check on ``fixed``
+        is needed: refinement can leave a target cell coarser than the
+        orbits of the path's stabilizer (a Latin square graph does), so an
+        automorphism that moves the path can join two children that no
+        path-fixing automorphism joins.
         """
         while self.next < len(self.target):
             v = self.target[self.next]

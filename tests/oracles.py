@@ -24,6 +24,10 @@ pruning and interchangeable pairs only, over a refinement that scans the
 full label matrix, and for 7 or fewer vertices a brute force that tries
 every ordering fitting the refinement classes.
 
+The dihedral JSJ is certified by a pair of inverse maps between its
+presentation and the Artin group's, checked on generators and relators
+by free reduction and the dihedral normal form oracle.
+
 The corpus's random connected graph keeps its earlier loop here, which
 builds the sorted name pair of every vertex pair before testing it.
 """
@@ -134,6 +138,31 @@ def oracle_separating(g):
         if comp_count(rest) > base - (1 if isolated else 0):
             out.append(verts[i])
     return tuple(out)
+
+
+def oracle_reached(g, chunks, j: int, s: str) -> set[int]:
+    """Indexes of the chunks whose vertices other than s lie in the
+    component of g - s holding chunk j's other vertices (j alone when it
+    has none). ``chunks`` lists each chunk's vertex tuple."""
+    verts, adj = _adjacency_masks(g)
+    index = {v: i for i, v in enumerate(verts)}
+    rest = (1 << len(verts)) - 1 & ~(1 << index[s])
+
+    def others(vertices):
+        return sum(1 << index[v] for v in vertices if v != s)
+
+    start = others(chunks[j])
+    if not start:
+        return {j}
+    seen = frontier = start & -start
+    while frontier:
+        reach = 0
+        for i in range(len(verts)):
+            if frontier >> i & 1:
+                reach |= adj[i]
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return {k for k, c in enumerate(chunks) if others(c) and others(c) | seen == seen}
 
 
 def oracle_retraction(g, chunk_vertices):
@@ -504,6 +533,55 @@ def oracle_normal_form(n: int, w: Word):
             for s, e in seq:
                 meng.push(s, e)
     return meng.result(n)
+
+
+def _substituted(w: Word, images: dict) -> Word:
+    """The word with each letter n^e replaced by images[n] ** e, not reduced."""
+    return Word(tuple(u for name, exp in w.letters for u in (images[name] ** exp).letters))
+
+
+def _cyclic_units(w: Word) -> list[tuple[str, int]]:
+    """The unit letters of w, freely and then cyclically reduced."""
+    units = list(w.free_reduce().units())
+    while len(units) > 1 and units[0] == (units[-1][0], -units[-1][1]):
+        del units[0], units[-1]
+    return units
+
+
+def _is_rotation(u: list, v: list) -> bool:
+    def text(units):
+        return " ".join(f"{n}{'+' if e > 0 else '-'}" for n, e in units)
+    return len(u) == len(v) and f" {text(v)} " in f" {text(u)} {text(u)} "
+
+
+def oracle_dihedral_jsj_certificate(n: int, pres, legend) -> dict[str, bool]:
+    """Check that ``pres``, on x and y, and the legend psi: x, y -> words in
+    a, b present the dihedral Artin group on label n >= 3 (von Dyck's theorem,
+    Lyndon & Schupp II.2), against phi: a -> y^-(n-1)/2 x, b -> phi(a)^-1 y
+    for odd n and a -> x, b -> x^-1 y for even n.
+
+    psi phi and phi psi fix the generators after free reduction; phi of
+    the Artin relator, freely and cyclically reduced, is a cyclic
+    permutation of a relator or of its inverse; psi of every relator is
+    trivial by ``oracle_normal_form``. Returns each check's verdict.
+    """
+    x, y = Word.generator("x"), Word.generator("y")
+    phi_a = y ** -((n - 1) // 2) * x if n % 2 else x
+    phi = {"a": phi_a, "b": phi_a.inverse() * y}
+    psi = dict(legend)
+    relators = [oracle_word(r) for r in pres.relators]
+    artin = _cyclic_units(_substituted(oracle_artin_relator("a", "b", n), phi))
+    one = oracle_normal_form(n, Word())
+    return {
+        "generators": pres.generators == ("x", "y") and sorted(psi) == ["x", "y"],
+        "psi phi": all(_substituted(phi[g], psi).free_reduce() == Word.generator(g) for g in "ab"),
+        "phi psi": all(_substituted(psi[g], phi).free_reduce() == Word.generator(g) for g in "xy"),
+        "phi relator": any(
+            _is_rotation(_cyclic_units(r), artin) or _is_rotation(_cyclic_units(r.inverse()), artin)
+            for r in relators
+        ),
+        "psi relators": all(oracle_normal_form(n, _substituted(r, psi)) == one for r in relators),
+    }
 
 
 # canonical form: the library's earlier depth-first search, verbatim, and

@@ -32,6 +32,7 @@ from artin.gog import (
 from artin.graphs import CHUNK_BRAIDED_LEAF, CHUNK_TORAL_LEAF
 
 from corpus import connected_atlas, fan_graph, path3, random_connected_graph, triangle
+from oracles import oracle_dihedral_jsj_certificate
 
 
 def test_fan_jsj_structure():
@@ -162,6 +163,14 @@ def test_dihedral_jsj_shapes():
     legend = dict(odd.legend)
     assert legend["x"].to_text() == "a b a b a"
     assert legend["y"].to_text() == "a b"
+
+
+@pytest.mark.parametrize("n", [*range(3, 41), 1000, 1001])
+def test_dihedral_jsj_presents_the_dihedral_artin_group(n):
+    # inverse maps between the JSJ's presentation and the Artin group's
+    jsj = dihedral_jsj(n)
+    verdicts = oracle_dihedral_jsj_certificate(n, gog_presentation(jsj), jsj.legend)
+    assert all(verdicts.values()), verdicts
 
 
 def test_dihedral_jsj_rejects_small_labels():

@@ -35,6 +35,7 @@ from oracles import (
     oracle_brute_canonical_form,
     oracle_canonical_form,
     oracle_random_connected_graph,
+    oracle_reached,
     oracle_retraction,
     oracle_separating,
     oracle_wl_classes,
@@ -160,28 +161,36 @@ def test_separating_matches_oracle_and_incidence():
         assert oracle_separating(g) == d.separating
         for v, idxs in d.incidence:
             assert len(idxs) >= 2
-            assert d.chunks_at[v] == idxs
+            assert idxs == tuple(i for i, c in enumerate(d.chunks) if v in c.vertices)
 
 
-def test_chunks_at_is_the_map_of_the_search():
-    # big_chunks hands over its vertex -> chunk-indexes map; a decomposition
-    # built from the four fields alone derives the same map from its chunks
+def test_tree_walk_matches_oracle():
+    # reached(j, s) against the components of g - s, for every chunk j and vertex s
+    rng = random.Random(12)
+    graphs = connected_atlas(6) + [
+        random_connected_graph(rng, rng.randint(2, 8)) for _ in range(60)
+    ]
+    pairs = 0
+    for g in graphs:
+        d = big_chunks(g)
+        chunks = [c.vertices for c in d.chunks]
+        for j in range(len(chunks)):
+            for s in g.vertices:
+                assert d.reached(j, s) == oracle_reached(g, chunks, j, s), (g.edges, j, s)
+                pairs += 1
+    assert pairs > 2000
+
+
+def test_decomposition_is_its_four_fields():
+    # a decomposition rebuilt from graph, chunks, separating and incidence
+    # equals the one big_chunks built
     rng = random.Random(14)
     graphs = connected_atlas(5) + [
         random_connected_graph(rng, rng.randint(2, 12)) for _ in range(60)
     ]
     for g in graphs:
         d = big_chunks(g)
-        want = {}
-        for i, c in enumerate(d.chunks):
-            for v in c.vertices:
-                want.setdefault(v, []).append(i)
-        want = {v: tuple(idxs) for v, idxs in want.items()}
-        assert d.chunks_at == want
-        rebuilt = type(d)(d.graph, d.chunks, d.separating, d.incidence)
-        assert rebuilt == d and rebuilt.chunks_at == want
-        fewer = type(d)(d.graph, d.chunks[:-1], d.separating, d.incidence)
-        assert len(d.chunks) - 1 not in {i for idxs in fewer.chunks_at.values() for i in idxs}
+        assert type(d)(d.graph, d.chunks, d.separating, d.incidence) == d
 
 
 def test_edge_partition_property():
@@ -733,6 +742,39 @@ def test_canonical_forms_past_twelve_vertices_on_large_twin_classes(n):
     for g, f in ((_hubs_and_twins(n, {("a", 0)}), form),
                  (_hubs_and_twins(n, {("b", 0), ("b", 9)}), pair)):
         assert canonical_form(relabelled_copy(rng, g)) == f
+
+
+_LATIN_SQUARE = [[5, 0, 4, 1, 2, 3], [1, 5, 3, 0, 4, 2], [2, 1, 0, 3, 5, 4],
+                 [3, 4, 1, 2, 0, 5], [0, 2, 5, 4, 3, 1], [4, 3, 2, 5, 1, 0]]
+
+
+def _latin_square_graph(perm) -> LabelledGraph:
+    """Cell (i, j) of ``_LATIN_SQUARE`` is vertex v{perm[6i + j]}; two cells
+    sharing a row, a column or a symbol are joined by an edge labelled 2."""
+    cells = [(i, j, _LATIN_SQUARE[i][j]) for i in range(6) for j in range(6)]
+    return LabelledGraph.from_edges([
+        (f"v{perm[a]}", f"v{perm[b]}", 2)
+        for a in range(36) for b in range(a + 1, 36)
+        if any(x == y for x, y in zip(cells[a], cells[b]))
+    ])
+
+
+def test_canonical_form_of_a_latin_square_graph_needs_path_fixing_orbits():
+    # a strongly regular graph, SRG(36, 15, 6, 6): refinement after
+    # individualization leaves cells coarser than the orbits of the path's
+    # stabilizer, so orbits joined by automorphisms that move the path
+    # (``_Node.next_child`` without its fixed-path check) skip children that
+    # no path-fixing automorphism reaches, and this renaming gets another form
+    g = _latin_square_graph(range(36))
+    assert len(g.vertices) == 36 and len(g.edges) == 270
+    assert {g.valence(v) for v in g.vertices} == {15}
+    form = canonical_form(g)
+    perm = [23, 13, 30, 34, 21, 25, 27, 10, 17, 29, 20, 8, 31, 26, 16, 2, 32, 33,
+            12, 7, 4, 9, 6, 1, 15, 3, 35, 5, 11, 14, 0, 22, 24, 18, 28, 19]
+    assert canonical_form(_latin_square_graph(perm)) == form
+    rng = random.Random(53)
+    for _ in range(8):
+        assert canonical_form(relabelled_copy(rng, g)) == form
 
 
 def test_canonical_form_of_a_large_sparse_graph_needs_no_recursion():
