@@ -8,7 +8,11 @@ one ``--json`` selects and exits 0. With ``--dot``, which excludes
 Exit codes: 0 success, 1 invalid input (unreadable files, parse errors,
 bad arguments), 2 precondition violations (wrong graph shape for an
 operation), 64 unknown subcommand. An error raised by the toolkit exits
-with the ``exit_code`` of its class in :mod:`artin.errors`.
+with the ``exit_code`` of its class in :mod:`artin.errors`. Three errors
+that are not the toolkit's have arms of their own, each printing one
+``error:`` line: ``OSError`` (a file that cannot be read or written)
+exits 1; ``OverflowError`` (a size past ``sys.maxsize``) and
+``MemoryError`` (a result too large to build) exit 2.
 """
 
 from __future__ import annotations
@@ -389,6 +393,9 @@ def main(argv=None) -> int:
         return 1
     except OverflowError as err:  # a size past sys.maxsize
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a result too large to build, such as a normal form of 10^9 syllables
+        print("error: out of memory", file=sys.stderr)
         return 2
     return 0
 

@@ -137,7 +137,9 @@ def _check_label(n: int):
 
 
 def _new_generators(n: int) -> tuple[Word, Word]:
-    """The words in a, b for x and y on label n."""
+    """The words in a, b for x and y on label n. y = a b and, for odd n,
+    x = Delta are alternating words in closed form, so they cost the same
+    for every n and only printing x costs O(n)."""
     y = alternating("a", "b", 2)
     if n % 2:
         return alternating("a", "b", n), y
@@ -302,7 +304,11 @@ def is_central(n: int, w: Word) -> bool:
 
 
 def garside(n: int) -> GarsideData:
-    """The Garside element Delta and the centre generator z."""
+    """The Garside element Delta and the centre generator z.
+
+    Delta, and z = Delta for even n, are alternating words in closed form;
+    z = Delta^2 for odd n is not alternating and is written out.
+    """
     _check_label(n)
     x, y = _new_generators(n)
     if n % 2:

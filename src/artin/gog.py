@@ -12,6 +12,9 @@ kinds of leaf chunk get special treatment:
 * a braided leaf (even label 2m >= 4, m >= 2) contributes a black vertex
   <a, z> (free abelian of rank 2, z the generator of the centre of the
   chunk group) and a red vertex <r> with r = a t, glued along r^m = z.
+  The central word z = Pi(a, t, 2m) is an alternating word in closed
+  form (see ``artin.words``), read as r^m and as z without its letters,
+  so only printing it costs O(m).
 
 Collapsing the loops and red edges gives the coarser decomposition with
 one black vertex per chunk carrying the full chunk group.
@@ -343,19 +346,25 @@ def _single(name: str, exp: int) -> Word:
 def _power_of(w: Word, base: Word) -> int | None:
     """Exponent k with w = base^k as unit sequences, or None.
 
-    Both words are compared as tuples of single steps, at C speed: a a
-    and a^2 are the same unit sequence.
+    Each word is read as a root repeated (``_unit_root``). A root is
+    primitive or the whole unit sequence, so w = base^k exactly when the
+    lengths are k to 1 and the shorter root, repeated, spells the longer.
+    An alternating word of even length is its first two letters
+    repeated, so a braided leaf's z = Pi(a, t, 2m) reads as (a t)^m and
+    as z^1 without its letters. a a and a^2 are the same unit sequence.
     """
-    units, step = w.units(), base.units()
-    if not units:
+    root, r = w._unit_root()
+    n = len(root) * r
+    if not n:
         return 0
-    if not step or len(units) % len(step):
-        return None
-    k = len(units) // len(step)
-    if units == step * k:
-        return k
-    if units == base.inverse().units() * k:
-        return -k
+    for sign, b in ((1, base), (-1, base.inverse())):
+        step, s = b._unit_root()
+        d = len(step) * s
+        if not d or n % d:
+            return None
+        short, long = sorted((root, step), key=len)
+        if not len(long) % len(short) and long == short * (len(long) // len(short)):
+            return sign * (n // d)
     return None
 
 

@@ -3,14 +3,26 @@
 A word is a finite sequence of letters (generator name, nonzero exponent).
 Words are not freely reduced on construction; reduction is explicit.
 Text syntax: whitespace-separated tokens ``sym`` or ``sym^k`` with k a
-nonzero integer in ASCII digits, e.g. ``a b^-1 a^3``.
+nonzero integer in ASCII digits, e.g. ``a b^-1 a^3``. A word keeps its
+text once rendered, and a parsed word keeps its support, read from its
+distinct tokens.
 
-The relator of an Artin edge u-v labelled m is held as (u, v, m) and
-answers every question in closed form: its text is built by string
-repetition, its exponent sums read only the parity of m, and renaming
-touches two names. No consumer walks its 2m letters. Both kinds of
-relator rename themselves by ``_renamed``: substitute, free-reduce, and
-give None for the trivial word.
+The alternating word Pi(u^a, v^b, m) = u^a v^b u^a ... of length m,
+with signs a, b = +-1, is held in closed form as (u, v, m, a, b); this
+is what ``alternating`` returns. Its inverse is alternating again (it
+starts with the last letter, inverted), and so is a power of it when m
+is even. Its exponent sums and support read only m and its two letters,
+renaming touches two names, and as a sequence of single steps it is its
+first two letters repeated m/2 times when m is even. Its text is built by
+string repetition, and its letters are expanded only when something
+reads them.
+
+The relator of an Artin edge u-v labelled m is Pi(u, v, m) times the
+inverse of Pi(v, u, m), held as (u, v, m): it is printed and expanded
+through those two alternating words, its exponent sums read only the
+parity of m, and renaming touches two names. No consumer walks its 2m
+letters. Words, alternating words and relators rename themselves by
+``_renamed``: substitute, free-reduce, and give None for the trivial word.
 
 Input checks: ``Word(...)``, ``Word.generator``, ``Word.from_text`` and
 ``alternating`` check what they are given; words derived from checked
@@ -57,6 +69,37 @@ def _letter_text(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
+def _token_letter(token: str) -> Letter:
+    """The letter of one token of word text."""
+    m = TOKEN_RE.fullmatch(token)
+    if not m:
+        raise WordFormatError(f"bad word token {token!r}")
+    try:
+        exp = _ascii_int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError as err:
+        raise WordFormatError(f"bad exponent {err} of {m.group(1)}") from None
+    if exp == 0:
+        raise WordFormatError(f"zero exponent in token {token!r}")
+    return m.group(1), exp
+
+
+def _alternating_text(u: str, v: str, m: int, a: int, b: int) -> str:
+    """The text of Pi(u^a, v^b, m), built by string repetition."""
+    if not m:
+        return ""
+    x, y = _letter_text(u, a), _letter_text(v, b)
+    k, odd = divmod(m, 2)
+    text = f"{x} {y} " * (k - 1 + odd)
+    text += x if odd else f"{x} {y}"
+    return text
+
+
+def _inverse(u: str, v: str, m: int, a: int, b: int) -> tuple[str, str, int, int, int]:
+    """(u, v, m, a, b) of the inverse of Pi(u^a, v^b, m), which starts with
+    the last letter, inverted."""
+    return (u, v, m, -a, -b) if m % 2 else (v, u, m, -b, -a)
+
+
 class _LetterText(dict):
     """Text of each letter, formatted when the letter is first looked up.
 
@@ -100,19 +143,15 @@ class Word:
         (('a', 1), ('b', -1))
         """
         tokens = text.split()
-        parsed: dict[str, Letter] = {}
-        for token in dict.fromkeys(tokens):
-            m = TOKEN_RE.fullmatch(token)
-            if not m:
-                raise WordFormatError(f"bad word token {token!r}")
-            try:
-                exp = _ascii_int(m.group(2)) if m.group(2) is not None else 1
-            except ValueError as err:
-                raise WordFormatError(f"bad exponent {err} of {m.group(1)}") from None
-            if exp == 0:
-                raise WordFormatError(f"zero exponent in token {token!r}")
-            parsed[token] = (m.group(1), exp)
-        return cls._trusted(tuple(map(parsed.__getitem__, tokens)))
+        try:
+            parsed = {token: _token_letter(token) for token in set(tokens)}
+        except WordFormatError:
+            for token in tokens:  # report the bad token that comes first in the text
+                _token_letter(token)
+            raise
+        w = cls._trusted(tuple(map(parsed.__getitem__, tokens)))
+        w.__dict__["_support"] = frozenset(map(_NAME, parsed.values()))
+        return w
 
     @classmethod
     def generator(cls, name: str, exp: int = 1) -> "Word":
@@ -128,8 +167,11 @@ class Word:
         """
         text = self.__dict__.get("_text")
         if text is None:
-            text = self.__dict__["_text"] = " ".join(map(_LetterText().__getitem__, self.letters))
+            text = self.__dict__["_text"] = self._render()
         return text
+
+    def _render(self) -> str:
+        return " ".join(map(_LetterText().__getitem__, self.letters))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -171,7 +213,17 @@ class Word:
         return {n: e for n, e in sums.items() if e != 0}
 
     def support(self) -> frozenset[str]:
-        return frozenset(map(_NAME, self.letters))
+        """The generators the word uses, kept after the first call."""
+        support = self.__dict__.get("_support")
+        if support is None:
+            support = self.__dict__["_support"] = frozenset(map(_NAME, self.letters))
+        return support
+
+    def _unit_root(self) -> tuple[tuple[Letter, ...], int]:
+        """(root, k) with ``units()`` the root repeated k times, where the
+        root is primitive or all of ``units()``; here it is all of them.
+        """
+        return self.units(), 1
 
     def syllable_length(self) -> int:
         return sum(map(abs, map(_EXP, self.letters)))
@@ -185,29 +237,113 @@ class Word:
         return reduced if reduced.letters else None
 
 
+def _substituted(u: str, v: str, a: int, b: int, rename: dict[str, str], sign: int):
+    """(u, v, a, b) with rename[n]^sign substituted for each name n that ``rename`` maps."""
+    if u in rename:
+        u, a = rename[u], a * sign
+    if v in rename:
+        v, b = rename[v], b * sign
+    return u, v, a, b
+
+
+class _Alternating(Word):
+    """Pi(u^a, v^b, m), the length-m word u^a v^b u^a ..., held as (u, v, m, a, b).
+
+    The signs a, b are +-1: ``alternating`` gives a = b = 1, and only an
+    inverse or substituting an inverse flips one. It is a ``Word``: it
+    compares equal to the word with the same letters, and its ``letters``
+    are expanded only when read. Its inverse, its powers when m is even,
+    its exponent sums, support, renamings, unit root and text are closed
+    forms that never read them.
+    """
+
+    def __init__(self, u: str, v: str, m: int, a: int = 1, b: int = 1):
+        self.__dict__.update(u=u, v=v, m=m, a=a, b=b)
+
+    @property
+    def _pair(self) -> tuple[Letter, Letter]:
+        return (self.u, self.a), (self.v, self.b)
+
+    @cached_property
+    def letters(self) -> tuple[Letter, ...]:
+        return self._pair * (self.m // 2) + self._pair[: self.m % 2]
+
+    def __eq__(self, other):
+        return self.letters == other.letters if isinstance(other, Word) else NotImplemented
+
+    __hash__ = Word.__hash__
+
+    def __repr__(self) -> str:
+        return f"Word(letters={self.letters!r})"
+
+    def _render(self) -> str:
+        return _alternating_text(self.u, self.v, self.m, self.a, self.b)
+
+    def inverse(self) -> Word:
+        return _Alternating(*_inverse(self.u, self.v, self.m, self.a, self.b))
+
+    def __pow__(self, k: int) -> Word:
+        if k < 0:
+            return self.inverse() ** -k
+        if self.m % 2 and k > 1:  # the copies meet in two equal letters
+            return super().__pow__(k)
+        return _Alternating(self.u, self.v, self.m * k, self.a, self.b)
+
+    def exponent_sums(self) -> dict[str, int]:
+        k, odd = divmod(self.m, 2)
+        sums = {self.u: self.a * (k + odd)}
+        sums[self.v] = sums.get(self.v, 0) + self.b * k
+        return {n: e for n, e in sums.items() if e != 0}
+
+    def support(self) -> frozenset[str]:
+        return frozenset((self.u, self.v)[: self.m])
+
+    def _unit_root(self) -> tuple[tuple[Letter, ...], int]:
+        x, y = self._pair
+        if x == y:
+            return (x,), self.m
+        if self.m % 2:
+            return self.letters, 1
+        return (x, y), self.m // 2
+
+    def _renamed(self, rename: dict[str, str], sign: int = 1) -> Word | None:
+        """Substitute rename[n]^sign for each generator n that ``rename`` maps.
+
+        Two distinct names still alternate, so the word is freely reduced;
+        one name left reduces to its exponent sum. The trivial word is
+        returned as None.
+        """
+        u, v, a, b = _substituted(self.u, self.v, self.a, self.b, rename, sign)
+        if u == v:
+            e = _Alternating(u, v, self.m, a, b).exponent_sums().get(u)
+            return Word.generator(u, e) if e else None
+        return _Alternating(u, v, self.m, a, b) if self.m else None
+
+
 def alternating(u: str, v: str, n: int) -> Word:
-    """The length-n alternating word u v u v ... starting with u.
+    """The length-n alternating word u v u v ... starting with u, in closed form.
 
     >>> alternating("a", "b", 3).to_text()
     'a b a'
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    pair = Word(((u, 1), (v, 1))[:n]).letters  # checks only the names used
-    return Word._trusted(pair * (n // 2) + pair[: n % 2])
+    Word(((u, 1), (v, 1))[:n])  # checks only the names used
+    return _Alternating(u, v, n)
 
 
 @dataclass(frozen=True)
 class _ArtinRelator:
     """The relator of an edge u-v labelled m, held as (u, v, m).
 
-    Its word is Pi(u^a, v^b, m) Pi(v^b, u^a, m)^-1, with Pi(x, y, m) the
-    length-m alternating word x y x ... and the signs a, b = +-1; an Artin
-    presentation has a = b = 1, and only substituting a generator's
-    inverse flips a sign. It answers every question in closed form: u
-    and v alternate, so the word is freely reduced, and for odd m the
-    exponent sums are a and -b, while for even m they vanish. Its 2m
-    ``letters`` are expanded only when read; the library never reads them.
+    Its word is Pi(u^a, v^b, m) Pi(v^b, u^a, m)^-1, with the signs
+    a, b = +-1; an Artin presentation has a = b = 1, and only
+    substituting a generator's inverse flips a sign. It answers every
+    question in closed form: u and v alternate, so the word is freely
+    reduced, and for odd m the exponent sums are a and -b, while for even
+    m they vanish. Its text and its 2m ``letters`` are those of its two
+    alternating words; the letters are expanded only when read, and the
+    library never reads them.
     """
 
     u: str
@@ -216,24 +352,19 @@ class _ArtinRelator:
     a: int = 1
     b: int = 1
 
+    def _halves(self) -> tuple[tuple, tuple]:
+        """(u, v, m, a, b) of Pi(u^a, v^b, m) and of Pi(v^b, u^a, m)^-1."""
+        return (self.u, self.v, self.m, self.a, self.b), _inverse(self.v, self.u, self.m, self.b, self.a)
+
     @cached_property
     def letters(self) -> tuple[tuple[str, int], ...]:
-        first = ((self.u, self.a), (self.v, self.b))
-        if self.m % 2:
-            second = ((self.v, -self.b), (self.u, -self.a))
-        else:
-            second = ((self.u, -self.a), (self.v, -self.b))
-        k, odd = divmod(self.m, 2)
-        return first * k + first[:odd] + second * k + second[:odd]
+        left, right = self._halves()
+        return _Alternating(*left).letters + _Alternating(*right).letters
 
     def to_text(self) -> str:
         """The 2m letters as text, built by string repetition."""
-        u, v = _letter_text(self.u, self.a), _letter_text(self.v, self.b)
-        ui, vi = _letter_text(self.u, -self.a), _letter_text(self.v, -self.b)
-        k, odd = divmod(self.m, 2)
-        if odd:
-            return f"{u} {v} " * k + f"{u} " + f"{vi} {ui} " * k + vi
-        return f"{u} {v} " * k + f"{ui} {vi} " * (k - 1) + f"{ui} {vi}"
+        left, right = self._halves()
+        return f"{_alternating_text(*left)} {_alternating_text(*right)}"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -253,11 +384,7 @@ class _ArtinRelator:
         """
         if not rename:
             return self
-        u, a, v, b = self.u, self.a, self.v, self.b
-        if u in rename:
-            u, a = rename[u], a * sign
-        if v in rename:
-            v, b = rename[v], b * sign
+        u, v, a, b = _substituted(self.u, self.v, self.a, self.b, rename, sign)
         if u != v:
             return _ArtinRelator(u, v, self.m, a, b)
         e = (a - b) * (self.m % 2)

@@ -15,9 +15,9 @@ words, the dihedral normal form with one engine per label parity,
 which settles an even label's powers of y only when an x follows, and
 the root bound search that rebuilds and reduces w^k for each degree k.
 
-The Artin relator of an edge is expanded letter by letter from two
-alternating words, as the library once built it, and powers of a word
-are recognised by comparing unit by unit.
+Alternating words are written out letter by letter, the Artin relator
+of an edge is expanded from two of them, as the library once built it,
+and powers of a word are recognised by comparing unit by unit.
 
 The canonical form has two: the earlier depth-first search with prefix
 pruning and interchangeable pairs only, over a refinement that scans the
@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd
 
-from artin import LabelledGraph, Presentation, Word, alternating, membership_a_z, normal_form
+from artin import LabelledGraph, Presentation, Word, membership_a_z, normal_form
 from artin.dihedral import AbelianNormalForm, EvenNormalForm, OddNormalForm
 from artin.presentations import _ArtinRelator
 
@@ -307,15 +307,21 @@ def oracle_dense_snf(matrix):
     return tuple(diag) + (0,) * (k - len(diag))
 
 
+def oracle_alternating(u: str, v: str, m: int, a: int = 1, b: int = 1) -> Word:
+    """Pi(u^a, v^b, m), written out letter by letter."""
+    return Word(tuple((u, a) if i % 2 == 0 else (v, b) for i in range(m)))
+
+
 def oracle_artin_relator(u: str, v: str, m: int, a: int = 1, b: int = 1) -> Word:
     """The relator of an edge u-v labelled m, expanded letter by letter.
 
-    alternating(u, v, m) * alternating(v, u, m).inverse(), with every
-    letter of u raised to the sign a and every letter of v to b.
+    Pi(u, v, m) times the inverse of Pi(v, u, m), with every letter of u
+    raised to the sign a and every letter of v to b.
     """
-    word = alternating(u, v, m) * alternating(v, u, m).inverse()
+    second = oracle_alternating(v, u, m).letters
+    word = oracle_alternating(u, v, m).letters + tuple((n, -e) for n, e in reversed(second))
     sign = {u: a, v: b}
-    return Word(tuple((n, e * sign[n]) for n, e in word.letters))
+    return Word(tuple((n, e * sign[n]) for n, e in word))
 
 
 def oracle_word(r) -> Word:
@@ -350,7 +356,7 @@ def oracle_power_of(w: Word, base: Word):
     k = lw // lb
     if units(w) == units(base) * k:
         return k
-    if units(w) == units(base.inverse()) * k:
+    if units(w) == units(Word(tuple((n, -e) for n, e in reversed(base.letters)))) * k:
         return -k
     return None
 

@@ -3,8 +3,10 @@ derived values are not checked again, and only listed call sites build
 values through the private constructors."""
 
 import ast
+import builtins
 import re
 from collections import Counter
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -24,12 +26,13 @@ from artin import (
     profile,
     splits_over_cyclic,
 )
-from artin import graphs, presentations, words
+from artin import errors, graphs, presentations, words
 from artin.cli import main
 
 from corpus import FAN_TEXT
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "artin"
+README = SRC.parents[1] / "README.md"
 
 
 def _exact(message):
@@ -227,7 +230,6 @@ PRIVATE_CONSTRUCTOR_SITES = {
     ("words", "Word.__pow__"),
     ("words", "Word.inverse"),
     ("words", "Word.free_reduce"),
-    ("words", "alternating"),
     ("graphs", "LabelledGraph.induced"),
     ("graphs", "parse_graph"),
     ("graphs", "big_chunks"),
@@ -377,3 +379,22 @@ def test_cli_commands_only_return_their_renderings():
                         isinstance(node.value, ast.Tuple) and len(node.value.elts) == 2):
                     offences.append(f"{fn.name} returns {ast.unparse(node.value)}")
     assert offences == []
+
+
+def test_readme_exit_codes_match_the_code():
+    # each row of the README's table gives its class's exit_code, and the
+    # paragraph after the table names every error that main catches without
+    # it being an ArtinError
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| class | `exit_code` |") + 2
+    rows = list(takewhile(lambda line: line.startswith("|"), lines[start:]))
+    table = dict(re.fullmatch(r"\| `(\w+)`[^|]*\| (\d+) \|", row).groups() for row in rows)
+    assert len(table) == len(rows) > 0
+    assert table == {name: str(getattr(errors, name).exit_code) for name in table}
+    paragraph = " ".join(takewhile(bool, lines[start + len(rows) + 1:]))
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    main_fn = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main")
+    caught = {ast.unparse(h.type) for h in ast.walk(main_fn) if isinstance(h, ast.ExceptHandler)}
+    builtin = {name for name in caught if isinstance(getattr(builtins, name, None), type)}
+    assert builtin == {"OSError", "OverflowError", "MemoryError"}
+    assert [name for name in sorted(builtin) if f"`{name}`" not in paragraph] == []

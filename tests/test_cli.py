@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import artin.cli
 from artin import Word, artin_abelianization, errors, normal_form, parse_graph
 from artin.cli import _json_text, main
 
@@ -521,13 +522,33 @@ def test_sizes_past_maxsize_print_one_error_line(capsys, tmp_path):
     star.write_text(f"e p s 3\ne q s {huge}\ne r s 2\n")
     message = "error: cannot fit 'int' into an index-sized integer\n"
     for argv in (
-        ["presentation", str(edge)], ["jsj", str(star)], ["abelianize", str(star), "--of-jsj"],
-        ["dihedral-jsj", str(huge + 1)], ["dihedral-nf", "3", f"a^{huge + 1}"],
+        ["presentation", str(edge)], ["jsj", str(star)], ["dihedral-nf", "3", f"a^{huge + 1}"],
         ["dihedral-eq", "3", f"a^{huge + 1}", "b"],
         ["root-search", str(huge), "3", str(huge + 2)],
     ):
         for extra in ([], ["--json"]):
             assert _run(capsys, argv + extra) == (2, "", message), argv
+    # alternating words are held in closed form: only printing one fails, so
+    # dihedral-jsj fails as text, which prints its legend word x, and answers as JSON
+    assert _run(capsys, ["dihedral-jsj", str(huge + 1)]) == (2, "", message)
+    code, out, err = _run(capsys, ["dihedral-jsj", str(huge + 1), "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["presentation"]["relators"] == [f"x^2 y^-{huge + 1}"]
+    assert _run(capsys, ["abelianize", str(star), "--of-jsj"]) == (
+        0, "Z^3 (from the fundamental group of the decomposition)\n", "")
+    code, out, err = _run(capsys, ["presentation", str(star), "--of-jsj", "--simplify"])
+    assert (code, err) == (0, "") and f"rel: z_q_s r_s_q^-{huge // 2}\n" in out
+
+
+def test_out_of_memory_prints_one_error_line(capsys, monkeypatch):
+    # a normal form of a^N has about 2N syllables; nothing that large is built here
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(artin.cli, "normal_form", out_of_memory)
+    for extra in ([], ["--json"]):
+        assert _run(capsys, ["dihedral-nf", "3", "a^100000000", *extra]) == (
+            2, "", "error: out of memory\n")
 
 
 def test_dihedral_eq_checks_both_words_and_reduces_only_where_they_differ(capsys):

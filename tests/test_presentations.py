@@ -51,6 +51,7 @@ from oracles import (
 )
 from artin.gog import _power_of
 from artin.presentations import _ArtinRelator
+from artin.words import _Alternating
 
 
 def test_artin_presentation_path3():
@@ -552,6 +553,31 @@ def test_library_never_expands_an_artin_relator(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_library_never_expands_an_alternating_word(monkeypatch, capsys, tmp_path):
+    # a braided leaf's central word z = Pi(s, q, label) is held in closed
+    # form: the decomposition's presentation reads it as r^(label/2) and as
+    # the centre z without its letters
+    def refuse(self):
+        raise AssertionError("alternating word expanded")
+
+    monkeypatch.setattr(_Alternating, "letters", property(refuse))
+    from artin.cli import main
+
+    for big in (10**9, 10**9 + 1):
+        for label in (big, 2 * big):  # 10^9 + 1 is an odd leaf, 2 * big a braided one
+            path = tmp_path / f"star{label}.graph"
+            path.write_text(f"e p s 3\ne q s {label}\ne r s 2\n")
+            commands = [["abelianize", "--of-jsj"], ["profile"]]
+            if label % 2 == 0:  # an odd leaf's relator prints its 2 * label letters
+                commands += [["presentation", "--of-jsj"], ["presentation", "--of-jsj", "--simplify"]]
+            for argv in commands:
+                for extra in ([], ["--json"]):
+                    assert main([argv[0], str(path), *argv[1:], *extra]) == 0, (label, argv, extra)
+                    out = capsys.readouterr().out
+                    if argv[0] == "presentation" and not extra:
+                        assert f"rel: z_q_s r_s_q^-{label // 2}\n" in out
+
+
 def _random_unit_word(rng, names, units):
     letters = []
     while units > 0:
@@ -587,9 +613,16 @@ def test_power_of_matches_unit_comparison_oracle():
         cases.append((Word(w.letters + (("a", 1),)), base))
         cases.append((_split_runs(rng, base ** -k), base))
         cases.append((_random_unit_word(rng, "abc", rng.randint(1, 12)), base))
+    # alternating words in closed form, as either argument, against their letters
+    for _ in range(400):
+        u, v = rng.choice(("ab", "ba", "aa")), rng.choice(("ab", "ba", "aa", "ac"))
+        x = alternating(*u, rng.randint(0, 8)) ** rng.choice((1, -1))
+        y = alternating(*v, rng.randint(0, 4)) ** rng.choice((1, -1))
+        w = x ** rng.choice((1, 2, 3, -1, -2))
+        cases += [(w, y), (w, x), (y, w), (w, Word(y.letters)), (Word(w.letters), y)]
     hits = 0
     for w, base in cases:
         want = oracle_power_of(w, base)
         assert _power_of(w, base) == want, (w, base)
         hits += want not in (None, 0)
-    assert hits > 800
+    assert hits > 1000

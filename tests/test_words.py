@@ -3,6 +3,9 @@ import random
 import pytest
 
 from artin import Word, WordFormatError, alternating
+from artin.words import _Alternating
+
+from oracles import oracle_alternating
 
 
 def test_parse_and_render_round_trip():
@@ -106,3 +109,50 @@ def test_units_match_per_unit_expansion():
         assert w.syllable_length() == len(want)
         assert w.support() == {n for n, _ in w.letters}
     assert unit_words > 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a b^x c^0", "bad word token 'b^x'"),
+    ("a c^0 b^x", "zero exponent in token 'c^0'"),
+])
+def test_from_text_reports_the_bad_token_that_comes_first(text, message):
+    with pytest.raises(WordFormatError) as exc:
+        Word.from_text(text)
+    assert str(exc.value) == message
+
+
+def test_parsed_support_is_the_support_of_the_letters():
+    rng = random.Random(37)
+    texts = ["", "  "] + [
+        " ".join(rng.choice(("a", "b^-2", "c_1", "a^3", "B", "b")) for _ in range(rng.randint(1, 30)))
+        for _ in range(200)
+    ]
+    for text in texts:
+        w = Word.from_text(text)
+        assert w.support() == frozenset(n for n, _ in w.letters)
+        assert w.support() is w.support()
+
+
+def test_alternating_closed_forms_match_its_letters():
+    # every closed form of Pi(u^a, v^b, m) against the word written out letter by letter
+    rng = random.Random(41)
+    cases = [("a", "b", m, 1, 1) for m in range(7)] + [("a", "a", 5, 1, -1), ("a", "a", 4, 1, 1)]
+    for _ in range(300):
+        cases.append((rng.choice("ab"), rng.choice("bc"), rng.randint(0, 9),
+                      rng.choice((1, -1)), rng.choice((1, -1))))
+    for u, v, m, a, b in cases:
+        w = _Alternating(u, v, m, a, b)
+        want = oracle_alternating(u, v, m, a, b)
+        assert w.letters == want.letters and w == want and want == w
+        assert w.to_text() == want.to_text() and hash(w) == hash(want)
+        assert w.exponent_sums() == want.exponent_sums()
+        assert w.support() == want.support()
+        assert w.inverse().letters == want.inverse().letters
+        for k in (-3, -2, -1, 0, 1, 2, 3):
+            assert (w ** k).letters == (want ** k).letters
+        root, r = w._unit_root()
+        assert root * r == want.units()
+        for rename, sign in [({}, 1), ({u: "x"}, -1), ({v: u}, 1), ({u: v}, -1), ({u: "y", v: "x"}, 1)]:
+            got, expected = w._renamed(rename, sign), want._renamed(rename, sign)
+            assert (got and got.letters) == (expected and expected.letters), (u, v, m, a, b, rename)
+    assert alternating("a", "b", 6) == alternating("a", "b", 2) ** 3 != alternating("b", "a", 6)
