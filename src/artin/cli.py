@@ -2,7 +2,9 @@
 
 A ``_cmd_*`` function returns its result's two renderings, (JSON
 payload, text), as zero-argument callables; ``main`` alone prints the
-one ``--json`` selects and exits 0. With ``--dot``, which excludes
+one ``--json`` selects and exits 0. A text rendering is a string or a
+list of its pieces, which ``main`` writes in slices, so that printing a
+long word never copies it whole. With ``--dot``, which excludes
 ``--json``, the text is the Graphviz graph or ``wrote PATH``.
 
 Exit codes: 0 success, 1 invalid input (unreadable files, parse errors,
@@ -41,7 +43,9 @@ from .words import Word, _ascii_int
 
 _encode_str = json.encoder.encode_basestring_ascii
 _PLAIN = frozenset((str, int))  # member types of tuples that share a rendering
-_Renderings = tuple[Callable[[], object], Callable[[], str]]  # (JSON payload, text)
+_SLICE = 1 << 16  # characters of text written at a time
+# (JSON payload, text); the text is a string or a list of its pieces
+_Renderings = tuple[Callable[[], object], Callable[[], "str | list[str]"]]
 
 
 class _UsageError(Exception):
@@ -123,6 +127,21 @@ def _json_text(value, newline: str = "\n") -> str:
     return json.dumps(value, indent=2).replace("\n", newline)
 
 
+def _text_slices(out: str | list[str]):
+    """The text rendering, a string or its pieces, in slices, then a newline
+    unless it ends with one.
+
+    The stream encodes one slice at a time, never a long word in one copy,
+    so printing costs the output plus a constant.
+    """
+    pieces = [out] if isinstance(out, str) else out
+    for piece in pieces:
+        for start in range(0, len(piece), _SLICE):
+            yield piece[start : start + _SLICE]
+    if not next(filter(None, reversed(pieces)), "").endswith("\n"):
+        yield "\n"
+
+
 def _write_dot(gog: GraphOfGroups, path: str) -> str:
     """The Graphviz text for ``-``; otherwise write it to ``path`` and say so."""
     dot = gog.to_dot()
@@ -198,7 +217,7 @@ def _cmd_dihedral_jsj(args) -> _Renderings:
     pres = gog_presentation(gog)
     return (
         lambda: {**gog.to_json_dict(), "presentation": pres.to_json_dict()},
-        lambda: gog.to_text() + "presentation: " + render_presentation(pres),
+        lambda: [*gog._text_pieces(), "presentation: ", render_presentation(pres)],
     )
 
 
@@ -383,8 +402,7 @@ def main(argv=None) -> int:
         if args.json:  # only the rendering that is printed is built
             print(_json_text(payload()))
         else:
-            out = text()
-            print(out, end="" if out.endswith("\n") else "\n")
+            sys.stdout.writelines(_text_slices(text()))
     except ArtinError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -248,6 +248,11 @@ class GraphOfGroups:
 
     def to_text(self) -> str:
         """One line per vertex and edge, the Betti number, then the legend."""
+        return "".join(self._text_pieces())
+
+    def _text_pieces(self) -> list[str]:
+        """The pieces of ``to_text``: a legend word is a piece of its own,
+        so printing them never copies a long word into its line."""
         lines = [f"{v.color} vertex {v.id}: {v.group.describe()}" for v in self.vertices]
         for e in self.edges:
             images = ", ".join(w.to_text() for w in e.injections)
@@ -257,8 +262,10 @@ class GraphOfGroups:
                 f" with images {images}{stable}"
             )
         lines.append(f"betti: {betti_number(self)}")
-        lines.extend(f"where {sym} = {word.to_text()}" for sym, word in self.legend)
-        return "\n".join(lines) + "\n"
+        pieces = ["\n".join(lines), "\n"]
+        for sym, word in self.legend:
+            pieces += (f"where {sym} = ", *word._text_pieces(), "\n")
+        return pieces
 
     def to_dot(self) -> str:
         """Render in Graphviz format.

@@ -12,21 +12,22 @@ with signs a, b = +-1, is held in closed form as (u, v, m, a, b); this
 is what ``alternating`` returns. Its inverse is alternating again (it
 starts with the last letter, inverted), and so is a power of it when m
 is even. Its exponent sums and support read only m and its two letters,
-renaming touches two names, and as a sequence of single steps it is its
-first two letters repeated m/2 times when m is even. Its text is built by
-string repetition, and its letters are expanded only when something
-reads them.
+and as a sequence of single steps it is its first two letters repeated
+m/2 times when m is even. Its text is built by string repetition, in two
+pieces that a printer can write without joining them, and its letters
+are expanded only when something reads them.
 
 The relator of an Artin edge u-v labelled m is Pi(u, v, m) times the
 inverse of Pi(v, u, m), held as (u, v, m): it is printed and expanded
 through those two alternating words, its exponent sums read only the
 parity of m, and renaming touches two names. No consumer walks its 2m
-letters. Words, alternating words and relators rename themselves by
-``_renamed``: substitute, free-reduce, and give None for the trivial word.
+letters. Words and relators rename themselves by ``_renamed``:
+substitute, free-reduce, and give None for the trivial word.
 
 Input checks: ``Word(...)``, ``Word.generator``, ``Word.from_text`` and
 ``alternating`` check what they are given; words derived from checked
-ones come from the private ``Word._trusted`` unchecked.
+ones come from the private ``Word._trusted`` unchecked, and alternating
+words from the private ``_Alternating`` constructor.
 """
 
 from __future__ import annotations
@@ -69,29 +70,15 @@ def _letter_text(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
-def _token_letter(token: str) -> Letter:
-    """The letter of one token of word text."""
-    m = TOKEN_RE.fullmatch(token)
+def _alternating_pieces(u: str, v: str, m: int, a: int, b: int) -> tuple[str, ...]:
+    """The text of Pi(u^a, v^b, m) in two pieces, its leading pairs built by
+    string repetition and its last one or two letters, so that no piece is
+    copied to make the other."""
     if not m:
-        raise WordFormatError(f"bad word token {token!r}")
-    try:
-        exp = _ascii_int(m.group(2)) if m.group(2) is not None else 1
-    except ValueError as err:
-        raise WordFormatError(f"bad exponent {err} of {m.group(1)}") from None
-    if exp == 0:
-        raise WordFormatError(f"zero exponent in token {token!r}")
-    return m.group(1), exp
-
-
-def _alternating_text(u: str, v: str, m: int, a: int, b: int) -> str:
-    """The text of Pi(u^a, v^b, m), built by string repetition."""
-    if not m:
-        return ""
+        return ()
     x, y = _letter_text(u, a), _letter_text(v, b)
     k, odd = divmod(m, 2)
-    text = f"{x} {y} " * (k - 1 + odd)
-    text += x if odd else f"{x} {y}"
-    return text
+    return f"{x} {y} " * (k - 1 + odd), x if odd else f"{x} {y}"
 
 
 def _inverse(u: str, v: str, m: int, a: int, b: int) -> tuple[str, str, int, int, int]:
@@ -143,12 +130,18 @@ class Word:
         (('a', 1), ('b', -1))
         """
         tokens = text.split()
-        try:
-            parsed = {token: _token_letter(token) for token in set(tokens)}
-        except WordFormatError:
-            for token in tokens:  # report the bad token that comes first in the text
-                _token_letter(token)
-            raise
+        parsed: dict[str, Letter] = {}
+        for token in dict.fromkeys(tokens):
+            m = TOKEN_RE.fullmatch(token)
+            if not m:
+                raise WordFormatError(f"bad word token {token!r}")
+            try:
+                exp = _ascii_int(m.group(2)) if m.group(2) is not None else 1
+            except ValueError as err:
+                raise WordFormatError(f"bad exponent {err} of {m.group(1)}") from None
+            if exp == 0:
+                raise WordFormatError(f"zero exponent in token {token!r}")
+            parsed[token] = (m.group(1), exp)
         w = cls._trusted(tuple(map(parsed.__getitem__, tokens)))
         w.__dict__["_support"] = frozenset(map(_NAME, parsed.values()))
         return w
@@ -167,11 +160,13 @@ class Word:
         """
         text = self.__dict__.get("_text")
         if text is None:
-            text = self.__dict__["_text"] = self._render()
+            text = self.__dict__["_text"] = "".join(self._text_pieces())
         return text
 
-    def _render(self) -> str:
-        return " ".join(map(_LetterText().__getitem__, self.letters))
+    def _text_pieces(self) -> tuple[str, ...]:
+        """Pieces whose concatenation is the text, so that a printer can
+        write a long word without joining it."""
+        return (" ".join(map(_LetterText().__getitem__, self.letters)),)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -237,24 +232,14 @@ class Word:
         return reduced if reduced.letters else None
 
 
-def _substituted(u: str, v: str, a: int, b: int, rename: dict[str, str], sign: int):
-    """(u, v, a, b) with rename[n]^sign substituted for each name n that ``rename`` maps."""
-    if u in rename:
-        u, a = rename[u], a * sign
-    if v in rename:
-        v, b = rename[v], b * sign
-    return u, v, a, b
-
-
 class _Alternating(Word):
     """Pi(u^a, v^b, m), the length-m word u^a v^b u^a ..., held as (u, v, m, a, b).
 
     The signs a, b are +-1: ``alternating`` gives a = b = 1, and only an
-    inverse or substituting an inverse flips one. It is a ``Word``: it
-    compares equal to the word with the same letters, and its ``letters``
-    are expanded only when read. Its inverse, its powers when m is even,
-    its exponent sums, support, renamings, unit root and text are closed
-    forms that never read them.
+    inverse flips them. It is a ``Word``: it compares equal to the word
+    with the same letters, and its ``letters`` are expanded only when
+    read. Its inverse, its powers when m is even, its exponent sums,
+    support, unit root and text are closed forms that never read them.
     """
 
     def __init__(self, u: str, v: str, m: int, a: int = 1, b: int = 1):
@@ -276,8 +261,8 @@ class _Alternating(Word):
     def __repr__(self) -> str:
         return f"Word(letters={self.letters!r})"
 
-    def _render(self) -> str:
-        return _alternating_text(self.u, self.v, self.m, self.a, self.b)
+    def _text_pieces(self) -> tuple[str, ...]:
+        return _alternating_pieces(self.u, self.v, self.m, self.a, self.b)
 
     def inverse(self) -> Word:
         return _Alternating(*_inverse(self.u, self.v, self.m, self.a, self.b))
@@ -305,19 +290,6 @@ class _Alternating(Word):
         if self.m % 2:
             return self.letters, 1
         return (x, y), self.m // 2
-
-    def _renamed(self, rename: dict[str, str], sign: int = 1) -> Word | None:
-        """Substitute rename[n]^sign for each generator n that ``rename`` maps.
-
-        Two distinct names still alternate, so the word is freely reduced;
-        one name left reduces to its exponent sum. The trivial word is
-        returned as None.
-        """
-        u, v, a, b = _substituted(self.u, self.v, self.a, self.b, rename, sign)
-        if u == v:
-            e = _Alternating(u, v, self.m, a, b).exponent_sums().get(u)
-            return Word.generator(u, e) if e else None
-        return _Alternating(u, v, self.m, a, b) if self.m else None
 
 
 def alternating(u: str, v: str, n: int) -> Word:
@@ -364,7 +336,7 @@ class _ArtinRelator:
     def to_text(self) -> str:
         """The 2m letters as text, built by string repetition."""
         left, right = self._halves()
-        return f"{_alternating_text(*left)} {_alternating_text(*right)}"
+        return "".join((*_alternating_pieces(*left), " ", *_alternating_pieces(*right)))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -384,7 +356,11 @@ class _ArtinRelator:
         """
         if not rename:
             return self
-        u, v, a, b = _substituted(self.u, self.v, self.a, self.b, rename, sign)
+        u, a, v, b = self.u, self.a, self.v, self.b
+        if u in rename:
+            u, a = rename[u], a * sign
+        if v in rename:
+            v, b = rename[v], b * sign
         if u != v:
             return _ArtinRelator(u, v, self.m, a, b)
         e = (a - b) * (self.m % 2)

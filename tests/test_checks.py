@@ -264,6 +264,14 @@ def _uses(name):
 
 def test_private_constructors_only_at_listed_sites():
     assert _uses("_trusted") == PRIVATE_CONSTRUCTOR_SITES
+    # an alternating word's constructor skips the letter checks too: only
+    # ``alternating``, after checking its names, and values derived from one
+    assert _uses("_Alternating") == {
+        ("words", "alternating"),
+        ("words", "_Alternating.inverse"),
+        ("words", "_Alternating.__pow__"),
+        ("words", "_ArtinRelator.letters"),
+    }
     # each class has one private constructor, and nothing else makes bare instances
     assert _uses("__new__") == {
         ("words", "Word._trusted"),

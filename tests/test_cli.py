@@ -2,6 +2,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,28 @@ def test_dihedral_jsj_text(capsys):
     code, out, _ = _run(capsys, ["dihedral-jsj", "6", "--json"])
     data = json.loads(out)
     assert data["presentation"]["relators"] == ["x y^3 x^-1 y^-3"]
+
+
+def test_dihedral_jsj_prints_its_legend_in_its_output_plus_a_constant(monkeypatch):
+    # x = Pi(a, b, n) is 2n characters: it is built once, in pieces, and
+    # written in slices, never joined into its line or encoded whole
+    class Sink:
+        chars = 0
+
+        def writelines(self, pieces):
+            for piece in pieces:
+                self.chars += len(piece)
+
+    for label in (100001, 1000001):
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["dihedral-jsj", str(label)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 2 * label and peak - sink.chars < 1 << 20, (label, sink.chars, peak)
 
 
 @pytest.mark.parametrize("argv", [
