@@ -40,6 +40,15 @@ ABELIANIZATION_MISMATCH = "AbelianizationMismatch"
 
 TORSION_FREE_NOTE = "assuming torsion-free"
 
+# the certified fields of a profile, in the order of their mismatch reasons
+_CERTIFIED = (
+    ("chunk_count", CHUNK_COUNT_MISMATCH),
+    ("toral_leaf_count", TORAL_LEAF_COUNT_MISMATCH),
+    ("braided_leaf_labels", BRAIDED_LEAF_LABEL_MISMATCH),
+    ("label2_nonleaf_edge_count", LABEL2_NONLEAF_MISMATCH),
+    ("abelianization", ABELIANIZATION_MISMATCH),
+)
+
 
 @dataclass(frozen=True)
 class InvariantProfile:
@@ -126,17 +135,7 @@ class CompareVerdict:
 
 def compare(p: InvariantProfile, q: InvariantProfile) -> CompareVerdict:
     """Compare two profiles; NonIsomorphic only on certified invariants."""
-    reasons = []
-    if p.chunk_count != q.chunk_count:
-        reasons.append(CHUNK_COUNT_MISMATCH)
-    if p.toral_leaf_count != q.toral_leaf_count:
-        reasons.append(TORAL_LEAF_COUNT_MISMATCH)
-    if p.braided_leaf_labels != q.braided_leaf_labels:
-        reasons.append(BRAIDED_LEAF_LABEL_MISMATCH)
-    if p.label2_nonleaf_edge_count != q.label2_nonleaf_edge_count:
-        reasons.append(LABEL2_NONLEAF_MISMATCH)
-    if p.abelianization != q.abelianization:
-        reasons.append(ABELIANIZATION_MISMATCH)
+    reasons = [reason for field, reason in _CERTIFIED if getattr(p, field) != getattr(q, field)]
 
     notes = []
     if p.bigbig_canonical_forms != q.bigbig_canonical_forms:

@@ -8,9 +8,10 @@ contributes a stable letter t with relator t a t^-1 w^-1 for the two
 images a, w. Vertex-group copies are kept duplicated and identified, a
 separate simplification step eliminates the identification relators.
 
-Each vertex group presents itself (see ``artin.gog``). The relator of
-an Artin edge u-v labelled m is held as (u, v, m) and answered in closed
-form (see ``artin.words``), so no consumer walks its 2m letters:
+Each vertex group presents itself (see ``artin.gog``). Every relator
+is a ``Word``; the relator of an Artin edge u-v labelled m is the
+product of its two alternating halves, held as (u, v, m) and answered in
+closed form (see ``artin.words``), so no consumer walks its 2m letters:
 
 >>> from artin import LabelledGraph
 >>> (r,) = artin_presentation(LabelledGraph.from_edges([("a", "b", 5)])).relators
@@ -46,16 +47,10 @@ from .words import NAME_RE, Word, _ArtinRelator
 
 @dataclass(frozen=True)
 class Presentation:
-    """Finite presentation: generator names and relators.
-
-    A relator is a ``Word``, or the closed-form relator of an Artin edge
-    that ``artin_presentation`` builds; both render with ``to_text``,
-    answer ``support`` and ``exponent_sums``, and rename themselves with
-    ``_renamed``.
-    """
+    """Finite presentation: generator names and relator words."""
 
     generators: tuple[str, ...]
-    relators: tuple[Word | _ArtinRelator, ...]
+    relators: tuple[Word, ...]
 
     def __post_init__(self):
         seen = set()
@@ -323,7 +318,7 @@ def gog_presentation(gog: GraphOfGroups) -> Presentation:
         return final
 
     names: dict[str, dict[str, str]] = {}  # vertex id -> raw name -> generator
-    relators: list[Word | _ArtinRelator] = []
+    relators: list[Word] = []
     for v in gog.vertices:
         if not isinstance(v.group, GroupDescriptor):
             raise PreconditionError(f"unknown group descriptor {v.group!r}")
@@ -361,7 +356,7 @@ def simplify_identifications(p: Presentation) -> Presentation:
     which with ``{}`` only free-reduces): an Artin relator in closed form,
     a word letter by letter. An Artin relator is never an identification.
     """
-    rels: dict[int, Word | _ArtinRelator] = {}
+    rels: dict[int, Word] = {}
     holding: dict[str, set[int]] = {}
     pending: list[int] = []
     for i, r in enumerate(r._renamed({}) for r in p.relators):  # None when trivial
@@ -399,8 +394,8 @@ def simplify_identifications(p: Presentation) -> Presentation:
     return Presentation._trusted(gens, tuple(rels[i] for i in sorted(rels)))
 
 
-def _is_identification(r: Word | _ArtinRelator) -> bool:
-    if isinstance(r, _ArtinRelator) or len(r.letters) != 2:
+def _is_identification(r: Word) -> bool:
+    if isinstance(r, _ArtinRelator) or len(r.letters) != 2:  # its letters would expand
         return False
     (n1, e1), (n2, e2) = r.letters
     return n1 != n2 and abs(e1) == 1 and abs(e2) == 1

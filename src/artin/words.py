@@ -7,27 +7,31 @@ nonzero integer in ASCII digits, e.g. ``a b^-1 a^3``. A word keeps its
 text once rendered, and a parsed word keeps its support, read from its
 distinct tokens.
 
+Words compare, hash and print by their letters. Two kinds of word are
+held in closed form, and each is a ``Word`` that equals the word it
+stands for, with its letters expanded only when something reads them.
+
 The alternating word Pi(u^a, v^b, m) = u^a v^b u^a ... of length m,
-with signs a, b = +-1, is held in closed form as (u, v, m, a, b); this
-is what ``alternating`` returns. Its inverse is alternating again (it
-starts with the last letter, inverted), and so is a power of it when m
-is even. Its exponent sums and support read only m and its two letters,
-and as a sequence of single steps it is its first two letters repeated
-m/2 times when m is even. Its text is built by string repetition, in two
-pieces that a printer can write without joining them, and its letters
-are expanded only when something reads them.
+with signs a, b = +-1, is held as (u, v, m, a, b); this is what
+``alternating`` returns. Its inverse is alternating again (it starts
+with the last letter, inverted), and so is a power of it when m is even.
+Its exponent sums and support read only m and its two letters, and as a
+sequence of single steps it is its first two letters repeated m/2 times
+when m is even. Its text is built by string repetition, in two pieces
+that a printer can write without joining them.
 
 The relator of an Artin edge u-v labelled m is Pi(u, v, m) times the
-inverse of Pi(v, u, m), held as (u, v, m): it is printed and expanded
-through those two alternating words, its exponent sums read only the
+inverse of Pi(v, u, m), held as (u, v, m): its text and letters are
+those of these two alternating halves, its exponent sums read only the
 parity of m, and renaming touches two names. No consumer walks its 2m
-letters. Words and relators rename themselves by ``_renamed``:
-substitute, free-reduce, and give None for the trivial word.
+letters. Every word renames itself by ``_renamed``: substitute,
+free-reduce, and give None for the trivial word.
 
 Input checks: ``Word(...)``, ``Word.generator``, ``Word.from_text`` and
 ``alternating`` check what they are given; words derived from checked
-ones come from the private ``Word._trusted`` unchecked, and alternating
-words from the private ``_Alternating`` constructor.
+ones come from the private ``Word._trusted`` unchecked, and words in
+closed form from the private ``_Alternating`` and ``_ArtinRelator``
+constructors.
 """
 
 from __future__ import annotations
@@ -70,23 +74,6 @@ def _letter_text(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
-def _alternating_pieces(u: str, v: str, m: int, a: int, b: int) -> tuple[str, ...]:
-    """The text of Pi(u^a, v^b, m) in two pieces, its leading pairs built by
-    string repetition and its last one or two letters, so that no piece is
-    copied to make the other."""
-    if not m:
-        return ()
-    x, y = _letter_text(u, a), _letter_text(v, b)
-    k, odd = divmod(m, 2)
-    return f"{x} {y} " * (k - 1 + odd), x if odd else f"{x} {y}"
-
-
-def _inverse(u: str, v: str, m: int, a: int, b: int) -> tuple[str, str, int, int, int]:
-    """(u, v, m, a, b) of the inverse of Pi(u^a, v^b, m), which starts with
-    the last letter, inverted."""
-    return (u, v, m, -a, -b) if m % 2 else (v, u, m, -b, -a)
-
-
 class _LetterText(dict):
     """Text of each letter, formatted when the letter is first looked up.
 
@@ -99,7 +86,7 @@ class _LetterText(dict):
         return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Word:
     """Immutable word; ``letters`` holds (name, exponent) pairs, exponents nonzero."""
 
@@ -170,6 +157,15 @@ class Word:
 
     def __str__(self) -> str:
         return self.to_text()
+
+    def __eq__(self, other):
+        return self.letters == other.letters if isinstance(other, Word) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"Word(letters={self.letters!r})"
 
     def __mul__(self, other: "Word") -> "Word":
         return Word._trusted(self.letters + other.letters)
@@ -253,19 +249,20 @@ class _Alternating(Word):
     def letters(self) -> tuple[Letter, ...]:
         return self._pair * (self.m // 2) + self._pair[: self.m % 2]
 
-    def __eq__(self, other):
-        return self.letters == other.letters if isinstance(other, Word) else NotImplemented
-
-    __hash__ = Word.__hash__
-
-    def __repr__(self) -> str:
-        return f"Word(letters={self.letters!r})"
-
     def _text_pieces(self) -> tuple[str, ...]:
-        return _alternating_pieces(self.u, self.v, self.m, self.a, self.b)
+        """The text in two pieces, its leading pairs built by string
+        repetition and its last one or two letters, so that no piece is
+        copied to make the other."""
+        if not self.m:
+            return ()
+        x, y = _letter_text(self.u, self.a), _letter_text(self.v, self.b)
+        k, odd = divmod(self.m, 2)
+        return f"{x} {y} " * (k - 1 + odd), x if odd else f"{x} {y}"
 
     def inverse(self) -> Word:
-        return _Alternating(*_inverse(self.u, self.v, self.m, self.a, self.b))
+        """Alternating again: it starts with the last letter, inverted."""
+        u, v, m, a, b = self.u, self.v, self.m, self.a, self.b
+        return _Alternating(u, v, m, -a, -b) if m % 2 else _Alternating(v, u, m, -b, -a)
 
     def __pow__(self, k: int) -> Word:
         if k < 0:
@@ -304,42 +301,35 @@ def alternating(u: str, v: str, n: int) -> Word:
     return _Alternating(u, v, n)
 
 
-@dataclass(frozen=True)
-class _ArtinRelator:
-    """The relator of an edge u-v labelled m, held as (u, v, m).
+class _ArtinRelator(Word):
+    """The relator of an edge u-v labelled m, held as (u, v, m, a, b).
 
-    Its word is Pi(u^a, v^b, m) Pi(v^b, u^a, m)^-1, with the signs
+    It is the word Pi(u^a, v^b, m) Pi(v^b, u^a, m)^-1, with the signs
     a, b = +-1; an Artin presentation has a = b = 1, and only
-    substituting a generator's inverse flips a sign. It answers every
-    question in closed form: u and v alternate, so the word is freely
-    reduced, and for odd m the exponent sums are a and -b, while for even
-    m they vanish. Its text and its 2m ``letters`` are those of its two
-    alternating words; the letters are expanded only when read, and the
-    library never reads them.
+    substituting a generator's inverse flips a sign. Its two halves are
+    alternating words, and its text and its 2m ``letters`` are theirs;
+    the letters are expanded only when read, and the library never reads
+    them. u and v alternate, so the word is freely reduced, and its
+    exponent sums, support and renamings are closed forms: for odd m the
+    exponent sums are a and -b, while for even m they vanish.
     """
 
-    u: str
-    v: str
-    m: int
-    a: int = 1
-    b: int = 1
+    def __init__(self, u: str, v: str, m: int, a: int = 1, b: int = 1):
+        self.__dict__.update(u=u, v=v, m=m, a=a, b=b)
 
-    def _halves(self) -> tuple[tuple, tuple]:
-        """(u, v, m, a, b) of Pi(u^a, v^b, m) and of Pi(v^b, u^a, m)^-1."""
-        return (self.u, self.v, self.m, self.a, self.b), _inverse(self.v, self.u, self.m, self.b, self.a)
+    def _halves(self) -> tuple[Word, Word]:
+        """Pi(u^a, v^b, m) and Pi(v^b, u^a, m)^-1."""
+        u, v, m, a, b = self.u, self.v, self.m, self.a, self.b
+        return _Alternating(u, v, m, a, b), _Alternating(v, u, m, b, a).inverse()
 
     @cached_property
-    def letters(self) -> tuple[tuple[str, int], ...]:
+    def letters(self) -> tuple[Letter, ...]:
         left, right = self._halves()
-        return _Alternating(*left).letters + _Alternating(*right).letters
+        return left.letters + right.letters
 
-    def to_text(self) -> str:
-        """The 2m letters as text, built by string repetition."""
+    def _text_pieces(self) -> tuple[str, ...]:
         left, right = self._halves()
-        return "".join((*_alternating_pieces(*left), " ", *_alternating_pieces(*right)))
-
-    def __str__(self) -> str:
-        return self.to_text()
+        return (*left._text_pieces(), " ", *right._text_pieces())
 
     def exponent_sums(self) -> dict[str, int]:
         return {self.u: self.a, self.v: -self.b} if self.m % 2 else {}
@@ -347,7 +337,7 @@ class _ArtinRelator:
     def support(self) -> frozenset[str]:
         return frozenset((self.u, self.v))
 
-    def _renamed(self, rename: dict[str, str], sign: int = 1) -> _ArtinRelator | Word | None:
+    def _renamed(self, rename: dict[str, str], sign: int = 1) -> Word | None:
         """Substitute rename[n]^sign for each generator n that ``rename`` maps.
 
         When u and v land on one generator x, the word is a power of x

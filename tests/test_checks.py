@@ -270,7 +270,15 @@ def test_private_constructors_only_at_listed_sites():
         ("words", "alternating"),
         ("words", "_Alternating.inverse"),
         ("words", "_Alternating.__pow__"),
-        ("words", "_ArtinRelator.letters"),
+        ("words", "_ArtinRelator._halves"),
+    }
+    # so does an Artin relator's: only on the edges of a checked graph, and
+    # when one renames itself; the identification test names the class
+    assert _uses("_ArtinRelator") == {
+        ("presentations", "artin_presentation"),
+        ("presentations", "_is_identification"),
+        ("gog", "ChunkParabolic.relators"),
+        ("words", "_ArtinRelator._renamed"),
     }
     # each class has one private constructor, and nothing else makes bare instances
     assert _uses("__new__") == {

@@ -74,12 +74,19 @@ def test_artin_relator_is_alternating_word_times_inverse(m):
     assert relator.to_text() == want.to_text() == str(relator)
     assert relator.exponent_sums() == want.exponent_sums()
     assert relator.support() == want.support()
+    # it is that word: it compares, hashes and multiplies as one
+    assert isinstance(relator, Word)
+    assert relator == want and want == relator and hash(relator) == hash(want)
+    assert relator.inverse().letters == want.inverse().letters
+    assert relator.units() == want.units()
+    assert (relator * want).letters == (want * want).letters
 
 
 def test_render_parse_round_trip():
     pres = artin_presentation(triangle())
     text = render_presentation(pres)
     back = parse_presentation(text)
+    assert back == pres
     assert back.generators == pres.generators
     assert [r.letters for r in back.relators] == [r.letters for r in pres.relators]
     assert [r.to_text() for r in back.relators] == [r.to_text() for r in pres.relators]
