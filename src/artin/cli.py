@@ -4,8 +4,9 @@ A ``_cmd_*`` function returns its result's two renderings, (JSON
 payload, text), as zero-argument callables; ``main`` alone prints the
 one ``--json`` selects and exits 0. A text rendering is a string or a
 list of its pieces, which ``main`` writes in slices, so that printing a
-long word never copies it whole. With ``--dot``, which excludes
-``--json``, the text is the Graphviz graph or ``wrote PATH``.
+long word never copies it whole (``jsj`` and ``dihedral-jsj``). With
+``--dot``, which excludes ``--json``, the text is the Graphviz graph or
+``wrote PATH``.
 
 Exit codes: 0 success, 1 invalid input (unreadable files, parse errors,
 bad arguments), 2 precondition violations (wrong graph shape for an
@@ -39,7 +40,7 @@ from .presentations import (
     simplify_identifications,
 )
 from .splitting import splits_over_cyclic
-from .words import Word, _ascii_int
+from .words import Word, _Memo, _ascii_int
 
 _encode_str = json.encoder.encode_basestring_ascii
 _PLAIN = frozenset((str, int))  # member types of tuples that share a rendering
@@ -77,25 +78,13 @@ def _load_graph(path: str):
     return parse_graph(text)
 
 
-class _ItemText(dict):
-    """JSON text of each tuple of exact ``str`` and ``int``, rendered on first lookup."""
-
-    def __init__(self, newline: str):
-        super().__init__()
-        self.newline = newline
-
-    def __missing__(self, item: tuple) -> str:
-        text = self[item] = _json_text(item, self.newline)
-        return text
-
-
 def _json_text(value, newline: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)``, nested at the given newline.
 
     ``json.dumps`` leaves its C encoder whenever ``indent`` is set. This
     writer renders strings and ints by the encoder's own functions. A
     list of nothing but tuples of exact ``str`` and ``int`` renders each
-    distinct tuple once, by dictionary lookups; no other list shares
+    distinct tuple once, by lookups in a ``words._Memo``; no other list shares
     renderings, since equal values can render differently
     (``True == 1 == 1.0``). Anything else it does not build itself is
     ``json.dumps``'d, its newlines indented to this depth (strings
@@ -120,7 +109,7 @@ def _json_text(value, newline: str = "\n") -> str:
             and set(map(type, value)) == {tuple}
             and _PLAIN.issuperset(map(type, chain.from_iterable(value)))
         ):  # checked in two passes at C speed, then rendered by lookups
-            parts = map(_ItemText(inner).__getitem__, value)
+            parts = map(_Memo(lambda item: _json_text(item, inner)).__getitem__, value)
         else:
             parts = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
@@ -206,7 +195,7 @@ def _cmd_jsj(args) -> _Renderings:
     gog = build_jsj(_load_graph(args.file))
     if args.collapsed:
         gog = collapse_jsj(gog)
-    text = (lambda: _write_dot(gog, args.dot)) if args.dot else gog.to_text
+    text = (lambda: _write_dot(gog, args.dot)) if args.dot else gog._text_pieces
     return gog.to_json_dict, text
 
 

@@ -34,7 +34,8 @@ image of name^e is that reduced image repeated |e| times, with |e|
 times its carry (a one-syllable image is a power of the free x).
 Applying it merges only at the stack top, and only while each merge
 cancels; the rest is appended as it is. Each distinct letter is reduced
-once per call.
+once per state, by a ``words._Memo`` of its image, carry and first
+symbol.
 
 The reduction is a state that can be resumed (``_Reduction``): pushing
 more letters continues where the last push stopped. ``words_equal``
@@ -48,12 +49,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, count
 from operator import ne
 from typing import Iterator, Union
 
 from .errors import PreconditionError, WordFormatError
-from .words import Word, alternating
+from .words import Word, _Memo, alternating
 
 GENERATORS = ("a", "b")
 ROOT_SEARCH_MAX_LEN = 10  # root_bound_search grows about 3x per unit of length
@@ -177,14 +179,15 @@ def _reduction_table(n: int) -> tuple[dict, dict[str, int]]:
     return table, moduli
 
 
-def _letter_image(table: dict, name: str, exp: int) -> tuple[tuple, int]:
-    """The reduced image of the letter name^exp and its central carry."""
+def _letter_image(table: dict, letter: tuple[str, int]) -> tuple[tuple, int, str]:
+    """The reduced image of the letter name^exp, its central carry and its first symbol."""
+    name, exp = letter
     syllables, carry = table[name, exp > 0]
     if len(syllables) == 1:  # a power of the free x
         ((sym, e),) = syllables
-        return ((sym, e * abs(exp)),), 0
+        return ((sym, e * abs(exp)),), 0, sym
     # first and last symbols differ, so the repeats meet without merging
-    return syllables * abs(exp), carry * abs(exp)
+    return syllables * abs(exp), carry * abs(exp), syllables[0][0]
 
 
 class _Reduction:
@@ -196,24 +199,20 @@ class _Reduction:
 
     def __init__(self, n: int, letters=()):
         self.label = n
-        self.table, self.moduli = _reduction_table(n)
-        self.images: dict = {}  # letter -> (image, carry, first symbol)
+        table, self.moduli = _reduction_table(n)
+        self.images = _Memo(partial(_letter_image, table))  # letter -> (image, carry, first)
         self.central = 0
         self.stack: list[tuple[str, int]] = []
         self.push(letters)
 
     def push(self, letters) -> None:
         """Multiply on the right by the letters, in order."""
-        table, moduli, images = self.table, self.moduli, self.images
+        moduli, images = self.moduli, self.images
         central = self.central
         stack = self.stack
         push, pop, extend = stack.append, stack.pop, stack.extend
         for letter in letters:
-            found = images.get(letter)
-            if found is None:
-                image, carry = _letter_image(table, *letter)
-                found = images[letter] = (image, carry, image[0][0])
-            image, carry, first = found
+            image, carry, first = images[letter]
             central += carry
             if not stack or stack[-1][0] != first:
                 extend(image)

@@ -32,7 +32,8 @@ it becomes: an Artin relator per chunk edge, the commutator of <a, z>,
 none for a cyclic group. ``embed(w, names)`` writes a word in the
 defining generators in those generators, or raises PreconditionError
 when w does not lie in the group. ``presentations.gog_presentation``
-puts the vertex groups together.
+puts the vertex groups together. ``_text_pieces`` gives a descriptor's
+text in pieces, a word as its kept text, so no line copies a long word.
 """
 
 from __future__ import annotations
@@ -56,14 +57,21 @@ WHITE = "white"
 RED = "red"
 
 
+class _Described:
+    """A group descriptor's text, ``describe()``, joined from its pieces."""
+
+    def describe(self) -> str:
+        return "".join(self._text_pieces())
+
+
 @dataclass(frozen=True)
-class CyclicOnGenerator:
+class CyclicOnGenerator(_Described):
     """Infinite cyclic group on one vertex generator."""
 
     generator: str
 
-    def describe(self) -> str:
-        return f"<{self.generator}>"
+    def _text_pieces(self) -> tuple[str, ...]:
+        return (f"<{self.generator}>",)
 
     def to_json_dict(self) -> dict:
         return {"kind": "cyclic_on_generator", "generator": self.generator}
@@ -83,13 +91,13 @@ class CyclicOnGenerator:
 
 
 @dataclass(frozen=True)
-class CyclicOnWord:
+class CyclicOnWord(_Described):
     """Infinite cyclic group on a word in the vertex generators."""
 
     word: Word
 
-    def describe(self) -> str:
-        return f"<{self.word.to_text()}>"
+    def _text_pieces(self) -> tuple[str, ...]:
+        return ("<", self.word.to_text(), ">")
 
     def to_json_dict(self) -> dict:
         return {"kind": "cyclic_on_word", "word": self.word.to_text()}
@@ -109,14 +117,14 @@ class CyclicOnWord:
 
 
 @dataclass(frozen=True)
-class FreeAbelianPair:
+class FreeAbelianPair(_Described):
     """Rank-2 free abelian group on a vertex generator and a central word."""
 
     base: str
     central: Word
 
-    def describe(self) -> str:
-        return f"<{self.base}, {self.central.to_text()}>"
+    def _text_pieces(self) -> tuple[str, ...]:
+        return (f"<{self.base}, ", self.central.to_text(), ">")
 
     def to_json_dict(self) -> dict:
         return {"kind": "free_abelian_pair", "base": self.base, "central": self.central.to_text()}
@@ -140,13 +148,13 @@ class FreeAbelianPair:
 
 
 @dataclass(frozen=True)
-class ChunkParabolic:
+class ChunkParabolic(_Described):
     """The full Artin group on a chunk of the defining graph."""
 
     chunk: BigChunk
 
-    def describe(self) -> str:
-        return "<" + ", ".join(self.chunk.vertices) + ">"
+    def _text_pieces(self) -> tuple[str, ...]:
+        return ("<" + ", ".join(self.chunk.vertices) + ">",)
 
     def to_json_dict(self) -> dict:
         return {"kind": "chunk_parabolic", "vertices": list(self.chunk.vertices)}
@@ -251,18 +259,17 @@ class GraphOfGroups:
         return "".join(self._text_pieces())
 
     def _text_pieces(self) -> list[str]:
-        """The pieces of ``to_text``: a legend word is a piece of its own,
-        so printing them never copies a long word into its line."""
-        lines = [f"{v.color} vertex {v.id}: {v.group.describe()}" for v in self.vertices]
+        """The pieces of ``to_text``: each word is a piece of its own, its
+        kept text or a legend word's pieces, so no line copies a long word."""
+        pieces = []
+        for v in self.vertices:
+            pieces += (f"{v.color} vertex {v.id}: ", *v.group._text_pieces(), "\n")
         for e in self.edges:
-            images = ", ".join(w.to_text() for w in e.injections)
-            stable = f" (stable letter {e.stable_letter})" if e.stable_letter else ""
-            lines.append(
-                f"edge {e.ends[0]} -- {e.ends[1]}: {e.edge_group.describe()}"
-                f" with images {images}{stable}"
-            )
-        lines.append(f"betti: {betti_number(self)}")
-        pieces = ["\n".join(lines), "\n"]
+            left, right = e.injections
+            pieces += (f"edge {e.ends[0]} -- {e.ends[1]}: ", *e.edge_group._text_pieces())
+            pieces += (" with images ", left.to_text(), ", ", right.to_text())
+            pieces.append(f" (stable letter {e.stable_letter})\n" if e.stable_letter else "\n")
+        pieces.append(f"betti: {betti_number(self)}\n")
         for sym, word in self.legend:
             pieces += (f"where {sym} = ", *word._text_pieces(), "\n")
         return pieces

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     WordFormatError,
 )
-from .words import NAME_RE, Word, _ascii_int
+from .words import NAME_RE, Word, _Memo, _ascii_int
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def parse_graph(text: str) -> LabelledGraph:
     """
     vertices: set[str] = set()
     edges: dict[tuple[str, str], int] = {}
-    labels: dict[str, int] = {}  # each distinct label text, read once
+    labels = _Memo(_ascii_int)  # each distinct label text, read once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
@@ -175,15 +175,12 @@ def parse_graph(text: str) -> LabelledGraph:
                     raise GraphFormatError(f"bad vertex name {name!r}", lineno)
             if u == v:
                 raise GraphFormatError(f"self loop at {u!r}", lineno)
-            m = labels.get(raw_label)
-            if m is None:
-                try:
-                    m = _ascii_int(raw_label)
-                except ValueError as err:
-                    raise GraphFormatError(f"bad label {err}", lineno) from None
-                if m < 2:
-                    raise GraphFormatError(f"label must be >= 2, got {m}", lineno)
-                labels[raw_label] = m
+            try:
+                m = labels[raw_label]
+            except ValueError as err:
+                raise GraphFormatError(f"bad label {err}", lineno) from None
+            if m < 2:
+                raise GraphFormatError(f"label must be >= 2, got {m}", lineno)
             key = (u, v) if u < v else (v, u)
             if key in edges:
                 raise GraphFormatError(f"duplicate edge {key[0]}-{key[1]}", lineno)

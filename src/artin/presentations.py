@@ -123,7 +123,7 @@ def artin_presentation(g: LabelledGraph) -> Presentation:
 # Smith normal form
 
 
-class _SparseRow(Sequence[int]):
+class _SparseRow:
     """A matrix row of ``width`` entries held as {column: nonzero value}.
 
     ``abelianize`` hands these to ``smith_normal_form`` so that a
@@ -136,9 +136,6 @@ class _SparseRow(Sequence[int]):
 
     def __len__(self) -> int:
         return self.width
-
-    def __getitem__(self, j):
-        return self.entries.get(range(self.width)[j], 0)
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:

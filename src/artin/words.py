@@ -5,7 +5,8 @@ Words are not freely reduced on construction; reduction is explicit.
 Text syntax: whitespace-separated tokens ``sym`` or ``sym^k`` with k a
 nonzero integer in ASCII digits, e.g. ``a b^-1 a^3``. A word keeps its
 text once rendered, and a parsed word keeps its support, read from its
-distinct tokens.
+distinct tokens. Each distinct token or letter is worked out once, by
+``_Memo``, the package's one memo type.
 
 Words compare, hash and print by their letters. Two kinds of word are
 held in closed form, and each is a ``Word`` that equals the word it
@@ -69,21 +70,38 @@ def _ascii_int(text: str) -> int:
         raise ValueError(f"({digits} digits, more than {sys.get_int_max_str_digits()})") from None
 
 
-def _letter_text(name: str, exp: int) -> str:
+class _Memo(dict):
+    """``memo[key]`` is ``work(key)``, worked out on its first lookup. Later
+    lookups run at C speed, so a long input is worked out once per distinct item."""
+
+    __slots__ = ("work",)
+
+    def __init__(self, work):
+        self.work = work
+
+    def __missing__(self, key):
+        value = self[key] = self.work(key)
+        return value
+
+
+def _letter_text(letter: Letter) -> str:
     """The token of one letter: ``a`` or ``a^-2``."""
+    name, exp = letter
     return name if exp == 1 else f"{name}^{exp}"
 
 
-class _LetterText(dict):
-    """Text of each letter, formatted when the letter is first looked up.
-
-    Lookups run at C speed and hash each letter once; only a letter not
-    seen before calls ``__missing__``.
-    """
-
-    def __missing__(self, letter: Letter) -> str:
-        text = self[letter] = _letter_text(*letter)
-        return text
+def _parse_token(token: str) -> Letter:
+    """The letter of one token ``a`` or ``a^-2``."""
+    m = TOKEN_RE.fullmatch(token)
+    if not m:
+        raise WordFormatError(f"bad word token {token!r}")
+    try:
+        exp = _ascii_int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError as err:
+        raise WordFormatError(f"bad exponent {err} of {m.group(1)}") from None
+    if exp == 0:
+        raise WordFormatError(f"zero exponent in token {token!r}")
+    return m.group(1), exp
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -116,20 +134,8 @@ class Word:
         >>> Word.from_text("a b^-1").letters
         (('a', 1), ('b', -1))
         """
-        tokens = text.split()
-        parsed: dict[str, Letter] = {}
-        for token in dict.fromkeys(tokens):
-            m = TOKEN_RE.fullmatch(token)
-            if not m:
-                raise WordFormatError(f"bad word token {token!r}")
-            try:
-                exp = _ascii_int(m.group(2)) if m.group(2) is not None else 1
-            except ValueError as err:
-                raise WordFormatError(f"bad exponent {err} of {m.group(1)}") from None
-            if exp == 0:
-                raise WordFormatError(f"zero exponent in token {token!r}")
-            parsed[token] = (m.group(1), exp)
-        w = cls._trusted(tuple(map(parsed.__getitem__, tokens)))
+        parsed = _Memo(_parse_token)  # each distinct token, parsed once
+        w = cls._trusted(tuple(map(parsed.__getitem__, text.split())))
         w.__dict__["_support"] = frozenset(map(_NAME, parsed.values()))
         return w
 
@@ -153,7 +159,7 @@ class Word:
     def _text_pieces(self) -> tuple[str, ...]:
         """Pieces whose concatenation is the text, so that a printer can
         write a long word without joining it."""
-        return (" ".join(map(_LetterText().__getitem__, self.letters)),)
+        return (" ".join(map(_Memo(_letter_text).__getitem__, self.letters)),)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -255,7 +261,7 @@ class _Alternating(Word):
         copied to make the other."""
         if not self.m:
             return ()
-        x, y = _letter_text(self.u, self.a), _letter_text(self.v, self.b)
+        x, y = map(_letter_text, self._pair)
         k, odd = divmod(self.m, 2)
         return f"{x} {y} " * (k - 1 + odd), x if odd else f"{x} {y}"
 

@@ -330,6 +330,19 @@ def test_group_descriptor_kinds_are_named_only_in_gog():
     assert _modules_naming(descriptors) == {"gog", "__init__"}
 
 
+def test_the_only_memo_is_words_memo():
+    # work each distinct item out once through words._Memo, not a memo of its own
+    defining = {
+        f"{path.stem}.{node.name}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__missing__"
+    }
+    assert defining == {"words._Memo"}
+
+
 def test_normal_form_kinds_are_named_only_in_dihedral():
     # each normal form prints and serializes itself; no other module tells the kinds apart
     normal_forms = ("AbelianNormalForm", "OddNormalForm", "EvenNormalForm")

@@ -79,6 +79,17 @@ def test_split_output(capsys, path_file):
     )
 
 
+def test_split_of_one_edge_has_its_label_as_witness(capsys, tmp_path):
+    path = tmp_path / "edge.graph"
+    path.write_text("e a b 5\n")
+    assert _run(capsys, ["split", str(path)]) == (0, (
+        "verdict: DihedralSplit\nends: OneEnded\nwitness: single edge with label 5\n"
+    ), "")
+    code, out, _ = _run(capsys, ["split", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out) == {"verdict": "DihedralSplit", "witness": {"label": 5}, "ends": "OneEnded"}
+
+
 def test_jsj_text_json_and_dot(capsys, tmp_path, fan_file):
     code, out, _ = _run(capsys, ["jsj", fan_file])
     assert code == 0
@@ -114,9 +125,8 @@ def test_dihedral_jsj_text(capsys):
     assert data["presentation"]["relators"] == ["x y^3 x^-1 y^-3"]
 
 
-def test_dihedral_jsj_prints_its_legend_in_its_output_plus_a_constant(monkeypatch):
-    # x = Pi(a, b, n) is 2n characters: it is built once, in pieces, and
-    # written in slices, never joined into its line or encoded whole
+def _output_and_peak(monkeypatch, argv) -> tuple[int, int]:
+    """The characters ``main(argv)`` writes, and its tracemalloc peak."""
     class Sink:
         chars = 0
 
@@ -124,16 +134,34 @@ def test_dihedral_jsj_prints_its_legend_in_its_output_plus_a_constant(monkeypatc
             for piece in pieces:
                 self.chars += len(piece)
 
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sink.chars, peak
+
+
+def test_dihedral_jsj_prints_its_legend_in_its_output_plus_a_constant(monkeypatch):
+    # x = Pi(a, b, n) is 2n characters: it is built once, in pieces, and
+    # written in slices, never joined into its line or encoded whole
     for label in (100001, 1000001):
-        sink = Sink()
-        monkeypatch.setattr(sys, "stdout", sink)
-        tracemalloc.start()
-        try:
-            assert main(["dihedral-jsj", str(label)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sink.chars > 2 * label and peak - sink.chars < 1 << 20, (label, sink.chars, peak)
+        chars, peak = _output_and_peak(monkeypatch, ["dihedral-jsj", str(label)])
+        assert chars > 2 * label and peak - chars < 1 << 20, (label, chars, peak)
+
+
+def test_jsj_prints_a_braided_leaf_z_in_its_output_plus_a_constant(monkeypatch, tmp_path):
+    # z = Pi(s, q, L) is 2L characters and printed four times, in its
+    # vertex, its edge group and both images: each line is written in
+    # pieces, z's kept text among them, never copied into the line
+    for label in (100002, 1000002):
+        path = tmp_path / f"star{label}.graph"
+        path.write_text(f"e p s 3\ne q s {label}\ne r s 2\n")
+        chars, peak = _output_and_peak(monkeypatch, ["jsj", str(path)])
+        assert chars > 8 * label and peak - chars < 1 << 20, (label, chars, peak)
 
 
 @pytest.mark.parametrize("argv", [
@@ -150,6 +178,20 @@ def test_json_and_dot_are_refused_together(capsys, tmp_path, fan_file, argv):
     assert (code, out) == (1, "")
     _assert_one_error_line(argv, out, err)
     assert "not allowed with argument" in err and not dot_path.exists()
+
+
+def test_dihedral_jsj_dot(capsys, tmp_path):
+    dot = (
+        'graph gog {\n'
+        '  "B_x" [label="<x>", style=filled, fillcolor=black, fontcolor=white];\n'
+        '  "B_y" [label="<y>", style=filled, fillcolor=black, fontcolor=white];\n'
+        '  "B_x" -- "B_y";\n'
+        '}\n'
+    )
+    assert _run(capsys, ["dihedral-jsj", "5", "--dot", "-"]) == (0, dot, "")
+    path = tmp_path / "d5.dot"
+    assert _run(capsys, ["dihedral-jsj", "5", "--dot", str(path)]) == (0, f"wrote {path}\n", "")
+    assert path.read_text() == dot
 
 
 def test_dihedral_jsj_label_two_fails(capsys):
@@ -394,11 +436,24 @@ def test_retract(capsys, fan_file):
     assert code == 2 and "out of range" in err
 
 
+def test_retract_refuses_a_letter_that_is_not_a_vertex(capsys, path_file):
+    argv = ["retract", path_file, "0", "a x"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    _assert_one_error_line(argv, out, err)
+    assert err == "error: letter 'x' is not a vertex of the graph\n"
+
+
 def test_root_search(capsys):
     code, out, _ = _run(capsys, ["root-search", "4", "3", "3", "--json"])
     assert code == 0
     data = json.loads(out)
     assert data["counterexamples"] == []
+
+    assert _run(capsys, ["root-search", "4", "3", "3"]) == (0, (
+        "no counterexamples: no primitive element of <a, z> has a root of degree"
+        " 3..3 among words up to length 3\n"
+    ), "")
 
 
 def test_root_search_negative_length(capsys):

@@ -139,6 +139,21 @@ def test_presentation_refuses_missing_groups_and_injections():
         gog_presentation(type(gog)(gog.vertices, tuple(edges), graph=gog.graph))
 
 
+def test_graph_of_groups_refuses_duplicate_ids_and_unknown_edge_ends():
+    gog = build_jsj(path3())
+    with pytest.raises(PreconditionError, match=f"^duplicate vertex id {gog.vertices[0].id!r}$"):
+        GraphOfGroups(gog.vertices + gog.vertices[:1], gog.edges)
+    edge = replace(gog.edges[0], ends=(gog.edges[0].ends[0], "nowhere"))
+    with pytest.raises(PreconditionError, match="^edge end 'nowhere' is not a vertex$"):
+        GraphOfGroups(gog.vertices, (edge,))
+
+
+def test_collapse_of_the_dihedral_jsj_is_refused():
+    # its black vertices carry no chunk, so there is no chunk group to collapse to
+    with pytest.raises(PreconditionError, match="^collapse needs chunk data on black vertices$"):
+        collapse_jsj(dihedral_jsj(5))
+
+
 def test_preconditions():
     with pytest.raises(PreconditionError):
         build_jsj(parse_graph("e a b 4\n"))

@@ -51,6 +51,8 @@ def test_parse_basics():
     assert g.edges == (("a", "b", 3), ("b", "c", 2))
     assert g.valence("z") == 0
     assert g.label("b", "a") == 3
+    with pytest.raises(KeyError, match="no edge a-z"):
+        g.label("a", "z")
 
 
 def test_parse_edge_declares_endpoints():

@@ -94,6 +94,22 @@ def test_render_parse_round_trip():
     assert text.splitlines()[0].startswith("gen:")
 
 
+def test_parse_presentation_skips_comments_and_blank_lines():
+    text = "# a comment\n\ngen: a b\n  # indented\nrel: a b a^-1 b^-1\n\n"
+    assert parse_presentation(text) == Presentation(("a", "b"), (Word.from_text("a b a^-1 b^-1"),))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gen: a\ngen: b\n", "second gen: line"),
+    ("rel: a\ngen: a\n", "rel: before gen:"),
+    ("gen: a\nrelator a\n", "bad presentation line 'relator a'"),
+    ("# only a comment\n", "missing gen: line"),
+])
+def test_parse_presentation_errors(text, message):
+    with pytest.raises(WordFormatError, match="^" + re.escape(message) + "$"):
+        parse_presentation(text)
+
+
 def test_presentation_validates_support():
     with pytest.raises(WordFormatError):
         Presentation(("a",), (Word.from_text("a b"),))
@@ -107,6 +123,16 @@ def test_snf_frozen_examples():
     assert smith_normal_form([[6, 4]]) == (2,)
     assert smith_normal_form([[6], [4]]) == (2,)
     assert smith_normal_form([]) == () and smith_normal_form([[], []]) == ()
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[1, 2], [3]], "matrix rows have unequal lengths"),
+    ([[1, 2.0]], "matrix entries must be integers"),
+    ([[1], ["x"]], "matrix entries must be integers"),
+])
+def test_snf_refuses_ragged_rows_and_non_integers(matrix, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        smith_normal_form(matrix)
 
 
 def test_snf_matches_minor_gcd_oracle():
