@@ -1,12 +1,11 @@
 """Command line interface.
 
 A ``_cmd_*`` function returns its result's two renderings, (JSON
-payload, text), as zero-argument callables; ``main`` alone prints the
-one ``--json`` selects and exits 0. A text rendering is a string or a
-list of its pieces, which ``main`` writes in slices, so that printing a
-long word never copies it whole (``jsj`` and ``dihedral-jsj``). With
-``--dot``, which excludes ``--json``, the text is the Graphviz graph or
-``wrote PATH``.
+payload, text), as zero-argument callables; ``main`` alone writes the
+one ``--json`` selects, a list of string pieces built whole, words'
+kept pieces among them, and exits 0. A long piece is written in slices,
+so a long word is never copied whole. With ``--dot``, which excludes
+``--json``, the text is the Graphviz graph or ``wrote PATH``.
 
 Exit codes: 0 success, 1 invalid input (unreadable files, parse errors,
 bad arguments), 2 precondition violations (wrong graph shape for an
@@ -36,7 +35,7 @@ from .presentations import (
     artin_abelianization,
     artin_presentation,
     gog_presentation,
-    render_presentation,
+    _presentation_pieces,
     simplify_identifications,
 )
 from .splitting import splits_over_cyclic
@@ -44,9 +43,9 @@ from .words import Word, _Memo, _ascii_int
 
 _encode_str = json.encoder.encode_basestring_ascii
 _PLAIN = frozenset((str, int))  # member types of tuples that share a rendering
-_SLICE = 1 << 16  # characters of text written at a time
-# (JSON payload, text); the text is a string or a list of its pieces
-_Renderings = tuple[Callable[[], object], Callable[[], "str | list[str]"]]
+_SLICE = 1 << 16  # characters written at a time from a longer piece
+# (JSON payload, text); the text is a list of its pieces
+_Renderings = tuple[Callable[[], object], Callable[[], "list[str] | tuple[str, ...]"]]
 
 
 class _UsageError(Exception):
@@ -78,67 +77,66 @@ def _load_graph(path: str):
     return parse_graph(text)
 
 
-def _json_text(value, newline: str = "\n") -> str:
-    """Exactly ``json.dumps(value, indent=2)``, nested at the given newline.
-
-    ``json.dumps`` leaves its C encoder whenever ``indent`` is set. This
-    writer renders strings and ints by the encoder's own functions. A
-    list of nothing but tuples of exact ``str`` and ``int`` renders each
-    distinct tuple once, by lookups in a ``words._Memo``; no other list shares
-    renderings, since equal values can render differently
-    (``True == 1 == 1.0``). Anything else it does not build itself is
-    ``json.dumps``'d, its newlines indented to this depth (strings
-    escape their own newlines).
-    """
-    kind = type(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is int:
-        return int.__repr__(value)
-    inner = newline + "  "
-    if kind is dict and all(type(key) is str for key in value):
-        if not value:
-            return "{}"
-        items = (_encode_str(k) + ": " + _json_text(v, inner) for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        if (
-            type(value[0]) is tuple
-            and set(map(type, value)) == {tuple}
-            and _PLAIN.issuperset(map(type, chain.from_iterable(value)))
-        ):  # checked in two passes at C speed, then rendered by lookups
-            parts = map(_Memo(lambda item: _json_text(item, inner)).__getitem__, value)
-        else:
-            parts = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    return json.dumps(value, indent=2).replace("\n", newline)
+def _word_text(value) -> str:
+    """``json.dumps``'s ``default``: a word's text; any other value raises json's TypeError."""
+    return value.to_text() if isinstance(value, Word) else json.JSONEncoder().default(value)
 
 
-def _text_slices(out: str | list[str]):
-    """The text rendering, a string or its pieces, in slices, then a newline
-    unless it ends with one.
+def _json_pieces(value) -> list[str]:
+    """Exactly ``json.dumps(value, indent=2, default=_word_text)``: one piece
+    between words, and each word's kept pieces in its place. ``json.dumps``
+    leaves its C encoder when ``indent`` is set; ``text`` renders strings and
+    ints by the encoder's own functions, a word as ``"\\0"``, and each distinct
+    tuple of a list of tuples of exact ``str`` and ``int`` once, by a ``_Memo``
+    (equal values can render differently: ``True == 1 == 1.0``). Anything
+    else is ``json.dumps``'d, re-indented."""
+    words = []
 
-    The stream encodes one slice at a time, never a long word in one copy,
-    so printing costs the output plus a constant.
-    """
-    pieces = [out] if isinstance(out, str) else out
-    for piece in pieces:
-        for start in range(0, len(piece), _SLICE):
-            yield piece[start : start + _SLICE]
-    if not next(filter(None, reversed(pieces)), "").endswith("\n"):
-        yield "\n"
+    def text(value, newline: str) -> str:
+        kind = type(value)
+        if kind is str:
+            return _encode_str(value)
+        if kind is int:
+            return int.__repr__(value)
+        inner = newline + "  "
+        if kind is dict and all(type(key) is str for key in value):
+            if not value:
+                return "{}"
+            items = (_encode_str(k) + ": " + text(v, inner) for k, v in value.items())
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        if kind is list or kind is tuple:
+            if not value:
+                return "[]"
+            if (
+                type(value[0]) is tuple
+                and set(map(type, value)) == {tuple}
+                and _PLAIN.issuperset(map(type, chain.from_iterable(value)))
+            ):  # checked in two passes at C speed, then rendered by lookups
+                parts = map(_Memo(lambda item: text(item, inner)).__getitem__, value)
+            else:
+                parts = [text(item, inner) for item in value]
+            return "[" + inner + ("," + inner).join(parts) + newline + "]"
+        if isinstance(value, Word):
+            words.append(value)
+            return '"\0"'
+        return json.dumps(value, indent=2, default=_word_text).replace("\n", newline)
+
+    doc = text(value, "\n")
+    head, *tails = doc.split("\0") if words else (doc,)  # the encoder escapes any other \0
+    pieces = [head]
+    for word, tail in zip(words, tails):
+        pieces += (*word._text_pieces(), tail)
+    return pieces
 
 
-def _write_dot(gog: GraphOfGroups, path: str) -> str:
+def _write_dot(gog: GraphOfGroups, path: str) -> list[str]:
     """The Graphviz text for ``-``; otherwise write it to ``path`` and say so."""
-    dot = gog.to_dot()
+    pieces = gog._dot_pieces()
     if path == "-":
-        return dot
+        return pieces
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dot)
-    return f"wrote {path}"
+        fh.writelines(pieces)
+    return [f"wrote {path}"]
 
 
 def _cmd_validate(args) -> _Renderings:
@@ -150,8 +148,8 @@ def _cmd_validate(args) -> _Renderings:
             "edges": [[u, v, m] for u, v, m in g.edges],
             "connected": connected,
         },
-        lambda: f"ok: {len(g.vertices)} vertices, {len(g.edges)} edges, "
-        + ("connected" if connected else "disconnected"),
+        lambda: [f"ok: {len(g.vertices)} vertices, {len(g.edges)} edges, "
+                 + ("connected" if connected else "disconnected")],
     )
 
 
@@ -164,7 +162,7 @@ def _cmd_chunks(args) -> _Renderings:
             for i, (c, cls) in enumerate(zip(decomp.chunks, decomp.classes()))
         ]
         lines.append("separating: " + (" ".join(decomp.separating) or "(none)"))
-        return "\n".join(lines)
+        return ["\n".join(lines)]
 
     return decomp.to_json_dict, text
 
@@ -186,7 +184,7 @@ def _cmd_split(args) -> _Renderings:
                 "witness: free product over components "
                 + " ".join("{" + ",".join(c) + "}" for c in verdict.components)
             )
-        return "\n".join(lines)
+        return ["\n".join(lines)]
 
     return verdict.to_json_dict, text
 
@@ -206,7 +204,7 @@ def _cmd_dihedral_jsj(args) -> _Renderings:
     pres = gog_presentation(gog)
     return (
         lambda: {**gog.to_json_dict(), "presentation": pres.to_json_dict()},
-        lambda: [*gog._text_pieces(), "presentation: ", render_presentation(pres)],
+        lambda: [*gog._text_pieces(), "presentation: ", *_presentation_pieces(pres)],
     )
 
 
@@ -220,7 +218,7 @@ def _cmd_abelianize(args) -> _Renderings:
         source = "vertex presentation"
     return (
         lambda: {"source": source, "abelianization": shape.to_json_dict()},
-        lambda: f"{shape.describe()} (from the {source})",
+        lambda: [f"{shape.describe()} (from the {source})"],
     )
 
 
@@ -229,23 +227,23 @@ def _cmd_presentation(args) -> _Renderings:
     pres = gog_presentation(build_jsj(g)) if args.of_jsj else artin_presentation(g)
     if args.simplify:
         pres = simplify_identifications(pres)
-    return pres.to_json_dict, lambda: render_presentation(pres)
+    return pres.to_json_dict, lambda: _presentation_pieces(pres)
 
 
 def _cmd_profile(args) -> _Renderings:
     p = profile(_load_graph(args.file))
-    return p.to_json_dict, lambda: "\n".join(
+    return p.to_json_dict, lambda: ["\n".join(
         f"{key}: {value}" for key, value in p.to_json_dict().items()
-    )
+    )]
 
 
 def _cmd_compare(args) -> _Renderings:
     verdict = compare(profile(_load_graph(args.file1)), profile(_load_graph(args.file2)))
-    return verdict.to_json_dict, lambda: "\n".join(
+    return verdict.to_json_dict, lambda: ["\n".join(
         [f"verdict: {verdict.verdict}"]
         + [f"reason: {r}" for r in verdict.reasons]
         + [f"note: {n}" for n in verdict.notes]
-    )
+    )]
 
 
 def _cmd_acylindrical(args) -> _Renderings:
@@ -256,39 +254,38 @@ def _cmd_acylindrical(args) -> _Renderings:
         if verdict.witness:
             lines.append(f"witness: ({verdict.witness[0]}, {verdict.witness[1]})")
         lines.append(f"reason: {verdict.reason}")
-        return "\n".join(lines)
+        return ["\n".join(lines)]
 
     return verdict.to_json_dict, text
 
 
 def _cmd_dihedral_nf(args) -> _Renderings:
     nf = normal_form(args.label, Word.from_text(args.word))
-    return lambda: vars(nf), lambda: str(nf)  # its fields, in declaration order
+    return lambda: vars(nf), lambda: [str(nf)]  # its fields, in declaration order
 
 
 def _cmd_dihedral_eq(args) -> _Renderings:
     equal = words_equal(args.label, Word.from_text(args.word1), Word.from_text(args.word2))
-    return lambda: {"equal": equal}, lambda: "equal" if equal else "different"
+    return lambda: {"equal": equal}, lambda: ["equal" if equal else "different"]
 
 
 def _cmd_retract(args) -> _Renderings:
     decomp = big_chunks(_load_graph(args.file))
     out = retract_word(decomp, args.chunk, Word.from_text(args.word))
-    return lambda: {"word": out.to_text()}, out.to_text
+    return lambda: {"word": out}, out._text_pieces
 
 
 def _cmd_root_search(args) -> _Renderings:
     hits = root_bound_search(args.label, args.max_len, args.max_degree)
 
     def text():
-        if hits:
-            return "\n".join(
-                f"counterexample: ({w.to_text()})^{k} = a^{i} z^{j}" for w, k, (i, j) in hits
-            )
-        return (
+        pieces = [] if hits else [
             f"no counterexamples: no primitive element of <a, z> has a root of degree"
             f" {args.label // 2 + 1}..{args.max_degree} among words up to length {args.max_len}"
-        )
+        ]
+        for w, k, (i, j) in hits:
+            pieces += ("counterexample: (", *w._text_pieces(), f")^{k} = a^{i} z^{j}\n")
+        return pieces
 
     return (
         lambda: {
@@ -296,7 +293,7 @@ def _cmd_root_search(args) -> _Renderings:
             "max_length": args.max_len,
             "max_degree": args.max_degree,
             "counterexamples": [
-                {"word": w.to_text(), "degree": k, "a_exp": i, "z_exp": j}
+                {"word": w, "degree": k, "a_exp": i, "z_exp": j}
                 for w, k, (i, j) in hits
             ],
         },
@@ -388,10 +385,12 @@ def main(argv=None) -> int:
         return 1
     try:
         payload, text = args.fn(args)
-        if args.json:  # only the rendering that is printed is built
-            print(_json_text(payload()))
-        else:
-            sys.stdout.writelines(_text_slices(text()))
+        pieces = _json_pieces(payload()) if args.json else text()  # built whole, then written
+        end = "" if next(filter(None, reversed(pieces)), "").endswith("\n") else "\n"
+        if max(map(len, pieces), default=0) > _SLICE:  # the stream encodes a piece in one copy
+            pieces = (p[i : i + _SLICE] for p in pieces for i in range(0, len(p), _SLICE))
+        sys.stdout.writelines(pieces)
+        sys.stdout.write(end)
     except ArtinError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -33,7 +33,8 @@ none for a cyclic group. ``embed(w, names)`` writes a word in the
 defining generators in those generators, or raises PreconditionError
 when w does not lie in the group. ``presentations.gog_presentation``
 puts the vertex groups together. ``_text_pieces`` gives a descriptor's
-text in pieces, a word as its kept text, so no line copies a long word.
+text in pieces, a word as its kept pieces, as do the text and the
+Graphviz graph of a graph of groups, so no line copies a long word.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ from .words import Word, _ArtinRelator, alternating
 BLACK = "black"
 WHITE = "white"
 RED = "red"
+_DOT_STYLE = {BLACK: ", style=filled, fillcolor=black, fontcolor=white",
+              RED: ", style=filled, fillcolor=red"}  # Graphviz attributes after a vertex's label
 
 
 class _Described:
@@ -97,10 +100,10 @@ class CyclicOnWord(_Described):
     word: Word
 
     def _text_pieces(self) -> tuple[str, ...]:
-        return ("<", self.word.to_text(), ">")
+        return ("<", *self.word._text_pieces(), ">")
 
     def to_json_dict(self) -> dict:
-        return {"kind": "cyclic_on_word", "word": self.word.to_text()}
+        return {"kind": "cyclic_on_word", "word": self.word}
 
     def generators(self, avoid: set[str]) -> tuple[str, ...]:
         return (_fresh("r_" + "_".join(n for n, _ in self.word.letters), avoid),)
@@ -124,10 +127,10 @@ class FreeAbelianPair(_Described):
     central: Word
 
     def _text_pieces(self) -> tuple[str, ...]:
-        return (f"<{self.base}, ", self.central.to_text(), ">")
+        return (f"<{self.base}, ", *self.central._text_pieces(), ">")
 
     def to_json_dict(self) -> dict:
-        return {"kind": "free_abelian_pair", "base": self.base, "central": self.central.to_text()}
+        return {"kind": "free_abelian_pair", "base": self.base, "central": self.central}
 
     def generators(self, avoid: set[str]) -> tuple[str, ...]:
         z = "z_" + "_".join(sorted(self.central.support()))
@@ -211,7 +214,7 @@ class GoGEdge:
         return {
             "ends": list(self.ends),
             "edge_group": self.edge_group.to_json_dict(),
-            "injections": [w.to_text() for w in self.injections],
+            "injections": list(self.injections),
             "stable_letter": self.stable_letter,
         }
 
@@ -259,15 +262,15 @@ class GraphOfGroups:
         return "".join(self._text_pieces())
 
     def _text_pieces(self) -> list[str]:
-        """The pieces of ``to_text``: each word is a piece of its own, its
-        kept text or a legend word's pieces, so no line copies a long word."""
+        """The pieces of ``to_text``: each word's are its kept pieces, so no
+        line copies a long word."""
         pieces = []
         for v in self.vertices:
             pieces += (f"{v.color} vertex {v.id}: ", *v.group._text_pieces(), "\n")
         for e in self.edges:
             left, right = e.injections
             pieces += (f"edge {e.ends[0]} -- {e.ends[1]}: ", *e.edge_group._text_pieces())
-            pieces += (" with images ", left.to_text(), ", ", right.to_text())
+            pieces += (" with images ", *left._text_pieces(), ", ", *right._text_pieces())
             pieces.append(f" (stable letter {e.stable_letter})\n" if e.stable_letter else "\n")
         pieces.append(f"betti: {betti_number(self)}\n")
         for sym, word in self.legend:
@@ -282,16 +285,14 @@ class GraphOfGroups:
         with their stable letter, red edges with the relation r^m = z
         when their injection is the m-th power of the red word r.
         """
-        lines = ["graph gog {"]
+        return "".join(self._dot_pieces())
+
+    def _dot_pieces(self) -> list[str]:
+        """The pieces of ``to_dot``, a vertex label's words among them."""
+        pieces = ["graph gog {\n"]
         for v in self.vertices:
-            label = v.group.describe()
-            if v.color == BLACK:
-                attrs = f'label="{label}", style=filled, fillcolor=black, fontcolor=white'
-            elif v.color == RED:
-                attrs = f'label="{label}", style=filled, fillcolor=red'
-            else:
-                attrs = f'label="{label}"'
-            lines.append(f'  "{v.id}" [{attrs}];')
+            style = _DOT_STYLE.get(v.color, "")
+            pieces += (f'  "{v.id}" [label="', *v.group._text_pieces(), f'"{style}];\n')
         for e in self.edges:
             attrs = []
             if e.is_loop and e.stable_letter is not None:
@@ -305,9 +306,9 @@ class GraphOfGroups:
                     if m is not None:
                         attrs.append(f'label="r^{m} = z"')
             suffix = f" [{', '.join(attrs)}]" if attrs else ""
-            lines.append(f'  "{e.ends[0]}" -- "{e.ends[1]}"{suffix};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            pieces.append(f'  "{e.ends[0]}" -- "{e.ends[1]}"{suffix};\n')
+        pieces.append("}\n")
+        return pieces
 
 
 def betti_number(gog: GraphOfGroups) -> int:

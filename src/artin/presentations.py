@@ -9,9 +9,10 @@ images a, w. Vertex-group copies are kept duplicated and identified, a
 separate simplification step eliminates the identification relators.
 
 Each vertex group presents itself (see ``artin.gog``). Every relator
-is a ``Word``; the relator of an Artin edge u-v labelled m is the
-product of its two alternating halves, held as (u, v, m) and answered in
-closed form (see ``artin.words``), so no consumer walks its 2m letters:
+is a ``Word``, printed as its kept text pieces and held as itself in
+``to_json_dict``; the relator of an Artin edge u-v labelled m is the
+product of its two alternating halves, held as (u, v, m) and answered
+in closed form (see ``artin.words``), so no consumer walks its 2m letters:
 
 >>> from artin import LabelledGraph
 >>> (r,) = artin_presentation(LabelledGraph.from_edges([("a", "b", 5)])).relators
@@ -76,15 +77,21 @@ class Presentation:
     def to_json_dict(self) -> dict:
         return {
             "generators": list(self.generators),
-            "relators": [r.to_text() for r in self.relators],
+            "relators": list(self.relators),
         }
 
 
 def render_presentation(p: Presentation) -> str:
     """Serialize as a ``gen:`` line followed by one ``rel:`` line per relator."""
-    lines = ["gen: " + " ".join(p.generators)]
-    lines += ["rel: " + r.to_text() for r in p.relators]
-    return "\n".join(lines) + "\n"
+    return "".join(_presentation_pieces(p))
+
+
+def _presentation_pieces(p: Presentation) -> list[str]:
+    """The pieces of ``render_presentation``, a relator's kept pieces among them."""
+    pieces = ["gen: " + " ".join(p.generators) + "\n"]
+    for r in p.relators:
+        pieces += ("rel: ", *r._text_pieces(), "\n")
+    return pieces
 
 
 def parse_presentation(text: str) -> Presentation:

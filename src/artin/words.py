@@ -4,8 +4,9 @@ A word is a finite sequence of letters (generator name, nonzero exponent).
 Words are not freely reduced on construction; reduction is explicit.
 Text syntax: whitespace-separated tokens ``sym`` or ``sym^k`` with k a
 nonzero integer in ASCII digits, e.g. ``a b^-1 a^3``. A word keeps its
-text once rendered, and a parsed word keeps its support, read from its
-distinct tokens. Each distinct token or letter is worked out once, by
+text pieces once rendered, which printers splice and ``to_text`` joins,
+and a parsed word keeps its support, read from its distinct tokens. Each
+distinct token, or letter of a long word, is worked out once, by
 ``_Memo``, the package's one memo type.
 
 Words compare, hash and print by their letters. Two kinds of word are
@@ -18,15 +19,14 @@ with signs a, b = +-1, is held as (u, v, m, a, b); this is what
 with the last letter, inverted), and so is a power of it when m is even.
 Its exponent sums and support read only m and its two letters, and as a
 sequence of single steps it is its first two letters repeated m/2 times
-when m is even. Its text is built by string repetition, in two pieces
-that a printer can write without joining them.
+when m is even. Its text is built by string repetition, in two pieces.
 
 The relator of an Artin edge u-v labelled m is Pi(u, v, m) times the
-inverse of Pi(v, u, m), held as (u, v, m): its text and letters are
-those of these two alternating halves, its exponent sums read only the
-parity of m, and renaming touches two names. No consumer walks its 2m
-letters. Every word renames itself by ``_renamed``: substitute,
-free-reduce, and give None for the trivial word.
+inverse of Pi(v, u, m), held as (u, v, m): its letters and text pieces
+are those halves', the pieces read off (u, v, m) without building them;
+its exponent sums read only the parity of m, and renaming touches two
+names. No consumer walks its 2m letters. Every word renames itself by
+``_renamed``: substitute, free-reduce, and give None for the trivial word.
 
 Input checks: ``Word(...)``, ``Word.generator``, ``Word.from_text`` and
 ``alternating`` check what they are given; words derived from checked
@@ -90,6 +90,15 @@ def _letter_text(letter: Letter) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
+def _alternating_pieces(u: str, v: str, m: int, a: int, b: int) -> tuple[str, ...]:
+    """The text of Pi(u^a, v^b, m): its leading pairs, by string repetition, and its last ones."""
+    if not m:
+        return ()
+    x, y = _letter_text((u, a)), _letter_text((v, b))
+    k, odd = divmod(m, 2)
+    return f"{x} {y} " * (k - 1 + odd), x if odd else f"{x} {y}"
+
+
 def _parse_token(token: str) -> Letter:
     """The letter of one token ``a`` or ``a^-2``."""
     m = TOKEN_RE.fullmatch(token)
@@ -144,9 +153,7 @@ class Word:
         return cls(((name, exp),))
 
     def to_text(self) -> str:
-        """Render as text, formatting each distinct letter once.
-
-        A word is immutable, so its text is kept after the first call.
+        """Render as text, its pieces joined; a word is immutable, so the text is kept.
 
         >>> Word((("a", 1), ("b", -2), ("a", 1))).to_text()
         'a b^-2 a'
@@ -157,9 +164,16 @@ class Word:
         return text
 
     def _text_pieces(self) -> tuple[str, ...]:
-        """Pieces whose concatenation is the text, so that a printer can
-        write a long word without joining it."""
-        return (" ".join(map(_Memo(_letter_text).__getitem__, self.letters)),)
+        """The text in pieces, kept after the first call, so a long word is written unjoined."""
+        pieces = self.__dict__.get("_pieces")
+        if pieces is None:
+            pieces = self.__dict__["_pieces"] = self._render()
+        return pieces
+
+    def _render(self) -> tuple[str, ...]:
+        """One piece; past 1024 letters a ``_Memo`` formats each distinct letter once."""
+        text = _Memo(_letter_text).__getitem__ if len(self.letters) > 1024 else _letter_text
+        return (" ".join(map(text, self.letters)),)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -255,15 +269,8 @@ class _Alternating(Word):
     def letters(self) -> tuple[Letter, ...]:
         return self._pair * (self.m // 2) + self._pair[: self.m % 2]
 
-    def _text_pieces(self) -> tuple[str, ...]:
-        """The text in two pieces, its leading pairs built by string
-        repetition and its last one or two letters, so that no piece is
-        copied to make the other."""
-        if not self.m:
-            return ()
-        x, y = map(_letter_text, self._pair)
-        k, odd = divmod(self.m, 2)
-        return f"{x} {y} " * (k - 1 + odd), x if odd else f"{x} {y}"
+    def _render(self) -> tuple[str, ...]:
+        return _alternating_pieces(self.u, self.v, self.m, self.a, self.b)
 
     def inverse(self) -> Word:
         """Alternating again: it starts with the last letter, inverted."""
@@ -313,7 +320,7 @@ class _ArtinRelator(Word):
     It is the word Pi(u^a, v^b, m) Pi(v^b, u^a, m)^-1, with the signs
     a, b = +-1; an Artin presentation has a = b = 1, and only
     substituting a generator's inverse flips a sign. Its two halves are
-    alternating words, and its text and its 2m ``letters`` are theirs;
+    alternating words, and its text pieces and its 2m ``letters`` are theirs;
     the letters are expanded only when read, and the library never reads
     them. u and v alternate, so the word is freely reduced, and its
     exponent sums, support and renamings are closed forms: for odd m the
@@ -333,9 +340,10 @@ class _ArtinRelator(Word):
         left, right = self._halves()
         return left.letters + right.letters
 
-    def _text_pieces(self) -> tuple[str, ...]:
-        left, right = self._halves()
-        return (*left._text_pieces(), " ", *right._text_pieces())
+    def _render(self) -> tuple[str, ...]:
+        u, v, m, a, b = self.u, self.v, self.m, self.a, self.b
+        right = (v, u, m, -b, -a) if m % 2 else (u, v, m, -a, -b)  # Pi(v^b, u^a, m)^-1
+        return (*_alternating_pieces(u, v, m, a, b), " ", *_alternating_pieces(*right))
 
     def exponent_sums(self) -> dict[str, int]:
         return {self.u: self.a, self.v: -self.b} if self.m % 2 else {}

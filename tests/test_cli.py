@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import artin.cli
-from artin import Word, artin_abelianization, errors, normal_form, parse_graph
-from artin.cli import _json_text, main
+from artin import (
+    Word, alternating, artin_abelianization, artin_presentation, errors, normal_form, parse_graph,
+)
+from artin.cli import _build_parser, _json_pieces, _word_text, main
+from artin.words import _Alternating
 
 from corpus import FAN_TEXT, random_connected_graph
 
@@ -134,6 +137,9 @@ def _output_and_peak(monkeypatch, argv) -> tuple[int, int]:
             for piece in pieces:
                 self.chars += len(piece)
 
+        def write(self, piece):
+            self.chars += len(piece)
+
     sink = Sink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -154,14 +160,24 @@ def test_dihedral_jsj_prints_its_legend_in_its_output_plus_a_constant(monkeypatc
 
 
 def test_jsj_prints_a_braided_leaf_z_in_its_output_plus_a_constant(monkeypatch, tmp_path):
-    # z = Pi(s, q, L) is 2L characters and printed four times, in its
-    # vertex, its edge group and both images: each line is written in
-    # pieces, z's kept text among them, never copied into the line
+    # z = Pi(s, q, L) is 2L characters and printed four times as text and
+    # JSON, in its vertex, its edge group and both images, and once in DOT:
+    # each line is written in pieces, z's kept pieces among them, never
+    # copied into the line. The Artin relator of a-b L is 7L characters in
+    # a presentation, text or JSON, spliced in the same way
     for label in (100002, 1000002):
-        path = tmp_path / f"star{label}.graph"
-        path.write_text(f"e p s 3\ne q s {label}\ne r s 2\n")
-        chars, peak = _output_and_peak(monkeypatch, ["jsj", str(path)])
-        assert chars > 8 * label and peak - chars < 1 << 20, (label, chars, peak)
+        star = tmp_path / f"star{label}.graph"
+        star.write_text(f"e p s 3\ne q s {label}\ne r s 2\n")
+        edge = tmp_path / f"edge{label}.graph"
+        edge.write_text(f"e a b {label}\n")
+        for argv, least in (
+            (["jsj", str(star)], 8 * label), (["jsj", str(star), "--json"], 8 * label),
+            (["jsj", str(star), "--dot", "-"], 2 * label),
+            (["presentation", str(edge)], 7 * label),
+            (["presentation", str(edge), "--json"], 7 * label),
+        ):
+            chars, peak = _output_and_peak(monkeypatch, argv)
+            assert chars > least and peak - chars < 1 << 20, (argv, chars, peak)
 
 
 @pytest.mark.parametrize("argv", [
@@ -471,6 +487,19 @@ def test_root_search_empty_degree_range(capsys):
             assert err.startswith(f"error: degree range {low}..{args[2]} is empty"), err
 
 
+def test_root_search_prints_its_counterexamples(capsys, monkeypatch):
+    # no search has found one, so the rendering of hits is pinned on made-up ones
+    hits = [(Word.from_text("a z^-1"), 3, (1, -2)), (alternating("a", "z", 4), 2, (0, 1))]
+    monkeypatch.setattr(artin.cli, "root_bound_search", lambda *args: hits)
+    assert _run(capsys, ["root-search", "4", "3", "3"]) == (0, (
+        "counterexample: (a z^-1)^3 = a^1 z^-2\ncounterexample: (a z a z)^2 = a^0 z^1\n"), "")
+    code, out, _ = _run(capsys, ["root-search", "4", "3", "3", "--json"])
+    assert code == 0 and json.loads(out)["counterexamples"] == [
+        {"word": "a z^-1", "degree": 3, "a_exp": 1, "z_exp": -2},
+        {"word": "a z a z", "degree": 2, "a_exp": 0, "z_exp": 1},
+    ]
+
+
 def test_root_search_length_cap(capsys):
     message = "error: word length 11 is above the root search cap ROOT_SEARCH_MAX_LEN = 10\n"
     for extra in ([], ["--json"]):
@@ -513,8 +542,27 @@ def test_json_writer_matches_json_dumps():
     rng = random.Random(9)
     syllables = [(rng.choice("xy"), rng.choice((1, -1, 2, 7, 10**20))) for _ in range(10**5)]
     explicit.append({"label": 1001, "central": -3, "syllables": syllables})
+    # words are written as their text, in pieces: plain, alternating of odd
+    # and even length and their inverses, an Artin relator and the empty word
+    words = [Word.from_text("a b^-2 c_1"), Word(), _Alternating("a", "b", 5),
+             _Alternating("a", "b", 6), artin_presentation(parse_graph("e x y 7\n")).relators[0]]
+    words += [w.inverse() for w in words[2:4]]
+    explicit += [words, {"word": words[2], "nested": [{"w": w, "n": 1} for w in words]}, ("x", words[0])]
     for payload in explicit + [_random_payload(rng, 0) for _ in range(500)]:
-        assert _json_text(payload) == json.dumps(payload, indent=2), payload
+        got = "".join(_json_pieces(payload))
+        assert got == json.dumps(payload, indent=2, default=_word_text), payload
+    # a payload is one piece between its words: a container of scalars is
+    # never split, and a word is its kept pieces
+    assert _json_pieces({"v": ["a", "b"], "e": [["a", "b", 3]], "c": True}) == [
+        '{\n  "v": [\n    "a",\n    "b"\n  ],\n  "e": [\n    [\n      "a",\n      "b",\n'
+        '      3\n    ]\n  ],\n  "c": true\n}']
+    assert _json_pieces([1, words[2], 2]) == ['[\n  1,\n  "', *words[2]._text_pieces(), '",\n  2\n]']
+    # a word under a key that is not a string reaches json.dumps itself;
+    # any other value that JSON cannot encode is refused, as by json.dumps
+    assert json.loads("".join(_json_pieces({1: words[0]}))) == {"1": "a b^-2 c_1"}
+    for bad in ({1, 2}, b"x", object(), {"k": [{"x"}]}, {1: {2.5: {"x"}}}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json_pieces(bad)
 
 
 TINY_GRAPHS = {"empty": "", "one": "v a\n", "two": "v a\nv b\n"}
@@ -544,6 +592,27 @@ def test_graph_commands_on_tiny_graphs(capsys, tmp_path, name):
                 _assert_one_error_line(argv, out, err)
             if name == "empty" and command[0] in ("profile", "compare", "acylindrical"):
                 assert (code, err) == (2, "error: empty graph\n"), argv
+
+
+WORD_COMMANDS = [
+    ["dihedral-jsj", "5"], ["dihedral-jsj", "6", "--dot", "-"], ["dihedral-nf", "3", "a b^-2"],
+    ["dihedral-eq", "3", "a b a", "b a b"], ["root-search", "4", "3", "3"],
+]
+
+
+def test_every_text_rendering_is_a_list_of_pieces(fan_file, tmp_path):
+    # one rendering protocol: main writes a list (or tuple) of strings, never a bare string
+    parser = _build_parser()
+    argvs = [[c[0], fan_file] + [fan_file if a is None else a for a in c[1:]] for c in GRAPH_COMMANDS]
+    argvs += WORD_COMMANDS + [["jsj", fan_file, "--dot", "-"],
+                              ["jsj", fan_file, "--dot", str(tmp_path / "fan.dot")]]
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        out = args.fn(args)[1]()
+        assert type(out) in (list, tuple) and out, argv
+        assert all(type(piece) is str for piece in out), argv
+    covered = {argv[0] for argv in argvs}
+    assert covered == set(parser._subparsers._group_actions[0].choices)
 
 
 @pytest.mark.parametrize("extra", [[], ["--json"]])
