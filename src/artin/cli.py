@@ -39,7 +39,7 @@ from .presentations import (
     simplify_identifications,
 )
 from .splitting import splits_over_cyclic
-from .words import Word, _Memo, _ascii_int
+from .words import Word, _Memo, _Pairs, _ascii_int
 
 _encode_str = json.encoder.encode_basestring_ascii
 _PLAIN = frozenset((str, int))  # member types of tuples that share a rendering
@@ -83,14 +83,18 @@ def _word_text(value) -> str:
 
 
 def _json_pieces(value) -> list[str]:
-    """Exactly ``json.dumps(value, indent=2, default=_word_text)``: one piece
-    between words, and each word's kept pieces in its place. ``json.dumps``
-    leaves its C encoder when ``indent`` is set; ``text`` renders strings and
-    ints by the encoder's own functions, a word as ``"\\0"``, and each distinct
-    tuple of a list of tuples of exact ``str`` and ``int`` once, by a ``_Memo``
-    (equal values can render differently: ``True == 1 == 1.0``). Anything
-    else is ``json.dumps``'d, re-indented."""
-    words = []
+    """Exactly ``json.dumps(value, indent=2, default=_word_text)``, in pieces.
+    ``json.dumps`` leaves its C encoder when ``indent`` is set; ``text`` renders
+    strings and ints by the encoder's own functions, and None and the two
+    bools as their literals. It renders each distinct tuple of a list of
+    tuples of exact ``str`` and ``int`` once, by a ``_Memo`` (equal values can
+    render differently: ``True == 1 == 1.0``); a ``words._Pairs``, such as a
+    normal form's syllables, holds only such tuples by construction and skips
+    that type check. A word is its kept pieces and a memo-rendered list its own
+    pieces, each written as a ``\\0`` between the pieces of the rest of the
+    document, so no enclosing container copies them. Anything else is
+    ``json.dumps``'d, re-indented."""
+    spliced = []  # the pieces of each word and memo-rendered list, in order
 
     def text(value, newline: str) -> str:
         kind = type(value)
@@ -98,34 +102,39 @@ def _json_pieces(value) -> list[str]:
             return _encode_str(value)
         if kind is int:
             return int.__repr__(value)
+        if value is None:
+            return "null"
+        if kind is bool:
+            return "true" if value else "false"
         inner = newline + "  "
         if kind is dict and all(type(key) is str for key in value):
             if not value:
                 return "{}"
             items = (_encode_str(k) + ": " + text(v, inner) for k, v in value.items())
             return "{" + inner + ("," + inner).join(items) + newline + "}"
-        if kind is list or kind is tuple:
+        if kind is list or kind is tuple or kind is _Pairs:
             if not value:
                 return "[]"
-            if (
+            if kind is _Pairs or (
                 type(value[0]) is tuple
                 and set(map(type, value)) == {tuple}
                 and _PLAIN.issuperset(map(type, chain.from_iterable(value)))
             ):  # checked in two passes at C speed, then rendered by lookups
                 parts = map(_Memo(lambda item: text(item, inner)).__getitem__, value)
-            else:
-                parts = [text(item, inner) for item in value]
+                spliced.append(("[" + inner, ("," + inner).join(parts), newline + "]"))
+                return "\0"
+            parts = [text(item, inner) for item in value]
             return "[" + inner + ("," + inner).join(parts) + newline + "]"
         if isinstance(value, Word):
-            words.append(value)
+            spliced.append(value._text_pieces())
             return '"\0"'
         return json.dumps(value, indent=2, default=_word_text).replace("\n", newline)
 
     doc = text(value, "\n")
-    head, *tails = doc.split("\0") if words else (doc,)  # the encoder escapes any other \0
+    head, *tails = doc.split("\0") if spliced else (doc,)  # the encoder escapes any other \0
     pieces = [head]
-    for word, tail in zip(words, tails):
-        pieces += (*word._text_pieces(), tail)
+    for spliced_pieces, tail in zip(spliced, tails):
+        pieces += (*spliced_pieces, tail)
     return pieces
 
 

@@ -24,7 +24,9 @@ the top one, the quotient by the modulus is carried into the central
 exponent at once and a zero residue is dropped. Eager carrying is sound
 because the carried power is central, so the carries add up to the same
 total: floor((s + t)/q) = floor(s/q) + floor((s mod q + t)/q) for a
-modulus q. Label 2 is Z^2 and is handled by exponent pairs.
+modulus q. Every residue lies in 1..q-1, so two of them sum to 2..2q-2
+and a merge carries at most one: it subtracts q once when the sum
+reaches q. Label 2 is Z^2 and is handled by exponent pairs.
 
 The reduction applies a whole letter name^e at a time. The image of
 a^±1 or b^±1 is reduced once per call, to residues plus a central
@@ -35,7 +37,10 @@ times its carry (a one-syllable image is a power of the free x).
 Applying it merges only at the stack top, and only while each merge
 cancels; the rest is appended as it is. Each distinct letter is reduced
 once per state, by a ``words._Memo`` of its image, carry and first
-symbol.
+symbol. The label and exponents are read as exact ints
+(``operator.index``), so every syllable is an exact (str, int) pair,
+and a normal form's syllables are a ``words._Pairs`` built from the
+stack, which the JSON writer renders without checking each member.
 
 The reduction is a state that can be resumed (``_Reduction``): pushing
 more letters continues where the last push stopped. ``words_equal``
@@ -51,11 +56,11 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, count
-from operator import ne
+from operator import index, ne
 from typing import Iterator, Union
 
 from .errors import PreconditionError, WordFormatError
-from .words import Word, _Memo, alternating
+from .words import Word, _Memo, _Pairs, alternating
 
 GENERATORS = ("a", "b")
 ROOT_SEARCH_MAX_LEN = 10  # root_bound_search grows about 3x per unit of length
@@ -183,23 +188,28 @@ def _letter_image(table: dict, letter: tuple[str, int]) -> tuple[tuple, int, str
     """The reduced image of the letter name^exp, its central carry and its first symbol."""
     name, exp = letter
     syllables, carry = table[name, exp > 0]
+    k = abs(index(exp))  # an exact int, whatever int subclass exp is
     if len(syllables) == 1:  # a power of the free x
         ((sym, e),) = syllables
-        return ((sym, e * abs(exp)),), 0, sym
+        return ((sym, e * k),), 0, sym
     # first and last symbols differ, so the repeats meet without merging
-    return syllables * abs(exp), carry * abs(exp), syllables[0][0]
+    return syllables * k, carry * k, syllables[0][0]
 
 
 class _Reduction:
     """The pair (central exponent, syllable stack) of the letters pushed so far, n >= 3.
 
     Pushing more letters resumes the reduction where it stopped; each
-    distinct letter's image is reduced once per state.
+    distinct letter's image is reduced once per state. A merge adds two
+    residues in 1..q-1 for a modulus q, so it carries at most one, by one
+    compare and subtract; a power of the free x has no modulus and never
+    carries. ``form`` takes the stack's exact (str, int) pairs as a
+    ``words._Pairs``.
     """
 
     def __init__(self, n: int, letters=()):
         self.label = n
-        table, self.moduli = _reduction_table(n)
+        table, self.moduli = _reduction_table(index(n))
         self.images = _Memo(partial(_letter_image, table))  # letter -> (image, carry, first)
         self.central = 0
         self.stack: list[tuple[str, int]] = []
@@ -224,9 +234,10 @@ class _Reduction:
             while True:
                 sym, e = image[i]
                 e += pop()[1]
-                if moduli[sym]:
-                    q, e = divmod(e, moduli[sym])
-                    central += q
+                q = moduli[sym]
+                if q and e >= q:  # two residues in 1..q-1 carry at most one
+                    e -= q
+                    central += 1
                 i += 1
                 if e:
                     push((sym, e))
@@ -238,7 +249,7 @@ class _Reduction:
 
     def form(self) -> NormalForm:
         n = self.label
-        return (OddNormalForm if n % 2 else EvenNormalForm)(n, self.central, tuple(self.stack))
+        return (OddNormalForm if n % 2 else EvenNormalForm)(n, self.central, _Pairs(self.stack))
 
     def a_z_exponents(self) -> tuple[int, int] | None:
         """(i, j) with the element equal to x^i z^j, when its syllables are

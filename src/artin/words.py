@@ -84,6 +84,14 @@ class _Memo(dict):
         return value
 
 
+class _Pairs(tuple):
+    """A tuple of exact ``(str, int)`` pairs, built only where that holds by
+    construction (a dihedral normal form's syllables), so a JSON writer
+    renders it without checking the type of each member."""
+
+    __slots__ = ()
+
+
 def _letter_text(letter: Letter) -> str:
     """The token of one letter: ``a`` or ``a^-2``."""
     name, exp = letter
@@ -153,15 +161,13 @@ class Word:
         return cls(((name, exp),))
 
     def to_text(self) -> str:
-        """Render as text, its pieces joined; a word is immutable, so the text is kept.
+        """Render as text: the join of the kept pieces, which is not kept beside
+        them. The join of one piece is that piece, so such a word's text is kept.
 
         >>> Word((("a", 1), ("b", -2), ("a", 1))).to_text()
         'a b^-2 a'
         """
-        text = self.__dict__.get("_text")
-        if text is None:
-            text = self.__dict__["_text"] = "".join(self._text_pieces())
-        return text
+        return "".join(self._text_pieces())
 
     def _text_pieces(self) -> tuple[str, ...]:
         """The text in pieces, kept after the first call, so a long word is written unjoined."""

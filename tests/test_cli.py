@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 import re
@@ -12,7 +13,7 @@ from artin import (
     Word, alternating, artin_abelianization, artin_presentation, errors, normal_form, parse_graph,
 )
 from artin.cli import _build_parser, _json_pieces, _word_text, main
-from artin.words import _Alternating
+from artin.words import _Alternating, _Pairs
 
 from corpus import FAN_TEXT, random_connected_graph
 
@@ -563,6 +564,31 @@ def test_json_writer_matches_json_dumps():
     for bad in ({1, 2}, b"x", object(), {"k": [{"x"}]}, {1: {2.5: {"x"}}}):
         with pytest.raises(TypeError, match="is not JSON serializable"):
             _json_pieces(bad)
+
+
+class _Exponent(enum.IntEnum):
+    TWO = 2
+    MINUS_THREE = -3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 1000, 1001])
+def test_normal_form_json_skips_its_type_pass_exactly(n):
+    # the reduction builds a normal form's syllables as exact (str, int) pairs,
+    # so the JSON writer renders them unchecked, with the bytes of json.dumps,
+    # also for words whose exponents are True or an IntEnum
+    rng = random.Random(n)
+    words = [Word(tuple((rng.choice("ab"), rng.choice((1, -1, 2, -2, 3, -3, 50)))
+                        for _ in range(k))) for k in (0, 1, 10, 100, 1000, 10**4)]
+    words += [Word((("a", True), ("b", _Exponent.TWO), ("a", _Exponent.MINUS_THREE), ("b", True))),
+              Word((("b", _Exponent.MINUS_THREE),) * 7 + (("a", True), ("b", _Exponent.TWO)) * 5)]
+    for w in words:
+        payload = vars(normal_form(n, w))
+        assert "".join(_json_pieces(payload)) == json.dumps(payload, indent=2), (n, w)
+        if n > 2:
+            syllables = payload["syllables"]
+            assert type(syllables) is _Pairs and type(payload["central"]) is int
+            assert all(type(s) is tuple and len(s) == 2 and type(s[0]) is str and type(s[1]) is int
+                       for s in syllables)
 
 
 TINY_GRAPHS = {"empty": "", "one": "v a\n", "two": "v a\nv b\n"}

@@ -92,6 +92,56 @@ def test_normal_form_matches_two_engine_oracle(n):
         assert normal_form(n, w) == oracle_normal_form(n, w), (n, w.to_text())
 
 
+def _merge_sums(state, letter):
+    """(e + r, q) for each merge that pushing ``letter`` onto ``state`` makes,
+    read off its stack without pushing: image syllables meet the top while
+    each merge cancels, and only symbols with a modulus q are listed."""
+    image = state.images[letter][0]
+    stack = state.stack
+    sums = []
+    for (sym, e), (top, r) in zip(image, reversed(stack)):
+        if sym != top:
+            break
+        q = state.moduli[sym]
+        if q:
+            sums.append((e + r, q))
+        if (e + r) % q if q else e + r:
+            break
+    return sums
+
+
+@pytest.mark.parametrize("n", list(range(3, 13)) + [1000, 1001])
+def test_carry_at_and_past_the_modulus_matches_oracle(n):
+    # Two residues in 1..q-1 sum to at most 2q - 2, so a merge carries at most
+    # one. Words whose merges sum to exactly q and to q + 1, found by a seeded
+    # search, reduce as the oracle says, pushed whole and letter by letter. On
+    # label 4 every residue of y (mod 2) is 1 and of x (free) has no modulus,
+    # so no merge sums past q.
+    rng = random.Random(n)
+    wanted = (0, 1) if n != 4 else (0,)  # the merge sum minus q
+    found = dict.fromkeys(wanted, 0)
+    for _ in range(20000):
+        letters = tuple(
+            (rng.choice("ab"), rng.choice((1, -1)) * rng.choice((1, 1, 2, 3, rng.randint(1, 50))))
+            for _ in range(rng.randint(2, 12))
+        )
+        state = dihedral._Reduction(n)
+        hits = set()
+        for letter in letters:
+            hits.update(total - q for total, q in _merge_sums(state, letter))
+            state.push((letter,))
+        hits.intersection_update(wanted)
+        if not hits:
+            continue
+        w = Word(letters)
+        assert normal_form(n, w) == state.form() == oracle_normal_form(n, w), (n, w.to_text())
+        for k in hits:
+            found[k] += 1
+        if min(found.values()) >= 20:
+            break
+    assert min(found.values()) >= 20, found
+
+
 @pytest.mark.parametrize("n", [k for k in ORACLE_LABELS if k > 2])
 def test_normal_form_shape(n):
     # the shapes stated in the OddNormalForm and EvenNormalForm docstrings

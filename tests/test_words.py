@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 from artin import Word, WordFormatError, alternating
-from artin.words import _Alternating
+from artin.words import _Alternating, _ArtinRelator
 
 from oracles import oracle_alternating
 
@@ -88,11 +89,32 @@ def test_to_text_matches_per_letter_join():
 
 
 def test_text_is_rendered_once_and_kept():
+    # the pieces are kept; a word of several pieces joins them on each call and
+    # keeps no second copy, and a one-piece word's text is its kept piece
     w = alternating("a", "b", 1001)
-    first = w.to_text()
-    assert w.to_text() is first and str(w) is first
+    pieces = w._text_pieces()
+    assert w._text_pieces() is pieces and len(pieces) == 2
+    assert w.to_text() == str(w) == "".join(pieces) == "a b " * 500 + "a"
+    one = Word.from_text("a b^-2")
+    assert one.to_text() is one._text_pieces()[0] and str(one) is one.to_text()
     assert w == alternating("a", "b", 1001) and hash(w) == hash(alternating("a", "b", 1001))
     assert repr(w) == repr(Word(w.letters))
+
+
+@pytest.mark.parametrize("word", [alternating("a", "b", 10**6), _ArtinRelator("a", "b", 10**6)],
+                         ids=["alternating", "relator"])
+def test_to_text_keeps_no_second_copy(word):
+    # a word of several pieces keeps them, and to_text returns their join
+    # without keeping it too (2 MB per million letters)
+    size = sum(map(len, word._text_pieces()))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(word.to_text()) == size
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**16, kept
 
 
 def test_units_match_per_unit_expansion():
