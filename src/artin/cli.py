@@ -23,7 +23,6 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from itertools import chain
 
 from .dihedral import normal_form, root_bound_search, words_equal
 from .errors import ArtinError, GraphFormatError
@@ -42,7 +41,6 @@ from .splitting import splits_over_cyclic
 from .words import Word, _Memo, _Pairs, _ascii_int
 
 _encode_str = json.encoder.encode_basestring_ascii
-_PLAIN = frozenset((str, int))  # member types of tuples that share a rendering
 _SLICE = 1 << 16  # characters written at a time from a longer piece
 # (JSON payload, text); the text is a list of its pieces
 _Renderings = tuple[Callable[[], object], Callable[[], "list[str] | tuple[str, ...]"]]
@@ -86,14 +84,14 @@ def _json_pieces(value) -> list[str]:
     """Exactly ``json.dumps(value, indent=2, default=_word_text)``, in pieces.
     ``json.dumps`` leaves its C encoder when ``indent`` is set; ``text`` renders
     strings and ints by the encoder's own functions, and None and the two
-    bools as their literals. It renders each distinct tuple of a list of
-    tuples of exact ``str`` and ``int`` once, by a ``_Memo`` (equal values can
-    render differently: ``True == 1 == 1.0``); a ``words._Pairs``, such as a
-    normal form's syllables, holds only such tuples by construction and skips
-    that type check. A word is its kept pieces and a memo-rendered list its own
-    pieces, each written as a ``\\0`` between the pieces of the rest of the
-    document, so no enclosing container copies them. Anything else is
-    ``json.dumps``'d, re-indented."""
+    bools as their literals. It renders each distinct pair of a
+    ``words._Pairs``, such as a normal form's syllables, once, by a ``_Memo``:
+    its pairs are exact ``(str, int)`` by construction, and equal ones render
+    alike (values of other types can differ: ``True == 1 == 1.0``). Every other
+    list is rendered item by item. A word is its kept pieces and a
+    memo-rendered list its own pieces, each written as a ``\\0`` between the
+    pieces of the rest of the document, so no enclosing container copies
+    them. Anything else is ``json.dumps``'d, re-indented."""
     spliced = []  # the pieces of each word and memo-rendered list, in order
 
     def text(value, newline: str) -> str:
@@ -115,11 +113,7 @@ def _json_pieces(value) -> list[str]:
         if kind is list or kind is tuple or kind is _Pairs:
             if not value:
                 return "[]"
-            if kind is _Pairs or (
-                type(value[0]) is tuple
-                and set(map(type, value)) == {tuple}
-                and _PLAIN.issuperset(map(type, chain.from_iterable(value)))
-            ):  # checked in two passes at C speed, then rendered by lookups
+            if kind is _Pairs:  # each distinct pair rendered once, then looked up
                 parts = map(_Memo(lambda item: text(item, inner)).__getitem__, value)
                 spliced.append(("[" + inner, ("," + inner).join(parts), newline + "]"))
                 return "\0"

@@ -40,7 +40,7 @@ once per state, by a ``words._Memo`` of its image, carry and first
 symbol. The label and exponents are read as exact ints
 (``operator.index``), so every syllable is an exact (str, int) pair,
 and a normal form's syllables are a ``words._Pairs`` built from the
-stack, which the JSON writer renders without checking each member.
+stack, whose distinct pairs the JSON writer renders once each.
 
 The reduction is a state that can be resumed (``_Reduction``): pushing
 more letters continues where the last push stopped. ``words_equal``

@@ -6,8 +6,8 @@ Text syntax: whitespace-separated tokens ``sym`` or ``sym^k`` with k a
 nonzero integer in ASCII digits, e.g. ``a b^-1 a^3``. A word keeps its
 text pieces once rendered, which printers splice and ``to_text`` joins,
 and a parsed word keeps its support, read from its distinct tokens. Each
-distinct token, or letter of a long word, is worked out once, by
-``_Memo``, the package's one memo type.
+distinct token, and each distinct letter of a printed word, is worked
+out once, by ``_Memo``, the package's one memo type.
 
 Words compare, hash and print by their letters. Two kinds of word are
 held in closed form, and each is a ``Word`` that equals the word it
@@ -86,16 +86,17 @@ class _Memo(dict):
 
 class _Pairs(tuple):
     """A tuple of exact ``(str, int)`` pairs, built only where that holds by
-    construction (a dihedral normal form's syllables), so a JSON writer
-    renders it without checking the type of each member."""
+    construction (a dihedral normal form's syllables). Equal pairs of exact
+    types render alike, so a JSON writer renders each distinct one once."""
 
     __slots__ = ()
 
 
 def _letter_text(letter: Letter) -> str:
-    """The token of one letter: ``a`` or ``a^-2``."""
+    """The token of one letter: ``a`` or ``a^-2``. The exponent is written by
+    its value, as ``int`` writes it, so equal letters have one text."""
     name, exp = letter
-    return name if exp == 1 else f"{name}^{exp}"
+    return name if exp == 1 else f"{name}^{int.__repr__(exp)}"
 
 
 def _alternating_pieces(u: str, v: str, m: int, a: int, b: int) -> tuple[str, ...]:
@@ -177,9 +178,8 @@ class Word:
         return pieces
 
     def _render(self) -> tuple[str, ...]:
-        """One piece; past 1024 letters a ``_Memo`` formats each distinct letter once."""
-        text = _Memo(_letter_text).__getitem__ if len(self.letters) > 1024 else _letter_text
-        return (" ".join(map(text, self.letters)),)
+        """One piece, with each distinct letter formatted once, by a ``_Memo``."""
+        return (" ".join(map(_Memo(_letter_text).__getitem__, self.letters)),)
 
     def __str__(self) -> str:
         return self.to_text()

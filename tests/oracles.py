@@ -541,6 +541,28 @@ def oracle_normal_form(n: int, w: Word):
     return meng.result(n)
 
 
+def oracle_normal_form_text(n: int, w: Word) -> str:
+    """The text of w's normal form on a label n >= 3, joined letter by letter
+    from ``oracle_normal_form``'s syllables: an odd form after its ``c^k``
+    (``c^1`` kept), an even one with its centre z = y^(n/2) folded into a
+    trailing power of y; ``1`` when nothing is left."""
+    nf = oracle_normal_form(n, w)
+    syllables = list(nf.syllables)
+    tokens = []
+    if n % 2:
+        if nf.central:
+            tokens.append(f"c^{nf.central}")
+    else:
+        tail = nf.central * (n // 2)
+        if syllables and syllables[-1][0] == "y":
+            tail += syllables.pop()[1]
+        if tail:
+            syllables.append(("y", tail))
+    for sym, e in syllables:
+        tokens.append(sym if e == 1 else f"{sym}^{e}")
+    return " ".join(tokens) or "1"
+
+
 def _substituted(w: Word, images: dict) -> Word:
     """The word with each letter n^e replaced by images[n] ** e, not reduced."""
     return Word(tuple(u for name, exp in w.letters for u in (images[name] ** exp).letters))

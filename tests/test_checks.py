@@ -288,6 +288,20 @@ def test_private_constructors_only_at_listed_sites():
     }
 
 
+def test_memo_and_pairs_only_at_listed_sites():
+    # the JSON writer renders a _Pairs by a memo, with no check of its members:
+    # only the reduction, whose pairs are exact (str, int) by construction, builds one
+    assert _uses("_Pairs") == {("dihedral", "_Reduction.form"), ("cli", "_json_pieces.text")}
+    # each memo is exact because its work reads only the key's value
+    assert _uses("_Memo") == {
+        ("words", "Word.from_text"),
+        ("words", "Word._render"),
+        ("dihedral", "_Reduction.__init__"),
+        ("graphs", "parse_graph"),
+        ("cli", "_json_pieces.text"),
+    }
+
+
 def _imported_and_used(tree):
     """(names a module binds by import, names it reads) from its syntax tree."""
     imported, used = set(), set()

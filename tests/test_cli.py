@@ -16,6 +16,7 @@ from artin.cli import _build_parser, _json_pieces, _word_text, main
 from artin.words import _Alternating, _Pairs
 
 from corpus import FAN_TEXT, random_connected_graph
+from oracles import oracle_normal_form_text
 
 
 @pytest.fixture
@@ -441,6 +442,16 @@ def test_dihedral_nf_text_and_json_bytes(capsys, label, word, text, payload):
     assert _run(capsys, ["dihedral-nf", str(label), word, "--json"]) == (
         0, json.dumps(payload, indent=2) + "\n", ""
     )
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 1000, 1001])
+def test_dihedral_nf_prints_the_oracle_text(capsys, n):
+    rng = random.Random(n + 5)
+    exponents = (1, -1, 1, -1, 2, -2, 3, -3, 40, -40)
+    for k in (10, 100, 1000, 10_000):
+        w = Word(tuple((rng.choice("ab"), rng.choice(exponents)) for _ in range(k)))
+        text = oracle_normal_form_text(n, w)
+        assert _run(capsys, ["dihedral-nf", str(n), w.to_text()]) == (0, text + "\n", ""), (n, k)
 
 
 def test_retract(capsys, fan_file):

@@ -26,7 +26,9 @@ from artin.dihedral import (
     reduced_words,
 )
 
-from oracles import oracle_normal_form, oracle_reduced_words, oracle_root_bound_search
+from oracles import (
+    oracle_normal_form, oracle_normal_form_text, oracle_reduced_words, oracle_root_bound_search,
+)
 
 
 W = Word.from_text
@@ -172,6 +174,18 @@ def _identity(n):
 def _long_word(rng, letters):
     exponents = (1, -1, 1, -1, 2, -2, 3, -3, 40, -40)
     return Word(tuple((rng.choice("ab"), rng.choice(exponents)) for _ in range(letters)))
+
+
+TEXT_LABELS = [3, 4, 7, 1000, 1001]
+TEXT_LENGTHS = [10, 100, 1000, 10_000]
+
+
+@pytest.mark.parametrize("n", TEXT_LABELS)
+def test_normal_form_text_matches_oracle_letter_by_letter(n):
+    rng = random.Random(n + 5)
+    for k in TEXT_LENGTHS:
+        w = _long_word(rng, k)
+        assert str(normal_form(n, w)) == oracle_normal_form_text(n, w), (n, k)
 
 
 @pytest.mark.parametrize("n", LETTER_LABELS)

@@ -1,9 +1,10 @@
+import enum
 import random
 import tracemalloc
 
 import pytest
 
-from artin import Word, WordFormatError, alternating
+from artin import Word, WordFormatError, alternating, words
 from artin.words import _Alternating, _ArtinRelator
 
 from oracles import oracle_alternating
@@ -99,6 +100,34 @@ def test_text_is_rendered_once_and_kept():
     assert one.to_text() is one._text_pieces()[0] and str(one) is one.to_text()
     assert w == alternating("a", "b", 1001) and hash(w) == hash(alternating("a", "b", 1001))
     assert repr(w) == repr(Word(w.letters))
+
+
+class _Formatted(int, enum.Enum):
+    """An int whose ``format`` is its member name, not its value."""
+
+    TWO = 2
+
+
+@pytest.mark.parametrize("length", [4, 1200])
+@pytest.mark.parametrize("pair", [(2, _Formatted.TWO), (_Formatted.TWO, 2)], ids=["int-first", "enum-first"])
+def test_letter_text_reads_the_exponent_by_value(length, pair):
+    # equal letters print alike at every length, so the text parses back to the word
+    w = Word(tuple(("a", e) for e in pair) * (length // 2))
+    assert w.to_text() == " ".join(["a^2"] * length)
+    assert Word.from_text(w.to_text()) == w
+
+
+def test_each_distinct_letter_is_formatted_once(monkeypatch):
+    calls = []
+
+    def counted(letter, _letter_text=words._letter_text):
+        calls.append(letter)
+        return _letter_text(letter)
+
+    monkeypatch.setattr(words, "_letter_text", counted)
+    w = Word(((("a", 1), ("b", -2), ("c_1", 3)) * 167)[:500])
+    assert w.to_text() == _per_letter_text(w)
+    assert sorted(calls) == [("a", 1), ("b", -2), ("c_1", 3)]
 
 
 @pytest.mark.parametrize("word", [alternating("a", "b", 10**6), _ArtinRelator("a", "b", 10**6)],
