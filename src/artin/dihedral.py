@@ -64,6 +64,7 @@ from .words import Word, _Memo, _Pairs, alternating
 
 GENERATORS = ("a", "b")
 ROOT_SEARCH_MAX_LEN = 10  # root_bound_search grows about 3x per unit of length
+ROOT_SEARCH_MAX_DEGREE = 10**5  # and linearly in the degree: it pushes w once per degree
 
 
 @dataclass(frozen=True)
@@ -392,8 +393,10 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
     for w^k = a^i z^j with gcd(i, j) = 1. Any hit (w, k, (i, j)) would
     contradict the root bound, so the expected result is empty; degree
     m itself is achieved by r = a b with r^m = z. An empty degree range,
-    max_degree <= m, is refused, and so is a max_len above
-    ``ROOT_SEARCH_MAX_LEN``, since there are about 3^max_len words.
+    max_degree <= m, is refused, and so are a max_len above
+    ``ROOT_SEARCH_MAX_LEN``, since there are about 3^max_len words, and a
+    max_degree above ``ROOT_SEARCH_MAX_DEGREE``, since each degree pushes
+    w once more; as m < max_degree, that cap bounds the push of w^(m-1) too.
     """
     _check_label(n)
     if n % 2 or n < 4:
@@ -407,6 +410,11 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
         raise PreconditionError(
             f"word length {max_len} is above the root search cap"
             f" ROOT_SEARCH_MAX_LEN = {ROOT_SEARCH_MAX_LEN}"
+        )
+    if max_degree > ROOT_SEARCH_MAX_DEGREE:
+        raise PreconditionError(
+            f"degree {max_degree} is above the root search cap"
+            f" ROOT_SEARCH_MAX_DEGREE = {ROOT_SEARCH_MAX_DEGREE}"
         )
     seen: set = set()
     hits = []

@@ -452,39 +452,6 @@ def retract_word(decomp: BlockDecomposition, i: int, w: Word) -> Word:
 
 # canonical form
 
-def _wl_classes(nbrs) -> list[list[int]]:
-    """Partition vertex indexes by iterated neighbourhood refinement.
-
-    ``nbrs[i]`` lists the (edge label, neighbour index) pairs of vertex i.
-    Colours start from the sorted multiset of incident labels and refine
-    by (own colour, sorted multiset of (edge label, neighbour colour)),
-    until a round splits no class or every vertex has a class of its own.
-    A round writes the pair (m, c) as the one integer m * count + c, where
-    count exceeds every colour c, which orders the pairs the same way.
-    The refinement is isomorphism-invariant, as is the order of the
-    resulting classes.
-    """
-    colors = _rank([tuple(sorted([m for m, _ in nb])) for nb in nbrs])
-    count = max(colors, default=-1) + 1
-    while count < len(nbrs):
-        colors = _rank([
-            (c, tuple(sorted([m * count + colors[j] for m, j in nb])))
-            for c, nb in zip(colors, nbrs)
-        ])
-        if max(colors) + 1 == count:
-            break
-        count = max(colors) + 1
-    classes: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        classes.setdefault(c, []).append(i)
-    return [classes[c] for c in sorted(classes)]
-
-
-def _rank(sigs):
-    order = {s: k for k, s in enumerate(sorted(set(sigs)))}
-    return [order[s] for s in sigs]
-
-
 def _find(parent: list[int], i: int) -> int:
     """Root of i in a union-find forest, halving the path on the way."""
     while parent[i] != i:
@@ -498,8 +465,8 @@ def canonical_form(g: LabelledGraph) -> bytes:
 
     The form is ``n|``, the vertex count, followed by the sorted
     ``i,j,label`` triples (i < j, separated by ``;``) of the edges under
-    a canonical order of the vertices (``_least_certificate``). It is
-    O(V + E) long.
+    a canonical order of the vertices, searched from the refined one-cell
+    partition (``_least_certificate``). It is O(V + E) long.
 
     >>> square = LabelledGraph.from_edges(
     ...     [("a", "b", 2), ("b", "c", 2), ("c", "d", 2), ("a", "d", 2)]
@@ -536,7 +503,8 @@ class _Partition:
 
     The cells are laid out one after another in ``lab``, and ``pos`` is
     its inverse; ``cell[v]`` is the position where v's cell starts and
-    ``size[p]`` the size of the cell starting at p (0 elsewhere).
+    ``size[p]`` the size of the cell starting at p (0 elsewhere). The
+    search's root and every child are refined by ``refine`` alone.
     """
 
     __slots__ = ("lab", "pos", "cell", "size")
@@ -545,20 +513,12 @@ class _Partition:
         self.lab, self.pos, self.cell, self.size = lab, pos, cell, size
 
     @classmethod
-    def of(cls, classes) -> "_Partition":
-        lab = [v for c in classes for v in c]
-        pos = [0] * len(lab)
-        cell = [0] * len(lab)
-        size = [0] * len(lab)
-        for p, v in enumerate(lab):
-            pos[v] = p
-        p = 0
-        for c in classes:
-            size[p] = len(c)
-            for v in c:
-                cell[v] = p
-            p += len(c)
-        return cls(lab, pos, cell, size)
+    def root(cls, nbrs) -> "_Partition":
+        """The one cell of all vertex indexes, refined from itself; the trace is not kept."""
+        n = len(nbrs)
+        part = cls(list(range(n)), list(range(n)), [0] * n, [n] + [0] * (n - 1))
+        part.refine(nbrs, [0], [], None)
+        return part
 
     def individualized(self, u: int) -> "_Partition":
         """A copy in which u is a cell of its own at the start of its old cell."""
@@ -600,7 +560,9 @@ class _Partition:
         requeued whole each time. Nothing depends on the order of the
         vertices inside a cell, so the result is isomorphism-invariant,
         and so is ``trace``, which receives one (start, part sizes...)
-        tuple per split.
+        tuple per split. It ends when the queue is empty or, by a running
+        count of the cells, the partition is discrete: that admits no
+        split, so the trace and the result are those without the stop.
 
         Returns -1, 0 or 1 as ``trace`` compares with ``bound``, -1 when
         ``bound`` is None. At 1 it stops as soon as the trace is known to
@@ -609,8 +571,9 @@ class _Partition:
         lab, pos, cell, size = self.lab, self.pos, self.cell, self.size
         order = -1 if bound is None else 0
         waiting = set(todo)
+        cells = len(size) - size.count(0)
         k = 0
-        while k < len(todo):
+        while k < len(todo) and cells < len(lab):
             s = todo[k]
             k += 1
             waiting.discard(s)
@@ -618,12 +581,11 @@ class _Partition:
             for w in lab[s : s + size[s]]:
                 for m, u in nbrs[w]:
                     hits.setdefault(u, []).append(m)
-            touched: dict[int, list[int]] = {}
+            touched: dict[int, list[int]] = {}  # the hit vertices of each cell of two or more
             for u in hits:
-                touched.setdefault(cell[u], []).append(u)
+                if size[cell[u]] > 1:
+                    touched.setdefault(cell[u], []).append(u)
             for c in sorted(touched):
-                if size[c] == 1:
-                    continue
                 parts: dict[tuple[int, ...], list[int]] = {}
                 for u in touched[c]:
                     parts.setdefault(tuple(sorted(hits[u])), []).append(u)
@@ -655,6 +617,7 @@ class _Partition:
                     if event < bound[len(trace)]:
                         order = -1
                 trace.append(event)
+                cells += len(starts) - 1
                 if c not in waiting:
                     starts.remove(max(starts, key=size.__getitem__))
                 for p in starts:
@@ -721,8 +684,8 @@ def _least_certificate(nbrs, edges) -> list[tuple[int, int, int]]:
     individualization-refinement tree with the least refinement traces.
 
     A node of the tree is an equitable ordered partition; the root is
-    the classes of ``_wl_classes``. When they are singletons, the root
-    is the only leaf, and its order is read off without a search.
+    the refined one-cell partition (``_Partition.root``). When it is
+    discrete, it is the only leaf, and its order is read off at once.
     Otherwise a node's children individualize each vertex of its
     first cell of two or more vertices, and refine from that vertex,
     leaving a trace (``_Partition.refine``). A node whose cells are all
@@ -753,7 +716,7 @@ def _least_certificate(nbrs, edges) -> list[tuple[int, int, int]]:
     automorphisms: list[list[tuple[int, int]]] = []
     path: list[int] = []  # path[d] is the vertex individualized by stack[d]'s current child
     traces: list[list[tuple[int, ...]]] = []  # traces[d] is the trace of that child
-    root = _Partition.of(_wl_classes(nbrs))
+    root = _Partition.root(nbrs)
     target = root.target()
     if target is None:
         return _certificate(edges, root.pos)

@@ -108,6 +108,11 @@ def _alternating_pieces(u: str, v: str, m: int, a: int, b: int) -> tuple[str, ..
     return f"{x} {y} " * (k - 1 + odd), x if odd else f"{x} {y}"
 
 
+def _inverse_args(u: str, v: str, m: int, a: int, b: int) -> tuple:
+    """The (u, v, m, a, b) of Pi(u^a, v^b, m)^-1: it starts with the last letter, inverted."""
+    return (u, v, m, -a, -b) if m % 2 else (v, u, m, -b, -a)
+
+
 def _parse_token(token: str) -> Letter:
     """The letter of one token ``a`` or ``a^-2``."""
     m = TOKEN_RE.fullmatch(token)
@@ -279,9 +284,8 @@ class _Alternating(Word):
         return _alternating_pieces(self.u, self.v, self.m, self.a, self.b)
 
     def inverse(self) -> Word:
-        """Alternating again: it starts with the last letter, inverted."""
-        u, v, m, a, b = self.u, self.v, self.m, self.a, self.b
-        return _Alternating(u, v, m, -a, -b) if m % 2 else _Alternating(v, u, m, -b, -a)
+        """Alternating again (``_inverse_args``)."""
+        return _Alternating(*_inverse_args(self.u, self.v, self.m, self.a, self.b))
 
     def __pow__(self, k: int) -> Word:
         if k < 0:
@@ -339,7 +343,7 @@ class _ArtinRelator(Word):
     def _halves(self) -> tuple[Word, Word]:
         """Pi(u^a, v^b, m) and Pi(v^b, u^a, m)^-1."""
         u, v, m, a, b = self.u, self.v, self.m, self.a, self.b
-        return _Alternating(u, v, m, a, b), _Alternating(v, u, m, b, a).inverse()
+        return _Alternating(u, v, m, a, b), _Alternating(*_inverse_args(v, u, m, b, a))
 
     @cached_property
     def letters(self) -> tuple[Letter, ...]:
@@ -348,7 +352,7 @@ class _ArtinRelator(Word):
 
     def _render(self) -> tuple[str, ...]:
         u, v, m, a, b = self.u, self.v, self.m, self.a, self.b
-        right = (v, u, m, -b, -a) if m % 2 else (u, v, m, -a, -b)  # Pi(v^b, u^a, m)^-1
+        right = _inverse_args(v, u, m, b, a)  # Pi(v^b, u^a, m)^-1
         return (*_alternating_pieces(u, v, m, a, b), " ", *_alternating_pieces(*right))
 
     def exponent_sums(self) -> dict[str, int]:

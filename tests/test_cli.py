@@ -13,6 +13,7 @@ from artin import (
     Word, alternating, artin_abelianization, artin_presentation, errors, normal_form, parse_graph,
 )
 from artin.cli import _build_parser, _json_pieces, _word_text, main
+from artin.dihedral import ROOT_SEARCH_MAX_DEGREE
 from artin.words import _Alternating, _Pairs
 
 from corpus import FAN_TEXT, random_connected_graph
@@ -519,6 +520,19 @@ def test_root_search_length_cap(capsys):
         assert (code, out, err) == (2, "", message)
 
 
+def test_root_search_degree_cap(capsys):
+    # each degree pushes w once more, so a degree of 10^12 would run for weeks;
+    # above the cap the search is refused before it starts, at any label
+    cap = ROOT_SEARCH_MAX_DEGREE
+    assert cap == 10**5  # as the README's root-search row reads
+    for argv in (["4", "1", str(10**12)], ["4", "1", str(cap + 1)], [str(10**30), "3", str(10**30 + 2)]):
+        message = f"error: degree {argv[2]} is above the root search cap ROOT_SEARCH_MAX_DEGREE = {cap}\n"
+        for extra in ([], ["--json"]):
+            assert _run(capsys, ["root-search", *argv] + extra) == (2, "", message), argv
+    code, out, err = _run(capsys, ["root-search", "4", "1", str(cap)])
+    assert (code, err) == (0, "") and out.startswith("no counterexamples:")
+
+
 def _random_payload(rng, depth):
     leaves = [True, False, None, 0, 1, -7, 10**30, 1.0, 0.5, -2.25, 1e300, "", "x",
               'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "caf\u00e9 \u2203 \U0001f600"]
@@ -708,7 +722,6 @@ def test_sizes_past_maxsize_print_one_error_line(capsys, tmp_path):
     for argv in (
         ["presentation", str(edge)], ["jsj", str(star)], ["dihedral-nf", "3", f"a^{huge + 1}"],
         ["dihedral-eq", "3", f"a^{huge + 1}", "b"],
-        ["root-search", str(huge), "3", str(huge + 2)],
     ):
         for extra in ([], ["--json"]):
             assert _run(capsys, argv + extra) == (2, "", message), argv

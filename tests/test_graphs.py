@@ -18,7 +18,7 @@ from artin import (
     retract_word,
     splits_over_cyclic,
 )
-from artin.graphs import _wl_classes
+from artin.graphs import _Partition
 
 from corpus import (
     LABELS,
@@ -519,6 +519,18 @@ def test_canonical_form_of_empty_and_tiny():
     assert canonical_form(parse_graph("e a b 7\n")) == b"2|0,1,7"
 
 
+def test_canonical_form_pins_the_root_cell_order():
+    # the root's cells come in the order the search's refinement lays them
+    # out; a change to that order changes these bytes, though not which
+    # graphs share a form
+    path5 = LabelledGraph.from_edges([("v4", "v0", 2), ("v0", "v1", 2), ("v1", "v2", 2), ("v2", "v3", 2)])
+    assert canonical_form(path5) == b"5|0,4,2;1,3,2;2,3,2;2,4,2"
+    path6 = LabelledGraph.from_edges([(f"v{i}", f"v{i + 1}", 2) for i in range(5)])
+    assert canonical_form(path6) == b"6|0,5,2;1,4,2;2,3,2;2,4,2;3,5,2"
+    spider = parse_graph("e c a 2\ne a x 2\ne c b 2\ne b y 2\ne c d 2\n")
+    assert canonical_form(spider) == b"6|0,5,2;1,4,2;2,3,2;3,5,2;4,5,2"
+
+
 def _one_label(nxg, m: int) -> LabelledGraph:
     return LabelledGraph.from_edges([(f"v{u:02d}", f"v{v:02d}", m) for u, v in nxg.edges()])
 
@@ -593,7 +605,7 @@ def test_canonical_form_matches_oracles_on_random_graphs():
         n = rng.randint(3, 12)
         labels = rng.sample(range(2, 7), rng.randint(1, 4))
         g = random_connected_graph(rng, n, rng.choice((0.1, 0.3, 0.6, 0.9)), labels)
-        assert _wl_classes(_neighbour_lists(g)) == oracle_wl_classes(n, label_matrix(g))
+        assert _root_cells(g) == sorted(oracle_wl_classes(n, label_matrix(g)))
         form = oracle_canonical_form(g)
         if n <= 7:
             assert oracle_brute_canonical_form(g) == form
@@ -676,7 +688,7 @@ def test_canonical_forms_past_twelve_vertices_agree_with_networkx_on_symmetric_g
     # to refuse a complete graph with one edge of another label
     rng = random.Random(45)
     for g in _symmetric_13_to_60(rng):
-        assert len(_wl_classes(_neighbour_lists(g))) < len(g.vertices)
+        assert len(_root_cells(g)) < len(g.vertices)
         form = canonical_form(g)
         assert form.startswith(b"%d|" % len(g.vertices))
         for _ in range(2):
@@ -787,14 +799,35 @@ def test_canonical_form_of_a_large_sparse_graph_needs_no_recursion():
     g = random_connected_graph(rng, 1200, 2 / 1200, (2, 3))
     giant = max(big_chunks(g).chunks, key=lambda c: len(c.vertices)).graph
     assert len(giant.vertices) > max(1000, sys.getrecursionlimit())
-    assert len(_wl_classes(_neighbour_lists(g))) < len(g.vertices)
-    assert len(_wl_classes(_neighbour_lists(giant))) == len(giant.vertices)
+    assert len(_root_cells(g)) < len(g.vertices)
+    assert len(_root_cells(giant)) == len(giant.vertices)
     for graph in (g, giant):
         form = canonical_form(graph)
         assert form.startswith(b"%d|" % len(graph.vertices))
         assert form.count(b";") == len(graph.edges) - 1
         for _ in range(2):
             assert canonical_form(relabelled_copy(rng, graph)) == form
+
+
+def _tagged_chain(n: int, closed: bool, tags: dict[int, int]) -> LabelledGraph:
+    """The path (or, closed, the cycle) on n vertices, edge i labelled ``tags.get(i, 2)``."""
+    return LabelledGraph.from_edges(
+        [(f"v{i}", f"v{(i + 1) % n}", tags.get(i, 2)) for i in range(n if closed else n - 1)]
+    )
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_canonical_form_of_a_long_diameter_chunk(closed):
+    # a refinement that re-ranks every vertex once per round needs about
+    # n / 2 rounds here; the splitter queue touches each vertex a few times
+    rng = random.Random(54 + closed)
+    g = _tagged_chain(3000, closed, {700: 4, 1900: 4})
+    form = canonical_form(g)
+    assert form.startswith(b"3000|") and (form + b";").count(b",4;") == 2
+    for _ in range(2):
+        assert canonical_form(relabelled_copy(rng, g)) == form
+    assert canonical_form(_tagged_chain(3000, closed, {700: 4, 1901: 4})) != form
+    assert canonical_form(_tagged_chain(3000, closed, {701: 4, 1900: 4})) != form
 
 
 def _neighbour_lists(g: LabelledGraph):
@@ -804,6 +837,12 @@ def _neighbour_lists(g: LabelledGraph):
         nbrs[idx[u]].append((m, idx[v]))
         nbrs[idx[v]].append((m, idx[u]))
     return nbrs
+
+
+def _root_cells(g: LabelledGraph) -> list[list[int]]:
+    """The cells of the search's root partition, as sorted lists, in sorted order."""
+    root = _Partition.root(_neighbour_lists(g))
+    return sorted(sorted(root.lab[p : p + k]) for p, k in enumerate(root.size) if k)
 
 
 def _to_networkx(g: LabelledGraph):
