@@ -18,29 +18,36 @@ Killing the centre leaves a free product (Z/2 * Z/n for odd n, Z/m * Z
 for even n, with x spanning the infinite factor). Group elements
 correspond bijectively to pairs (central exponent, reduced syllable
 sequence in the free product). One reduction finds the pair for both
-parities from one table of the images of a, b and the modulus of each
-symbol (x mod 2, y mod n; or y mod m, x free): a syllable merges into
-the top one, the quotient by the modulus is carried into the central
-exponent at once and a zero residue is dropped. Eager carrying is sound
-because the carried power is central, so the carries add up to the same
-total: floor((s + t)/q) = floor(s/q) + floor((s mod q + t)/q) for a
-modulus q. Every residue lies in 1..q-1, so two of them sum to 2..2q-2
-and a merge carries at most one: it subtracts q once when the sum
-reaches q. Label 2 is Z^2 and is handled by exponent pairs.
+parities from the images of a, b and the modulus of each symbol (x mod
+2, y mod n; or y mod m, x free): a syllable merges into the top one,
+the quotient by the modulus is carried into the central exponent at
+once and a zero residue is dropped. Eager carrying is sound because the
+carried power is central, so the carries add up to the same total:
+floor((s + t)/q) = floor(s/q) + floor((s mod q + t)/q) for a modulus q.
+Every residue lies in 1..q-1, so two of them sum to 2..2q-2 and a merge
+carries at most one: it subtracts q once when the sum reaches q. Label
+2 is Z^2 and is handled by exponent pairs.
 
 The reduction applies a whole letter name^e at a time. The image of
-a^±1 or b^±1 is reduced once per call, to residues plus a central
-carry; every residue is nonzero. A two-syllable image starts and ends
-with different symbols, so its |e| repeats meet without merging: the
-image of name^e is that reduced image repeated |e| times, with |e|
-times its carry (a one-syllable image is a power of the free x).
-Applying it merges only at the stack top, and only while each merge
-cancels; the rest is appended as it is. Each distinct letter is reduced
-once per state, by a ``words._Memo`` of its image, carry and first
-symbol. The label and exponents are read as exact ints
-(``operator.index``), so every syllable is an exact (str, int) pair,
-and a normal form's syllables are a ``words._Pairs`` built from the
-stack, whose distinct pairs the JSON writer renders once each.
+each of a^±1, b^±1, its residues nonzero, is a closed form of n
+(``_letter_image``):
+
+* odd n:  a -> y^(m+1) x, a^-1 -> x y^m, b -> x y^(m+1) and
+  b^-1 -> y^m x, each with a carry of c^-1;
+* even n: a^±1 -> x^±1, a power of the free x; b -> x^-1 y carries
+  nothing and b^-1 -> y^(m-1) x carries z^-1.
+
+A two-syllable image starts and ends with different symbols, so its |e|
+repeats meet without merging: the image of name^e is that image
+repeated |e| times, with |e| times its carry. Applying it merges only
+at the stack top, and only while each merge cancels; the rest is
+appended as it is, so a merge is the one place a residue is reduced.
+Each distinct letter's image is built once per state, by a
+``words._Memo`` of its image, carry and first symbol. The label and
+exponents are read as exact ints (``operator.index``), so every
+syllable is an exact (str, int) pair, and a normal form's syllables are
+a ``words._Pairs`` built from the stack, whose distinct pairs the JSON
+writer renders once each.
 
 The reduction is a state that can be resumed (``_Reduction``): pushing
 more letters continues where the last push stopped. ``words_equal``
@@ -65,6 +72,7 @@ from .words import Word, _Memo, _Pairs, alternating
 GENERATORS = ("a", "b")
 ROOT_SEARCH_MAX_LEN = 10  # root_bound_search grows about 3x per unit of length
 ROOT_SEARCH_MAX_DEGREE = 10**5  # and linearly in the degree: it pushes w once per degree
+ROOT_SEARCH_MAX_PUSHES = 10**6  # and pushes each of its 2 (3^max_len - 1) words max_degree times
 
 
 @dataclass(frozen=True)
@@ -154,54 +162,33 @@ def _new_generators(n: int) -> tuple[Word, Word]:
     return Word.generator("a"), y
 
 
-def _reduction_table(n: int) -> tuple[dict, dict[str, int]]:
-    """The reduced images in x, y of a^±1, b^±1, and each symbol's modulus, n >= 3.
-
-    The table maps (name, exponent > 0) to (syllables, carry): the image
-    with each exponent reduced mod its symbol's modulus (0 for a free x),
-    and the central power those reductions split off. Every residue is
-    nonzero for n >= 3, and a two-syllable image starts and ends with
-    different symbols; the only one-syllable image, a for even n, is a
-    power of the free x.
-    """
-    m = n // 2
-    if n % 2:
-        images = {"a": (("y", -m), ("x", 1)), "b": (("x", -1), ("y", m + 1))}
-        moduli = {"x": 2, "y": n}
-    else:
-        images = {"a": (("x", 1),), "b": (("x", -1), ("y", 1))}
-        moduli = {"x": 0, "y": m}
-    table = {}
-    for name, image in images.items():
-        inverse = tuple((s, -e) for s, e in reversed(image))
-        for positive, syllables in ((True, image), (False, inverse)):
-            carry, reduced = 0, []
-            for s, e in syllables:
-                if moduli[s]:
-                    q, e = divmod(e, moduli[s])
-                    carry += q
-                reduced.append((s, e))
-            table[name, positive] = (tuple(reduced), carry)
-    return table, moduli
-
-
-def _letter_image(table: dict, letter: tuple[str, int]) -> tuple[tuple, int, str]:
-    """The reduced image of the letter name^exp, its central carry and its first symbol."""
+def _letter_image(n: int, letter: tuple[str, int]) -> tuple[tuple, int, str]:
+    """The image of the letter name^exp, its central carry and its first symbol, n >= 3:
+    the closed-form image of name^±1, its residues nonzero, repeated |exp|
+    times, whose repeats meet without merging (see the module docstring)."""
     name, exp = letter
-    syllables, carry = table[name, exp > 0]
-    k = abs(index(exp))  # an exact int, whatever int subclass exp is
-    if len(syllables) == 1:  # a power of the free x
-        ((sym, e),) = syllables
-        return ((sym, e * k),), 0, sym
-    # first and last symbols differ, so the repeats meet without merging
-    return syllables * k, carry * k, syllables[0][0]
+    exp = index(exp)  # an exact int, whatever int subclass exp is
+    k, m = abs(exp), n // 2
+    if n % 2:  # a = y^-m x, b = x^-1 y^(m+1), and y^-m = y^(m+1) c^-1, x^-1 = x c^-1:
+        # each image reduces one negative exponent, so each letter carries c^-1
+        if name == "a":
+            image = (("y", m + 1), ("x", 1)) if exp > 0 else (("x", 1), ("y", m))
+        else:
+            image = (("x", 1), ("y", m + 1)) if exp > 0 else (("y", m), ("x", 1))
+        return image * k, -k, image[0][0]
+    if name == "a":  # a = x, a power of the free x
+        return (("x", exp),), 0, "x"
+    if exp > 0:  # b = x^-1 y
+        return (("x", -1), ("y", 1)) * k, 0, "x"
+    return (("y", m - 1), ("x", 1)) * k, -k, "y"  # b^-1 = y^-1 x = y^(m-1) x z^-1
 
 
 class _Reduction:
     """The pair (central exponent, syllable stack) of the letters pushed so far, n >= 3.
 
     Pushing more letters resumes the reduction where it stopped; each
-    distinct letter's image is reduced once per state. A merge adds two
+    distinct letter's image is built once per state, from its closed form
+    in n (for odd n every letter carries c^-1). A merge adds two
     residues in 1..q-1 for a modulus q, so it carries at most one, by one
     compare and subtract; a power of the free x has no modulus and never
     carries. ``form`` takes the stack's exact (str, int) pairs as a
@@ -210,8 +197,9 @@ class _Reduction:
 
     def __init__(self, n: int, letters=()):
         self.label = n
-        table, self.moduli = _reduction_table(index(n))
-        self.images = _Memo(partial(_letter_image, table))  # letter -> (image, carry, first)
+        n = index(n)
+        self.moduli = {"x": 2, "y": n} if n % 2 else {"x": 0, "y": n // 2}
+        self.images = _Memo(partial(_letter_image, n))  # letter -> (image, carry, first)
         self.central = 0
         self.stack: list[tuple[str, int]] = []
         self.push(letters)
@@ -380,7 +368,7 @@ def reduced_words(max_len: int) -> Iterator[Word]:
     while stack:
         prefix = stack.pop()
         if prefix:
-            yield Word(prefix)
+            yield Word._trusted(prefix)  # letters from the four units, freely reduced
         if len(prefix) < max_len:
             stack += [prefix + (u,) for u in units if not prefix or prefix[-1] != (u[0], -u[1])]
 
@@ -397,6 +385,8 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
     ``ROOT_SEARCH_MAX_LEN``, since there are about 3^max_len words, and a
     max_degree above ``ROOT_SEARCH_MAX_DEGREE``, since each degree pushes
     w once more; as m < max_degree, that cap bounds the push of w^(m-1) too.
+    Each of the 2 (3^max_len - 1) words is pushed max_degree times in all,
+    and a search of more pushes than ``ROOT_SEARCH_MAX_PUSHES`` is refused.
     """
     _check_label(n)
     if n % 2 or n < 4:
@@ -415,6 +405,12 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
         raise PreconditionError(
             f"degree {max_degree} is above the root search cap"
             f" ROOT_SEARCH_MAX_DEGREE = {ROOT_SEARCH_MAX_DEGREE}"
+        )
+    pushes = 2 * (3 ** max(max_len, 0) - 1) * max_degree  # a negative length fails below
+    if pushes > ROOT_SEARCH_MAX_PUSHES:
+        raise PreconditionError(
+            f"word length {max_len} and degree {max_degree} need {pushes} pushes,"
+            f" above the root search cap ROOT_SEARCH_MAX_PUSHES = {ROOT_SEARCH_MAX_PUSHES}"
         )
     seen: set = set()
     hits = []

@@ -238,6 +238,7 @@ PRIVATE_CONSTRUCTOR_SITES = {
     ("dihedral", "OddNormalForm.__str__"),
     ("dihedral", "EvenNormalForm.__str__"),
     ("dihedral", "as_defining_generators"),
+    ("dihedral", "reduced_words"),
     ("presentations", "artin_presentation"),
     ("presentations", "simplify_identifications"),
 }
@@ -361,6 +362,12 @@ def test_normal_form_kinds_are_named_only_in_dihedral():
     # each normal form prints and serializes itself; no other module tells the kinds apart
     normal_forms = ("AbelianNormalForm", "OddNormalForm", "EvenNormalForm")
     assert _modules_naming(normal_forms) == {"dihedral", "__init__"}
+
+
+def test_dihedral_reduces_residues_only_in_push():
+    # the letter images are closed forms of the label, and _Reduction.push is
+    # the one place that reduces a residue and carries: dihedral has no divmod
+    assert "dihedral" not in {module for module, _ in _uses("divmod")}
 
 
 def _names_read(node) -> Counter:

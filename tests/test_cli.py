@@ -10,10 +10,11 @@ import pytest
 
 import artin.cli
 from artin import (
-    Word, alternating, artin_abelianization, artin_presentation, errors, normal_form, parse_graph,
+    Word, alternating, artin_abelianization, artin_presentation, build_jsj, collapse_jsj, errors,
+    normal_form, parse_graph,
 )
 from artin.cli import _build_parser, _json_pieces, _word_text, main
-from artin.dihedral import ROOT_SEARCH_MAX_DEGREE
+from artin.dihedral import ROOT_SEARCH_MAX_DEGREE, ROOT_SEARCH_MAX_PUSHES
 from artin.words import _Alternating, _Pairs
 
 from corpus import FAN_TEXT, random_connected_graph
@@ -117,6 +118,18 @@ def test_jsj_text_json_and_dot(capsys, tmp_path, fan_file):
     data = json.loads(out)
     assert data["betti"] == 0
     assert len(data["vertices"]) == 4
+
+
+def test_jsj_text_is_to_text(capsys, tmp_path):
+    # main writes the decomposition's text pieces; to_text joins the same pieces
+    rng = random.Random(30)
+    graphs = [parse_graph(FAN_TEXT)] + [random_connected_graph(rng, rng.randint(3, 7)) for _ in range(8)]
+    for i, g in enumerate(graphs):
+        p = tmp_path / f"g{i}.graph"
+        p.write_text(g.to_text())
+        gog = build_jsj(g)
+        assert _run(capsys, ["jsj", str(p)]) == (0, gog.to_text(), ""), i
+        assert _run(capsys, ["jsj", str(p), "--collapsed"]) == (0, collapse_jsj(gog).to_text(), ""), i
 
 
 def test_dihedral_jsj_text(capsys):
@@ -531,6 +544,26 @@ def test_root_search_degree_cap(capsys):
             assert _run(capsys, ["root-search", *argv] + extra) == (2, "", message), argv
     code, out, err = _run(capsys, ["root-search", "4", "1", str(cap)])
     assert (code, err) == (0, "") and out.startswith("no counterexamples:")
+
+
+def test_root_search_push_cap(capsys, monkeypatch):
+    # each of the 2 (3^LEN - 1) words is pushed DEG times, so the two caps
+    # alone would allow 10^10 pushes; the product has a cap of its own
+    cap = ROOT_SEARCH_MAX_PUSHES
+    assert cap == 10**6  # as the README's root-search row reads
+    for argv, pushes in ((["4", "10", "100000"], 11809600000), (["4", "6", "1000"], 1456000)):
+        message = (f"error: word length {argv[1]} and degree {argv[2]} need {pushes} pushes,"
+                   f" above the root search cap ROOT_SEARCH_MAX_PUSHES = {cap}\n")
+        for extra in ([], ["--json"]):
+            assert _run(capsys, ["root-search", *argv] + extra) == (2, "", message), argv
+    # at the cap the search runs: 2 (3^3 - 1) 3 = 156 pushes
+    monkeypatch.setattr(artin.dihedral, "ROOT_SEARCH_MAX_PUSHES", 156)
+    for extra in ([], ["--json"]):
+        code, out, err = _run(capsys, ["root-search", "4", "3", "3"] + extra)
+        assert (code, err) == (0, "") and out, extra
+    monkeypatch.setattr(artin.dihedral, "ROOT_SEARCH_MAX_PUSHES", 155)
+    code, out, err = _run(capsys, ["root-search", "4", "3", "3"])
+    assert (code, out) == (2, "") and "need 156 pushes" in err
 
 
 def _random_payload(rng, depth):
