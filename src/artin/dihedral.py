@@ -72,7 +72,7 @@ from .words import Word, _Memo, _Pairs, alternating
 GENERATORS = ("a", "b")
 ROOT_SEARCH_MAX_LEN = 10  # root_bound_search grows about 3x per unit of length
 ROOT_SEARCH_MAX_DEGREE = 10**5  # and linearly in the degree: it pushes w once per degree
-ROOT_SEARCH_MAX_PUSHES = 10**6  # and pushes each of its 2 (3^max_len - 1) words max_degree times
+ROOT_SEARCH_MAX_PUSHES = 10**6  # and pushes each word of a distinct normal form max_degree times
 
 
 @dataclass(frozen=True)
@@ -385,8 +385,10 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
     ``ROOT_SEARCH_MAX_LEN``, since there are about 3^max_len words, and a
     max_degree above ``ROOT_SEARCH_MAX_DEGREE``, since each degree pushes
     w once more; as m < max_degree, that cap bounds the push of w^(m-1) too.
-    Each of the 2 (3^max_len - 1) words is pushed max_degree times in all,
-    and a search of more pushes than ``ROOT_SEARCH_MAX_PUSHES`` is refused.
+    One pass reduces each of the 2 (3^max_len - 1) words once and keeps
+    the first word of each distinct normal form. Each kept word is then
+    pushed max_degree times in all, and a search of more pushes than
+    ``ROOT_SEARCH_MAX_PUSHES`` is refused before the first of them.
     """
     _check_label(n)
     if n % 2 or n < 4:
@@ -406,21 +408,18 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
             f"degree {max_degree} is above the root search cap"
             f" ROOT_SEARCH_MAX_DEGREE = {ROOT_SEARCH_MAX_DEGREE}"
         )
-    pushes = 2 * (3 ** max(max_len, 0) - 1) * max_degree  # a negative length fails below
+    forms: dict = {}  # each distinct normal form, with the first word that has it
+    for w in reduced_words(max_len):
+        forms.setdefault(_Reduction(n, w.letters).form(), w)
+    pushes = len(forms) * max_degree
     if pushes > ROOT_SEARCH_MAX_PUSHES:
         raise PreconditionError(
             f"word length {max_len} and degree {max_degree} need {pushes} pushes,"
             f" above the root search cap ROOT_SEARCH_MAX_PUSHES = {ROOT_SEARCH_MAX_PUSHES}"
         )
-    seen: set = set()
     hits = []
-    for w in reduced_words(max_len):
-        state = _Reduction(n, w.letters)  # the state of w^k, resumed for each degree k
-        key = state.form()
-        if key in seen:
-            continue
-        seen.add(key)
-        state.push(w.letters * (m - 1))
+    for w in forms.values():
+        state = _Reduction(n, w.letters * m)  # the state of w^k, resumed for each degree k
         for k in range(m + 1, max_degree + 1):
             state.push(w.letters)
             res = state.a_z_exponents()

@@ -10,11 +10,12 @@ big chunks: maximal connected induced subgraphs without separating
 vertices. These coincide with the blocks of the graph (biconnected
 components, bridges, and isolated vertices), which is how they are
 computed; a brute-force maximality oracle in the test suite enforces the
-equivalence. The blocks, with their edges, come from one iterative
-Hopcroft-Tarjan depth-first search in O(V + E) (Hopcroft & Tarjan,
-"Algorithm 447", CACM 16(6), 1973); the separating vertices, the
-block-cut tree and connectivity are read off it, and the retractions onto
-chunks and the sides of a splitting walk that tree's edges.
+equivalence. The blocks come from one iterative depth-first search that
+computes low points only (Hopcroft & Tarjan, "Algorithm 447", CACM 16(6),
+1973), and each edge then joins the block of its deeper end, all in
+O(V + E); the separating vertices, the block-cut tree and connectivity
+are read off the blocks, and the retractions onto chunks and the sides
+of a splitting walk that tree's edges.
 
 Input checks: ``LabelledGraph(...)``, ``LabelledGraph.from_edges`` and
 ``parse_graph`` (with line numbers) check what they are given. Graphs
@@ -288,57 +289,74 @@ class BlockDecomposition:
 def _blocks(g: LabelledGraph) -> list[tuple[tuple[str, ...], tuple]]:
     """Blocks (sorted vertices, sorted edges) of the component of the first vertex, in no order.
 
-    One iterative Hopcroft-Tarjan search: ``low[v]`` is the least
-    discovery index reachable from v's subtree by one back edge. Tree and
-    back edges go on an edge stack; when a child w of u finishes with
-    low[w] >= disc[u], the edges down to (u, w) form a block. An isolated
+    One iterative depth-first search numbers the vertices in discovery
+    order and records each one's parent. ``low[j]`` is the least index
+    among the discovered neighbours of j's subtree; the tree edge into j
+    gives its parent's, so no parent test is needed. A depth-first search
+    of an undirected graph leaves no cross edges: every edge that is not
+    a tree edge joins a vertex to one of its ancestors. Take each vertex
+    j > 0, in discovery order, with parent p. When low[j] >= p, no edge
+    leaves j's subtree above p, so p separates it and the tree edge p-j
+    heads a new block. Otherwise an edge from the subtree reaches above
+    p and closes a cycle through p-j and the tree edge into p, so p-j
+    joins the block of the tree edge into p. Each edge of ``g.edges``
+    joins the block of the tree edge into its deeper end: it is that
+    tree edge, or a back edge that closes a cycle with it. ``g.edges``
+    is sorted, so each block's edges are too. The search and both passes
+    are O(V + E); only each block's vertices are sorted. An isolated
     vertex is a singleton block.
     """
     adj = g._adj
-    root = g.vertices[0]
-    if not adj[root]:
-        return [((root,), ())]
-    disc = {root: 0}
-    low = {root: 0}
-    out = []
-    edge_stack: list[tuple[str, str]] = []
-    stack = [(root, None, iter(adj[root]))]
+    order = [g.vertices[0]]
+    index = {order[0]: 0}
+    parent = [0]
+    low = [0]
+    stack = [(0, iter(adj[order[0]]))]  # (a discovery index, its neighbours not yet scanned)
     while stack:
-        v, parent, todo = stack[-1]
+        v, todo = stack[-1]
         for w in todo:
-            if w not in disc:
-                disc[w] = low[w] = len(disc)
-                edge_stack.append((v, w))
-                stack.append((w, v, iter(adj[w])))
+            k = index.get(w)
+            if k is None:
+                k = index[w] = len(order)
+                order.append(w)
+                parent.append(v)
+                low.append(k)
+                stack.append((k, iter(adj[w])))
                 break
-            if w != parent and disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                low[v] = min(low[v], disc[w])
+            if k < low[v]:
+                low[v] = k
         else:
             stack.pop()
-            if not stack:
-                continue
-            u = stack[-1][0]
-            low[u] = min(low[u], low[v])
-            if low[v] < disc[u]:
-                continue
-            verts: set[str] = set()
-            edges = []
-            while True:
-                a, b = edge_stack.pop()
-                verts.update((a, b))
-                edges.append((a, b, adj[a][b]) if a < b else (b, a, adj[a][b]))
-                if (a, b) == (u, v):
-                    break
-            out.append((tuple(sorted(verts)), tuple(sorted(edges))))
-    return out
+            p = parent[v]
+            if low[v] < low[p]:
+                low[p] = low[v]
+    if len(order) == 1:
+        return [((order[0],), ())]
+    block = [0] * len(order)  # block[j]: the block of the tree edge into j
+    verts: list[list[str]] = []
+    for j in range(1, len(order)):
+        p = parent[j]
+        if low[j] >= p:
+            block[j] = len(verts)
+            verts.append([order[p], order[j]])
+        else:
+            block[j] = block[p]
+            verts[block[p]].append(order[j])
+    edges: list[list[tuple]] = [[] for _ in verts]
+    for e in g.edges:
+        i = index.get(e[0])
+        if i is not None:  # both ends are in the searched component, or neither
+            j = index[e[1]]
+            edges[block[i if i > j else j]].append(e)
+    return [(tuple(sorted(vs)), tuple(es)) for vs, es in zip(verts, edges)]
 
 
 def big_chunks(g: LabelledGraph) -> BlockDecomposition:
     """Decompose a connected graph into big chunks.
 
-    Each chunk's graph is built from the edges its block popped off the
-    search's edge stack (a block's vertex set induces exactly those).
+    Each chunk's graph is built from the edges of its block: each edge
+    goes to the block of the search's tree edge into its deeper end (a
+    block's vertex set induces exactly those).
     The search starts from one vertex; when its blocks miss a vertex,
     :class:`DisconnectedGraphError` is raised with the components. The
     vertices in two or more blocks separate, and with their blocks they

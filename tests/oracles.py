@@ -763,3 +763,52 @@ def oracle_random_connected_graph(rng, n: int, extra_p: float, labels) -> Labell
             if key not in edges and rng.random() < extra_p:
                 edges[key] = rng.choice(labels)
     return LabelledGraph.from_edges([(u, v, m) for (u, v), m in sorted(edges.items())])
+
+
+def oracle_edge_stack_blocks(g: LabelledGraph) -> list[tuple[tuple[str, ...], tuple]]:
+    """Blocks (sorted vertices, sorted edges) of the component of the first vertex, in no order.
+
+    One iterative Hopcroft-Tarjan search: ``low[v]`` is the least
+    discovery index reachable from v's subtree by one back edge. Tree and
+    back edges go on an edge stack; when a child w of u finishes with
+    low[w] >= disc[u], the edges down to (u, w) form a block. An isolated
+    vertex is a singleton block.
+    """
+    adj = g._adj
+    root = g.vertices[0]
+    if not adj[root]:
+        return [((root,), ())]
+    disc = {root: 0}
+    low = {root: 0}
+    out = []
+    edge_stack: list[tuple[str, str]] = []
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, parent, todo = stack[-1]
+        for w in todo:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                edge_stack.append((v, w))
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent and disc[w] < disc[v]:
+                edge_stack.append((v, w))
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if not stack:
+                continue
+            u = stack[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] < disc[u]:
+                continue
+            verts: set[str] = set()
+            edges = []
+            while True:
+                a, b = edge_stack.pop()
+                verts.update((a, b))
+                edges.append((a, b, adj[a][b]) if a < b else (b, a, adj[a][b]))
+                if (a, b) == (u, v):
+                    break
+            out.append((tuple(sorted(verts)), tuple(sorted(edges))))
+    return out

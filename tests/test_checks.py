@@ -448,3 +448,51 @@ def test_readme_exit_codes_match_the_code():
     builtin = {name for name in caught if isinstance(getattr(builtins, name, None), type)}
     assert builtin == {"OSError", "OverflowError", "MemoryError"}
     assert [name for name in sorted(builtin) if f"`{name}`" not in paragraph] == []
+
+
+def _self_calls():
+    """Qualified names of the functions in the package whose body calls the function itself.
+
+    A plain function calls itself by its name, unless the name is rebound
+    in it; a method calls itself through its first argument or its class.
+    A call through a local alias, such as ``push = stack.append`` in a
+    method named ``push``, is not a call of the function.
+    """
+    found = set()
+
+    def visit(node, module, scope, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, scope + (child.name,), child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if cls is None:
+                    bound = set(params) | {n.id for n in ast.walk(child)
+                                           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+                    calls_itself = child.name not in bound and any(
+                        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == child.name
+                        for n in ast.walk(child))
+                else:
+                    owners = {cls} | set(params[:1])
+                    calls_itself = any(
+                        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                        and n.func.attr == child.name and isinstance(n.func.value, ast.Name)
+                        and n.func.value.id in owners
+                        for n in ast.walk(child))
+                if calls_itself:
+                    found.add(f"{module}.{'.'.join(scope + (child.name,))}")
+                visit(child, module, scope + (child.name,), None)
+            else:
+                visit(child, module, scope, cls)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, (), None)
+    return found
+
+
+def test_no_function_calls_itself():
+    # no operation may stop at Python's recursion limit: every search walks an
+    # explicit stack. The JSON writer's nested ``text`` recurses only as deep
+    # as the payload's own nesting, which the commands build a few levels deep
+    assert _self_calls() == {"cli._json_pieces.text"}

@@ -547,23 +547,27 @@ def test_root_search_degree_cap(capsys):
 
 
 def test_root_search_push_cap(capsys, monkeypatch):
-    # each of the 2 (3^LEN - 1) words is pushed DEG times, so the two caps
-    # alone would allow 10^10 pushes; the product has a cap of its own
+    # each word of a distinct normal form is pushed DEG times, so the two caps
+    # alone would allow 5 * 10^9 pushes; the product has a cap of its own
     cap = ROOT_SEARCH_MAX_PUSHES
     assert cap == 10**6  # as the README's root-search row reads
-    for argv, pushes in ((["4", "10", "100000"], 11809600000), (["4", "6", "1000"], 1456000)):
+    # on label 4, LEN 10 has 51,577 distinct normal forms and LEN 6 has 1,128
+    for argv, pushes in ((["4", "10", "100000"], 5157700000), (["4", "6", "1000"], 1128000)):
         message = (f"error: word length {argv[1]} and degree {argv[2]} need {pushes} pushes,"
                    f" above the root search cap ROOT_SEARCH_MAX_PUSHES = {cap}\n")
         for extra in ([], ["--json"]):
             assert _run(capsys, ["root-search", *argv] + extra) == (2, "", message), argv
-    # at the cap the search runs: 2 (3^3 - 1) 3 = 156 pushes
-    monkeypatch.setattr(artin.dihedral, "ROOT_SEARCH_MAX_PUSHES", 156)
+    # at the cap the search runs: LEN 4 has 152 distinct forms of its 160 words,
+    # so 152 * 5 = 760 pushes, though the 160 words would count 800
+    monkeypatch.setattr(artin.dihedral, "ROOT_SEARCH_MAX_PUSHES", 760)
     for extra in ([], ["--json"]):
-        code, out, err = _run(capsys, ["root-search", "4", "3", "3"] + extra)
+        code, out, err = _run(capsys, ["root-search", "4", "4", "5"] + extra)
         assert (code, err) == (0, "") and out, extra
-    monkeypatch.setattr(artin.dihedral, "ROOT_SEARCH_MAX_PUSHES", 155)
-    code, out, err = _run(capsys, ["root-search", "4", "3", "3"])
-    assert (code, out) == (2, "") and "need 156 pushes" in err
+    monkeypatch.setattr(artin.dihedral, "ROOT_SEARCH_MAX_PUSHES", 759)
+    message = ("error: word length 4 and degree 5 need 760 pushes,"
+               " above the root search cap ROOT_SEARCH_MAX_PUSHES = 759\n")
+    for extra in ([], ["--json"]):
+        assert _run(capsys, ["root-search", "4", "4", "5"] + extra) == (2, "", message), extra
 
 
 def _random_payload(rng, depth):

@@ -18,7 +18,7 @@ from artin import (
     retract_word,
     splits_over_cyclic,
 )
-from artin.graphs import _Partition
+from artin.graphs import _blocks, _Partition
 
 from corpus import (
     LABELS,
@@ -34,6 +34,7 @@ from oracles import (
     oracle_big_chunks,
     oracle_brute_canonical_form,
     oracle_canonical_form,
+    oracle_edge_stack_blocks,
     oracle_random_connected_graph,
     oracle_reached,
     oracle_retraction,
@@ -151,6 +152,28 @@ def test_chunks_match_oracle_on_random_graphs():
         g = random_connected_graph(rng, rng.randint(2, 8))
         got = [c.vertices for c in big_chunks(g).chunks]
         assert got == oracle_big_chunks(g), g.edges
+
+
+def _random_graph(rng, n):
+    """A seeded graph on v0..v(n-1), of any edge density; it may be disconnected."""
+    names = [f"v{i}" for i in range(n)]
+    p = rng.random()
+    edges = [(u, v, rng.choice(LABELS)) for i, u in enumerate(names) for v in names[i + 1:]
+             if rng.random() < p]
+    if rng.random() < 0.1:  # an isolated first vertex
+        edges = [e for e in edges if names[0] not in e[:2]]
+    return LabelledGraph.from_edges(edges, vertices=names)
+
+
+def test_blocks_match_the_edge_stack_search():
+    # the earlier search, which pops each block's edges off an edge stack,
+    # as a second method; on disconnected graphs both stop at the first component
+    rng = random.Random(13)
+    graphs = connected_atlas(6) + [_random_graph(rng, rng.randint(1, 14)) for _ in range(2000)]
+    assert sum(not g.is_connected() for g in graphs) > 500
+    assert sum(g.valence(g.vertices[0]) == 0 and len(g.vertices) > 1 for g in graphs) > 100
+    for g in graphs:
+        assert sorted(_blocks(g)) == sorted(oracle_edge_stack_blocks(g)), g.edges
 
 
 def test_separating_matches_oracle_and_incidence():
@@ -271,6 +294,7 @@ def test_chunks_match_networkx_on_large_graphs(n):
         g = random_connected_graph(rng, n, extra_p=mean_extra_degree / n)
         h = _to_networkx(g)
         d = big_chunks(g)
+        assert sorted(_blocks(g)) == sorted(oracle_edge_stack_blocks(g))
         blocks = sorted(
             (tuple(sorted(b)) for b in nx.biconnected_components(h)),
             key=lambda t: (t[0], len(t), t),

@@ -1,4 +1,4 @@
-"""Totality of the dihedral commands on seeded hostile input, run through ``cli.main``.
+"""Totality of the dihedral and the block-cut commands on seeded hostile input, run through ``cli.main``.
 
 Every run must end in one of two ways: exit 0 with an empty stderr and
 output that ``json.loads`` reads (``--json``) or text that ends in a
@@ -13,6 +13,14 @@ normal form can hold (10^18 fails before anything is allocated) and past
 ``sys.maxsize``, and every root-search cap with a value on each side.
 Inputs that pass Python's size checks but would really allocate
 gigabytes, such as the normal form of a^(10^9), are left out.
+
+The commands that read the block-cut tree (``validate``, ``chunks``,
+``split``, ``jsj`` with each of its renderings, ``acylindrical`` and
+``retract``) run on graphs of 1 to 7 vertices, disconnected ones and
+isolated vertices included, whose names collide with the names the
+decompositions generate (``z_a_b``, ``r_s``, ``a_``, ``B_x``, ``W_a``),
+and on malformed and missing files. ``retract`` also gets chunk indexes
+out of range and letters that are not vertices.
 """
 
 import builtins
@@ -33,8 +41,11 @@ EXPONENTS = (1, 2, 3, -1, -2, -3, 10**5, 10**18, -10**18, HUGE)
 
 # README: the exit code of each error class, and of a bad argument (1)
 EXIT_CODES = {
+    errors.GraphFormatError: 1,
     errors.WordFormatError: 1,
     errors.PreconditionError: 2,
+    errors.DisconnectedGraphError: 2,
+    OSError: 1,
     OverflowError: 2,
     MemoryError: 2,
     artin.cli._UsageError: 1,
@@ -93,8 +104,7 @@ def _root_search_cases(rng):
         yield ["root-search", str(n), str(length), str(degree)]
 
 
-@pytest.mark.parametrize("command", ["dihedral-nf", "dihedral-eq", "dihedral-jsj", "root-search"])
-def test_dihedral_commands_are_total(capsys, monkeypatch, command):
+def _assert_total(capsys, monkeypatch, cases):
     caught = []
 
     def spy(*args, **kwargs):  # main prints an error line inside the arm that caught it
@@ -102,8 +112,7 @@ def test_dihedral_commands_are_total(capsys, monkeypatch, command):
         builtins.print(*args, **kwargs)
 
     monkeypatch.setattr(artin.cli, "print", spy, raising=False)
-    rng = random.Random(f"totality {command}")
-    for argv in _cases(command, rng):
+    for argv in cases:
         for extra in ([], ["--json"]):
             caught.clear()
             try:
@@ -124,7 +133,83 @@ def test_dihedral_commands_are_total(capsys, monkeypatch, command):
             assert kind is not None and code == EXIT_CODES[kind], (argv + extra, code, caught[0])
 
 
+DIHEDRAL_COMMANDS = ("dihedral-nf", "dihedral-eq", "dihedral-jsj", "root-search")
+
+
+@pytest.mark.parametrize("command", DIHEDRAL_COMMANDS)
+def test_dihedral_commands_are_total(capsys, monkeypatch, command):
+    _assert_total(capsys, monkeypatch, _cases(command, random.Random(f"totality {command}")))
+
+
+# names the decompositions generate: central words z_<support>, red-edge
+# roots r_<vertex>, freshened names with a trailing _, and the JSJ's black
+# and white vertex names B_<...> and W_<...>
+NAMES = ("a", "b", "c", "s", "z_a_b", "r_s", "a_", "B_x", "W_a", "z_a", "r_b")
+GRAPH_LABELS = (2, 3, 4, 5, 6, 7)
+MALFORMED = (
+    "", "# only a comment\n", "e a b 1\n", "e a a 3\n", "e a b x\n", "e a b 2.5\n",
+    "v 1a\n", "v a b\n", "e a b\n", "q a\n", "e a b 2\ne b a 3\n", "e a b 2\nv\n",
+    "e z_a_b a- 2\n", "e a b " + "3" * 5000 + "\n",
+)
+GRAPH_COMMANDS = ("validate", "chunks", "split", "jsj", "acylindrical", "retract")
+
+
+def _graph_text(rng):
+    """Connected three times in four: a random tree plus random edges; else any density."""
+    names = rng.sample(NAMES, rng.randint(1, 7))
+    connected = rng.random() < 0.75
+    p = rng.choice((0.0, 0.2, 0.4, 0.6, 1.0))
+    pairs = {(names[rng.randrange(i)], names[i]) for i in range(1, len(names))} if connected else set()
+    pairs |= {(u, v) for i, u in enumerate(names) for v in names[i + 1:] if rng.random() < p}
+    lines = [f"e {u} {v} {rng.choice(GRAPH_LABELS)}" for u, v in sorted(pairs)]
+    lines += [f"v {v}" for v in names if rng.random() < 0.3 or not any(v in uv for uv in pairs)]
+    rng.shuffle(lines)
+    return names, "\n".join(lines) + "\n"
+
+
+def _graph_files(directory):
+    """(path, vertex names) of each seeded graph file, the malformed ones and a missing one."""
+    rng = random.Random("totality graphs")
+    files = []
+    for i in range(70):
+        names, text = _graph_text(rng)
+        files.append((directory / f"g{i}.txt", names))
+        files[-1][0].write_text(text)
+    for i, text in enumerate(MALFORMED):
+        files.append((directory / f"bad{i}.txt", ["a", "b"]))
+        files[-1][0].write_text(text)
+    files.append((directory / "missing.txt", ["a"]))
+    return files
+
+
+def _graph_cases(command, files, rng):
+    for path, names in files:
+        f = str(path)
+        if command == "jsj":
+            for flags in ([], ["--collapsed"], ["--dot", "-"], ["--collapsed", "--dot", "-"]):
+                yield [command, f, *flags]
+        elif command == "retract":
+            for _ in range(3):
+                chunk = rng.choice((0, 0, 1, 2, 6, -1, 10**18))
+                letters = [rng.choice(names + ["q"] * (rng.random() < 0.3)) for _ in range(rng.randint(0, 4))]
+                word = " ".join(f"{v}^{rng.choice((1, -1, 2, -3, 10**18))}" for v in letters)
+                yield [command, f, str(chunk), word]
+        else:
+            yield [command, f]
+
+
+@pytest.mark.parametrize("command", GRAPH_COMMANDS)
+def test_block_cut_commands_are_total(capsys, monkeypatch, tmp_path, command):
+    files = _graph_files(tmp_path)
+    _assert_total(capsys, monkeypatch, _graph_cases(command, files, random.Random(f"totality {command}")))
+
+
 def test_the_harness_runs_at_least_500_cases():
-    commands = ("dihedral-nf", "dihedral-eq", "dihedral-jsj", "root-search")
-    cases = sum(len(list(_cases(c, random.Random(f"totality {c}")))) for c in commands)
+    cases = sum(len(list(_cases(c, random.Random(f"totality {c}")))) for c in DIHEDRAL_COMMANDS)
     assert 2 * cases >= 500  # each with and without --json
+
+
+def test_the_block_cut_slice_runs_at_least_600_cases(tmp_path):
+    files = _graph_files(tmp_path)
+    cases = sum(len(list(_graph_cases(c, files, random.Random(f"totality {c}")))) for c in GRAPH_COMMANDS)
+    assert 2 * cases >= 600  # each with and without --json
