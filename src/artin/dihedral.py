@@ -388,7 +388,8 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
     One pass reduces each of the 2 (3^max_len - 1) words once and keeps
     the first word of each distinct normal form. Each kept word is then
     pushed max_degree times in all, and a search of more pushes than
-    ``ROOT_SEARCH_MAX_PUSHES`` is refused before the first of them.
+    ``ROOT_SEARCH_MAX_PUSHES`` is refused in that pass, as soon as the
+    words kept so far need more.
     """
     _check_label(n)
     if n % 2 or n < 4:
@@ -411,12 +412,12 @@ def root_bound_search(n: int, max_len: int, max_degree: int) -> tuple:
     forms: dict = {}  # each distinct normal form, with the first word that has it
     for w in reduced_words(max_len):
         forms.setdefault(_Reduction(n, w.letters).form(), w)
-    pushes = len(forms) * max_degree
-    if pushes > ROOT_SEARCH_MAX_PUSHES:
-        raise PreconditionError(
-            f"word length {max_len} and degree {max_degree} need {pushes} pushes,"
-            f" above the root search cap ROOT_SEARCH_MAX_PUSHES = {ROOT_SEARCH_MAX_PUSHES}"
-        )
+        if len(forms) * max_degree > ROOT_SEARCH_MAX_PUSHES:
+            raise PreconditionError(
+                f"word length {max_len} and degree {max_degree} need at least"
+                f" {len(forms) * max_degree} pushes, above the root search cap"
+                f" ROOT_SEARCH_MAX_PUSHES = {ROOT_SEARCH_MAX_PUSHES}"
+            )
     hits = []
     for w in forms.values():
         state = _Reduction(n, w.letters * m)  # the state of w^k, resumed for each degree k

@@ -49,6 +49,7 @@ from .graphs import (
     CHUNK_TORAL_LEAF,
     BigChunk,
     LabelledGraph,
+    _find,
     big_chunks,
 )
 from .words import Word, _ArtinRelator, alternating
@@ -318,31 +319,22 @@ def betti_number(gog: GraphOfGroups) -> int:
 
 
 def _spanning_tree(gog: GraphOfGroups) -> set[int]:
-    """Indexes of the edges of a breadth-first spanning tree of the base.
+    """Indexes of the edges of a maximal tree of the base: the first edges
+    in index order that close no cycle, kept by a union-find over the
+    vertex ids (a loop joins a root to itself and is never kept).
 
-    Raises ``PreconditionError`` when the base is empty or disconnected.
+    Raises ``PreconditionError`` when the base is empty or disconnected,
+    that is, when fewer than V - 1 edges were kept.
     """
-    incident: dict[str, list[int]] = {v.id: [] for v in gog.vertices}
-    for idx, e in enumerate(gog.edges):
-        if not e.is_loop:
-            incident[e.ends[0]].append(idx)
-            incident[e.ends[1]].append(idx)
+    index = {v.id: i for i, v in enumerate(gog.vertices)}
+    parent = list(range(len(index)))
     tree_edges: set[int] = set()
-    frontier = [v.id for v in gog.vertices[:1]]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for vid in frontier:
-            for idx in incident[vid]:
-                ends = gog.edges[idx].ends
-                other = ends[1] if ends[0] == vid else ends[0]
-                if other in seen:
-                    continue
-                tree_edges.add(idx)
-                seen.add(other)
-                nxt.append(other)
-        frontier = nxt
-    if not seen or len(seen) < len(gog.vertices):
+    for idx, e in enumerate(gog.edges):
+        a, b = (_find(parent, index[end]) for end in e.ends)
+        if a != b:
+            parent[a] = b
+            tree_edges.add(idx)
+    if len(tree_edges) != len(gog.vertices) - 1:
         raise PreconditionError("graph of groups has a disconnected base")
     return tree_edges
 

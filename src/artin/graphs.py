@@ -13,9 +13,12 @@ computed; a brute-force maximality oracle in the test suite enforces the
 equivalence. The blocks come from one iterative depth-first search that
 computes low points only (Hopcroft & Tarjan, "Algorithm 447", CACM 16(6),
 1973), and each edge then joins the block of its deeper end, all in
-O(V + E); the separating vertices, the block-cut tree and connectivity
-are read off the blocks, and the retractions onto chunks and the sides
-of a splitting walk that tree's edges.
+O(V + E); the separating vertices and the block-cut tree are read off
+the blocks, and the retractions onto chunks and the sides of a splitting
+walk that tree's edges. Components are one union-find over the edges
+(``_find``): the connected components that connectivity and
+``DisconnectedGraphError`` report, and the odd-label components, whose
+number is the abelianization's rank.
 
 Input checks: ``LabelledGraph(...)``, ``LabelledGraph.from_edges`` and
 ``parse_graph`` (with line numbers) check what they are given. Graphs
@@ -133,8 +136,8 @@ class LabelledGraph:
         )
 
     def components(self) -> tuple[tuple[str, ...], ...]:
-        """Connected components as sorted vertex tuples, sorted by first vertex."""
-        return _components(self.vertices, self._adj)
+        """Connected components as sorted vertex tuples, sorted by first vertex (one union-find)."""
+        return _components(self.vertices, self.edges)
 
     def is_connected(self) -> bool:
         return len(self.vertices) > 0 and len(self.components()) == 1
@@ -404,33 +407,35 @@ def classify_chunk(g: LabelledGraph, chunk: BigChunk) -> ChunkClass:
     return ChunkClass(CHUNK_EVEN_NONLEAF, m)
 
 
-def _components(vertices, adj) -> tuple[tuple[str, ...], ...]:
-    """Components as sorted tuples, in ``vertices`` order; ``adj[v]`` holds v's neighbours."""
-    seen: set[str] = set()
-    out = []
-    for start in vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(tuple(sorted(comp)))
-    return tuple(out)
+def _find(parent: list[int], i: int) -> int:
+    """Root of i in a union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _components(vertices, edges) -> tuple[tuple[str, ...], ...]:
+    """Components of the sorted ``vertices`` under one union-find over the (u, v, label)
+    ``edges``, grouped by root in ``vertices`` order: each comes out sorted, and they
+    come in order of their first vertex."""
+    index = {v: i for i, v in enumerate(vertices)}
+    parent = list(range(len(vertices)))
+    for u, v, _ in edges:
+        parent[_find(parent, index[u])] = _find(parent, index[v])
+    groups: dict[int, list[str]] = {}
+    for i, v in enumerate(vertices):
+        groups.setdefault(_find(parent, i), []).append(v)
+    return tuple(map(tuple, groups.values()))
 
 
 def odd_components(g: LabelledGraph) -> tuple[tuple[str, ...], ...]:
-    """Components of the subgraph keeping only odd-labelled edges.
+    """Components of the subgraph of odd-labelled edges; only each label's parity is read.
 
     Their number equals the rank of the abelianization of the Artin group
     (generators of an odd edge are identified there).
     """
-    odd = {v: [w for w, m in near.items() if m % 2] for v, near in g._adj.items()}
-    return _components(g.vertices, odd)
+    return _components(g.vertices, [e for e in g.edges if e[2] % 2])
 
 
 def retract_word(decomp: BlockDecomposition, i: int, w: Word) -> Word:
@@ -469,14 +474,6 @@ def retract_word(decomp: BlockDecomposition, i: int, w: Word) -> Word:
 
 
 # canonical form
-
-def _find(parent: list[int], i: int) -> int:
-    """Root of i in a union-find forest, halving the path on the way."""
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
 
 def canonical_form(g: LabelledGraph) -> bytes:
     """Canonical byte string: equal for exactly the isomorphic labelled graphs.

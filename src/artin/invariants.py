@@ -94,19 +94,15 @@ def profile(g: LabelledGraph) -> InvariantProfile:
         )
     )
     shape = artin_abelianization(g)
-    # Betti number of gog.build_jsj(g) off the block-cut tree: an edge per incidence and
-    # a loop per toral leaf, a vertex per chunk and per separating vertex (a braided
-    # leaf's red vertex and red edge cancel); it equals toral when the incidence is a tree.
-    incidences = sum(len(idxs) for _, idxs in decomp.incidence)
-    betti = incidences + toral - len(decomp.chunks) - len(decomp.separating) + 1
-    assert betti == toral, "the block-cut incidence must be a tree"
+    # the base of gog.build_jsj(g) is the block-cut tree, a braided leaf's red vertex
+    # and red edge, and a loop per toral leaf: its Betti number is the loop count
     return InvariantProfile(
         chunk_count=len(decomp.chunks),
         toral_leaf_count=toral,
         braided_leaf_labels=braided,
         label2_nonleaf_edge_count=label2_nonleaf,
         abelianization=shape,
-        betti=betti,
+        betti=toral,
         bigbig_canonical_forms=bigbig,
         odd_leaf_labels=odd_leaf,
     )

@@ -1,12 +1,14 @@
 """Finite presentations, abelianization, and integer Smith normal form.
 
 The presentation of the fundamental group of a graph of groups follows
-the standard recipe: vertex groups contribute disjoint generator copies
-and their relators, edges of a spanning tree identify the two images of
-the edge-group generator, and every other edge (loops included)
-contributes a stable letter t with relator t a t^-1 w^-1 for the two
-images a, w. Vertex-group copies are kept duplicated and identified, a
-separate simplification step eliminates the identification relators.
+the standard recipe (Serre, *Trees*, I.5.1): vertex groups contribute
+disjoint generator copies and their relators, edges of a maximal tree
+identify the two images of the edge-group generator, and every other
+edge (loops included) contributes a stable letter t with relator
+t a t^-1 w^-1 for the two images a, w. The tree is the first edges in
+index order that close no cycle. Vertex-group copies are kept duplicated
+and identified, a separate simplification step eliminates the
+identification relators.
 
 Each vertex group presents itself (see ``artin.gog``). Every relator
 is a ``Word``, printed as its kept text pieces and held as itself in
@@ -307,7 +309,8 @@ def artin_abelianization(g: LabelledGraph) -> AbelianShape:
 def gog_presentation(gog: GraphOfGroups) -> Presentation:
     """Presentation of the fundamental group of a graph of groups.
 
-    Vertex-group generator copies stay duplicated; spanning-tree edges
+    Vertex-group generator copies stay duplicated; the edges of the
+    maximal tree, the first edges in index order that close no cycle,
     contribute identification relators, remaining edges stable letters.
     Generators are sorted; relator order follows vertices then edges.
     """

@@ -21,6 +21,7 @@ from artin import (
     alternating,
     aut_acylindrically_hyperbolic,
     big_chunks,
+    odd_components,
     parse_graph,
     parse_presentation,
     profile,
@@ -178,7 +179,7 @@ def test_chunk_graphs_are_not_checked_again(monkeypatch, capsys, tmp_path):
     assert _count_name_checks(monkeypatch, capsys, ["chunks", str(big)]) <= n
 
 
-# command -> (searches with the input graph's adjacency, other searches)
+# command -> (searches over the input graph's edges, other searches)
 COMPONENT_SEARCHES = {
     ("validate",): (1, 0),
     ("split",): (0, 0),
@@ -198,14 +199,20 @@ def test_components_searched_at_most_once(monkeypatch, capsys, tmp_path, command
     real = graphs._components
     seen = []
 
-    def counting(vertices, adj):
-        seen.append(adj == fan._adj)
-        return real(vertices, adj)
+    def counting(vertices, edges):
+        seen.append(tuple(edges) == fan.edges)
+        return real(vertices, edges)
 
     monkeypatch.setattr(graphs, "_components", counting)
     assert main([command[0], str(path), *command[1:]]) == 0
     capsys.readouterr()
     assert (seen.count(True), seen.count(False)) == COMPONENT_SEARCHES[command]
+
+
+def test_connectivity_reads_the_edges_only():
+    g = parse_graph(FAN_TEXT)
+    assert g.is_connected() and len(odd_components(g)) == 4
+    assert "_adj" not in vars(g)
 
 
 @pytest.mark.parametrize("text", ["e a b 2\nv z\n", "e a b 3\ne b c 2\ne c a 4\ne x y 3\n"])

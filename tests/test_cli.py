@@ -551,10 +551,11 @@ def test_root_search_push_cap(capsys, monkeypatch):
     # alone would allow 5 * 10^9 pushes; the product has a cap of its own
     cap = ROOT_SEARCH_MAX_PUSHES
     assert cap == 10**6  # as the README's root-search row reads
-    # on label 4, LEN 10 has 51,577 distinct normal forms and LEN 6 has 1,128
-    for argv, pushes in ((["4", "10", "100000"], 5157700000), (["4", "6", "1000"], 1128000)):
-        message = (f"error: word length {argv[1]} and degree {argv[2]} need {pushes} pushes,"
-                   f" above the root search cap ROOT_SEARCH_MAX_PUSHES = {cap}\n")
+    # the refusal comes as soon as the forms kept so far pass the cap: at the
+    # 11th distinct form for DEG 10^5, at the 1,001st for DEG 1000
+    for argv, pushes in ((["4", "10", "100000"], 1100000), (["4", "6", "1000"], 1001000)):
+        message = (f"error: word length {argv[1]} and degree {argv[2]} need at least {pushes}"
+                   f" pushes, above the root search cap ROOT_SEARCH_MAX_PUSHES = {cap}\n")
         for extra in ([], ["--json"]):
             assert _run(capsys, ["root-search", *argv] + extra) == (2, "", message), argv
     # at the cap the search runs: LEN 4 has 152 distinct forms of its 160 words,
@@ -564,7 +565,7 @@ def test_root_search_push_cap(capsys, monkeypatch):
         code, out, err = _run(capsys, ["root-search", "4", "4", "5"] + extra)
         assert (code, err) == (0, "") and out, extra
     monkeypatch.setattr(artin.dihedral, "ROOT_SEARCH_MAX_PUSHES", 759)
-    message = ("error: word length 4 and degree 5 need 760 pushes,"
+    message = ("error: word length 4 and degree 5 need at least 760 pushes,"
                " above the root search cap ROOT_SEARCH_MAX_PUSHES = 759\n")
     for extra in ([], ["--json"]):
         assert _run(capsys, ["root-search", "4", "4", "5"] + extra) == (2, "", message), extra

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import networkx as nx
 import pytest
 
 from artin import (
@@ -27,6 +28,7 @@ from artin.gog import (
     GoGEdge,
     GoGVertex,
     GraphOfGroups,
+    _spanning_tree,
     betti_number,
 )
 from artin.graphs import CHUNK_BRAIDED_LEAF, CHUNK_TORAL_LEAF
@@ -108,7 +110,7 @@ def test_betti_equals_toral_leaf_count_on_corpus():
         )
         assert betti_number(gog) == toral
         assert betti_number(collapse_jsj(gog)) == 0
-        # profile reads the Betti number off the block-cut tree instead
+        # profile counts the toral leaves instead
         assert profile(g).betti == betti_number(gog)
 
 
@@ -124,6 +126,62 @@ def test_betti_number_requires_connected_base():
     groupless = tuple(replace(v, group=None) for v in gog.vertices)
     with pytest.raises(PreconditionError, match="disconnected base"):
         gog_presentation(type(gog)(groupless, (), graph=gog.graph))
+
+
+def _random_base(rng):
+    """A seeded base of 1-8 cyclic vertices and 0-12 edges, loops and parallel edges included."""
+    ids = [f"V{i}" for i in range(rng.randint(1, 8))]
+    vertices = tuple(GoGVertex(v, BLACK, CyclicOnGenerator(v.lower())) for v in ids)
+    edges = []
+    for _ in range(rng.randint(0, 12)):
+        ends = (rng.choice(ids), rng.choice(ids))
+        images = tuple(Word.generator(v.lower()) for v in ends)
+        edges.append(GoGEdge(ends, CyclicOnGenerator("e"), images))
+    return GraphOfGroups(vertices, tuple(edges))
+
+
+def test_spanning_tree_is_the_first_edges_that_close_no_cycle():
+    # networkx as the second method: the tree spans a connected base, and
+    # every other edge's ends are joined by tree edges of smaller index
+    rng = random.Random(34)
+    bases = [_random_base(rng) for _ in range(600)]
+    connected = 0
+    for gog in bases:
+        ids = [v.id for v in gog.vertices]
+        whole = nx.MultiGraph([e.ends for e in gog.edges])
+        whole.add_nodes_from(ids)
+        if not nx.is_connected(whole):
+            for call in (betti_number, gog_presentation):
+                with pytest.raises(PreconditionError, match="disconnected base"):
+                    call(gog)
+            continue
+        connected += 1
+        tree = _spanning_tree(gog)
+        assert len(tree) == len(ids) - 1
+        h = nx.Graph([gog.edges[i].ends for i in tree])
+        h.add_nodes_from(ids)
+        assert nx.is_tree(h), gog.edges
+        for idx, e in enumerate(gog.edges):
+            if idx not in tree:
+                before = nx.Graph([gog.edges[i].ends for i in tree if i < idx])
+                before.add_nodes_from(ids)
+                assert nx.has_path(before, *e.ends), (idx, gog.edges)
+        assert betti_number(gog) == len(gog.edges) - len(tree)
+        gog_presentation(gog)
+    assert connected > 150 and len(bases) - connected > 150
+    assert any(e.is_loop for gog in bases for e in gog.edges)
+
+
+def test_spanning_tree_of_a_built_jsj_is_its_non_loop_edges():
+    rng = random.Random(35)
+    graphs = [g for g in connected_atlas(6) if len(g.vertices) >= 3]
+    graphs += [random_connected_graph(rng, rng.randint(3, 9)) for _ in range(150)]
+    decompositions = [dihedral_jsj(n) for n in range(3, 12)]
+    for g in graphs:
+        gog = build_jsj(g)
+        decompositions += [gog, collapse_jsj(gog)]
+    for gog in decompositions:
+        assert _spanning_tree(gog) == {i for i, e in enumerate(gog.edges) if not e.is_loop}
 
 
 def test_presentation_refuses_missing_groups_and_injections():

@@ -409,6 +409,19 @@ def test_odd_components_path3():
     assert odd_components(path3()) == (("a", "b"), ("c",))
 
 
+def test_components_match_networkx():
+    # the union-find against networkx, on the whole graph and on its odd edges
+    rng = random.Random(16)
+    graphs = connected_atlas(6) + [_random_graph(rng, rng.randint(1, 14)) for _ in range(2000)]
+    assert sum(not g.is_connected() for g in graphs) > 500
+    assert sum(g.valence(g.vertices[0]) == 0 and len(g.vertices) > 1 for g in graphs) > 100
+    for g in graphs:
+        for ours, keep in ((g.components(), lambda m: True), (odd_components(g), lambda m: m % 2)):
+            h = nx.Graph([(u, v) for u, v, m in g.edges if keep(m)])
+            h.add_nodes_from(g.vertices)
+            assert ours == tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(h))), g.edges
+
+
 # retraction
 
 

@@ -208,9 +208,10 @@ def test_simplify_preserves_abelianization():
 
 
 def test_gog_presentation_spanning_tree_takes_edges_in_index_order():
-    # a base with a triangle, parallel edges and a loop: the breadth-first
-    # tree from A takes A's edges 1 and 2 (ascending), so edges 0 and 3
-    # get stable letters, as does the loop
+    # a base with a triangle, parallel edges and a loop: the tree takes the
+    # first edges in index order that close no cycle, 0 and 1, so edge 2
+    # closes the triangle and edge 3 doubles edge 2, and both get stable
+    # letters, as does the loop
     vertices = tuple(GoGVertex(v.upper(), BLACK, CyclicOnGenerator(v)) for v in "abc")
     edges = tuple(
         GoGEdge(ends, CyclicOnGenerator(ends[0].lower()),
@@ -223,11 +224,13 @@ def test_gog_presentation_spanning_tree_takes_edges_in_index_order():
             (("C", "C"), "c", "c^-1"),
         ]
     )
-    assert render_presentation(gog_presentation(GraphOfGroups(vertices, edges))) == (
-        "gen: a b c t0 t3 t4\n"
-        "rel: t0 b t0^-1 c^-1\n"
+    p = gog_presentation(GraphOfGroups(vertices, edges))
+    assert abelianize(p) == AbelianShape(3, ())  # the same group for every maximal tree
+    assert render_presentation(p) == (
+        "gen: a b c t2 t3 t4\n"
+        "rel: b c^-1\n"
         "rel: a c^-2\n"
-        "rel: a^3 b^-1\n"
+        "rel: t2 a^3 t2^-1 b^-1\n"
         "rel: t3 b^5 t3^-1 a^-1\n"
         "rel: t4 c t4^-1 c\n"
     )

@@ -1,4 +1,5 @@
-"""Totality of the dihedral and the block-cut commands on seeded hostile input, run through ``cli.main``.
+"""Totality of the dihedral, block-cut and presentation commands on seeded
+hostile input, run through ``cli.main``.
 
 Every run must end in one of two ways: exit 0 with an empty stderr and
 output that ``json.loads`` reads (``--json``) or text that ends in a
@@ -20,7 +21,11 @@ The commands that read the block-cut tree (``validate``, ``chunks``,
 isolated vertices included, whose names collide with the names the
 decompositions generate (``z_a_b``, ``r_s``, ``a_``, ``B_x``, ``W_a``),
 and on malformed and missing files. ``retract`` also gets chunk indexes
-out of range and letters that are not vertices.
+out of range and letters that are not vertices. The commands that
+present the group (``abelianize``, ``presentation`` with each flag
+combination, ``profile``, and ``compare`` against a relabelled copy) run
+on the same files. Both slices also get graphs whose labels include
+10^6+1, 10^6+2 and ``sys.maxsize``+1.
 """
 
 import builtins
@@ -152,28 +157,40 @@ MALFORMED = (
     "e z_a_b a- 2\n", "e a b " + "3" * 5000 + "\n",
 )
 GRAPH_COMMANDS = ("validate", "chunks", "split", "jsj", "acylindrical", "retract")
+PRESENTATION_COMMANDS = ("abelianize", "presentation", "profile", "compare")
+FLAGS = {  # every flag combination of a command that takes flags
+    "jsj": ([], ["--collapsed"], ["--dot", "-"], ["--collapsed", "--dot", "-"]),
+    "abelianize": ([], ["--of-jsj"]),
+    "presentation": ([], ["--of-jsj"], ["--simplify"], ["--of-jsj", "--simplify"]),
+}
 
 
-def _graph_text(rng):
+def _graph_text(rng, labels=GRAPH_LABELS):
     """Connected three times in four: a random tree plus random edges; else any density."""
     names = rng.sample(NAMES, rng.randint(1, 7))
     connected = rng.random() < 0.75
     p = rng.choice((0.0, 0.2, 0.4, 0.6, 1.0))
     pairs = {(names[rng.randrange(i)], names[i]) for i in range(1, len(names))} if connected else set()
     pairs |= {(u, v) for i, u in enumerate(names) for v in names[i + 1:] if rng.random() < p}
-    lines = [f"e {u} {v} {rng.choice(GRAPH_LABELS)}" for u, v in sorted(pairs)]
+    lines = [f"e {u} {v} {rng.choice(labels)}" for u, v in sorted(pairs)]
     lines += [f"v {v}" for v in names if rng.random() < 0.3 or not any(v in uv for uv in pairs)]
     rng.shuffle(lines)
     return names, "\n".join(lines) + "\n"
 
 
 def _graph_files(directory):
-    """(path, vertex names) of each seeded graph file, the malformed ones and a missing one."""
+    """(path, vertex names) of each seeded graph file, with small labels and
+    with huge ones too, the malformed ones and a missing one."""
     rng = random.Random("totality graphs")
     files = []
     for i in range(70):
         names, text = _graph_text(rng)
         files.append((directory / f"g{i}.txt", names))
+        files[-1][0].write_text(text)
+    rng = random.Random("totality huge labels")
+    for i in range(20):
+        names, text = _graph_text(rng, GRAPH_LABELS + (10**6 + 1, 10**6 + 2, HUGE))
+        files.append((directory / f"huge{i}.txt", names))
         files[-1][0].write_text(text)
     for i, text in enumerate(MALFORMED):
         files.append((directory / f"bad{i}.txt", ["a", "b"]))
@@ -182,12 +199,27 @@ def _graph_files(directory):
     return files
 
 
+def _relabelled(path, rng):
+    """A copy of a graph file with its vertex names permuted among NAMES; a missing file stays missing."""
+    if not path.exists():
+        return path
+    rename = dict(zip(NAMES, rng.sample(NAMES, len(NAMES))))
+    lines = []
+    for line in path.read_text().splitlines():
+        parts = line.split()
+        if parts[:1] in (["v"], ["e"]):
+            parts[1:3] = [rename.get(name, name) for name in parts[1:3]]
+        lines.append(" ".join(parts))
+    copy = path.with_name(f"relabelled-{path.name}")
+    copy.write_text("\n".join(lines) + "\n")
+    return copy
+
+
 def _graph_cases(command, files, rng):
     for path, names in files:
         f = str(path)
-        if command == "jsj":
-            for flags in ([], ["--collapsed"], ["--dot", "-"], ["--collapsed", "--dot", "-"]):
-                yield [command, f, *flags]
+        if command == "compare":
+            yield [command, f, str(_relabelled(path, rng))]
         elif command == "retract":
             for _ in range(3):
                 chunk = rng.choice((0, 0, 1, 2, 6, -1, 10**18))
@@ -195,11 +227,18 @@ def _graph_cases(command, files, rng):
                 word = " ".join(f"{v}^{rng.choice((1, -1, 2, -3, 10**18))}" for v in letters)
                 yield [command, f, str(chunk), word]
         else:
-            yield [command, f]
+            for flags in FLAGS.get(command, ([],)):
+                yield [command, f, *flags]
 
 
 @pytest.mark.parametrize("command", GRAPH_COMMANDS)
 def test_block_cut_commands_are_total(capsys, monkeypatch, tmp_path, command):
+    files = _graph_files(tmp_path)
+    _assert_total(capsys, monkeypatch, _graph_cases(command, files, random.Random(f"totality {command}")))
+
+
+@pytest.mark.parametrize("command", PRESENTATION_COMMANDS)
+def test_presentation_commands_are_total(capsys, monkeypatch, tmp_path, command):
     files = _graph_files(tmp_path)
     _assert_total(capsys, monkeypatch, _graph_cases(command, files, random.Random(f"totality {command}")))
 
@@ -213,3 +252,9 @@ def test_the_block_cut_slice_runs_at_least_600_cases(tmp_path):
     files = _graph_files(tmp_path)
     cases = sum(len(list(_graph_cases(c, files, random.Random(f"totality {c}")))) for c in GRAPH_COMMANDS)
     assert 2 * cases >= 600  # each with and without --json
+
+
+def test_the_presentation_slice_runs_at_least_800_cases(tmp_path):
+    files = _graph_files(tmp_path)
+    cases = sum(len(list(_graph_cases(c, files, random.Random(f"totality {c}")))) for c in PRESENTATION_COMMANDS)
+    assert 2 * cases >= 800  # each with and without --json
